@@ -6,9 +6,22 @@ add, channel concatenation, and a scalar sum for building test losses.
 Forward values keep the input dtype; gradient buffers always accumulate in
 float64. Graphs are built define-by-run and traversed once, in reverse
 topological order, by ``backward``.
+
+Each tensor carries ``requires_grad``. Leaves default to True; pass False for
+inputs whose gradient nothing reads, such as the stacked source/target
+volumes. An op's output requires a gradient iff one of its parents does, and
+``backward`` allocates buffers and runs backward closures only for those
+nodes, so no work is spent on the input gradient of a frozen input.
+
+The transposed convolution is computed in scatter form, as the adjoint of the
+convolution: one channel matmul per kernel tap, added into the strided output
+positions of that tap, with no zero-dilated copy of the input. The same
+routine gives the input gradient of a strided convolution.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -17,15 +30,17 @@ from numpy.lib.stride_tricks import sliding_window_view
 class Tensor:
     """A graph node: a value plus the closure that propagates its gradient."""
 
-    __slots__ = ("data", "grad", "parents", "backward_fn", "name", "op")
+    __slots__ = ("data", "grad", "parents", "backward_fn", "name", "op", "requires_grad")
 
-    def __init__(self, data, name="", parents=(), backward_fn=None, op="leaf"):
+    def __init__(self, data, name="", parents=(), backward_fn=None, op="leaf", requires_grad=True):
         self.data = np.asarray(data)
         self.grad = None
         self.parents = tuple(parents)
         self.backward_fn = backward_fn
         self.name = name
         self.op = op
+        # the flag is the caller's for a leaf; an op output needs a gradient iff a parent does
+        self.requires_grad = any(p.requires_grad for p in self.parents) if self.parents else requires_grad
 
     @property
     def shape(self):
@@ -58,23 +73,21 @@ def _conv_raw(x: np.ndarray, w: np.ndarray, stride: int, padding: int) -> np.nda
 def _convT_raw(x: np.ndarray, w: np.ndarray, stride: int, padding: int) -> np.ndarray:
     """Fractionally strided convolution: x (A, ...) with w (A, B, k, k, k).
 
-    Implemented as dilate-by-stride, full zero pad, correlate with the
-    flipped kernel, then crop ``padding`` from each side; this is exactly the
-    adjoint of _conv_raw with the same (k, stride, padding).
+    The scatter-adjoint of _conv_raw with the same (k, stride, padding): each
+    tap (i, j, l) adds one channel matmul ``w[:, :, i, j, l].T @ x`` into the
+    output positions ``r * stride + (i, j, l)``, then ``padding`` is cropped
+    from each side.
     """
-    k = w.shape[2]
-    if stride > 1:
-        dilated = np.zeros(
-            (x.shape[0],) + tuple((n - 1) * stride + 1 for n in x.shape[1:]), dtype=x.dtype
-        )
-        dilated[:, ::stride, ::stride, ::stride] = x
-    else:
-        dilated = x
-    win = _windows(_pad_spatial(dilated, k - 1), k, 1)
-    wf = w[:, :, ::-1, ::-1, ::-1]
-    y = np.tensordot(wf, win, axes=([0, 2, 3, 4], [0, 4, 5, 6]))
+    a, b, k = w.shape[0], w.shape[1], w.shape[2]
+    sp = x.shape[1:]
+    y = np.zeros((b,) + tuple((n - 1) * stride + k for n in sp), dtype=np.result_type(x, w))
+    xf = x.reshape(a, -1)
+    span = [(n - 1) * stride + 1 for n in sp]
+    for i, j, l in itertools.product(range(k), repeat=3):
+        tap = (w[:, :, i, j, l].T @ xf).reshape(b, *sp)
+        y[:, i:i + span[0]:stride, j:j + span[1]:stride, l:l + span[2]:stride] += tap
     if padding:
-        y = y[:, padding:-padding or None, padding:-padding or None, padding:-padding or None]
+        y = y[:, padding:-padding, padding:-padding, padding:-padding]
     return y
 
 
@@ -125,9 +138,12 @@ def conv3d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
     in_sp = x.data.shape[1:]
 
     def backward_fn(g):
-        x.grad += _conv_input_grad(g, w.data, stride, padding, in_sp)
-        w.grad += _weight_grad(g, x.data, k, stride, padding)
-        b.grad += g.sum(axis=(1, 2, 3))
+        if x.requires_grad:
+            x.grad += _conv_input_grad(g, w.data, stride, padding, in_sp)
+        if w.requires_grad:
+            w.grad += _weight_grad(g, x.data, k, stride, padding)
+        if b.requires_grad:
+            b.grad += g.sum(axis=(1, 2, 3))
 
     return Tensor(y, parents=(x, w, b), backward_fn=backward_fn, op="conv3d")
 
@@ -151,9 +167,12 @@ def conv3d_transpose(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: 
     y = _convT_raw(x.data, w.data, stride, padding) + b.data[:, None, None, None]
 
     def backward_fn(g):
-        x.grad += _conv_raw(g, w.data, stride, padding)
-        w.grad += _weight_grad(x.data, g, k, stride, padding)
-        b.grad += g.sum(axis=(1, 2, 3))
+        if x.requires_grad:
+            x.grad += _conv_raw(g, w.data, stride, padding)
+        if w.requires_grad:
+            w.grad += _weight_grad(x.data, g, k, stride, padding)
+        if b.requires_grad:
+            b.grad += g.sum(axis=(1, 2, 3))
 
     return Tensor(y, parents=(x, w, b), backward_fn=backward_fn, op="conv3d_transpose")
 
@@ -168,8 +187,10 @@ def prelu(x: Tensor, slopes: Tensor) -> Tensor:
     y = np.where(pos, x.data, x.data * a)
 
     def backward_fn(g):
-        x.grad += g * np.where(pos, 1.0, a)
-        slopes.grad += (g * np.where(pos, 0.0, x.data)).sum(axis=(1, 2, 3))
+        if x.requires_grad:
+            x.grad += g * np.where(pos, 1.0, a)
+        if slopes.requires_grad:
+            slopes.grad += (g * np.where(pos, 0.0, x.data)).sum(axis=(1, 2, 3))
 
     return Tensor(y, parents=(x, slopes), backward_fn=backward_fn, op="prelu")
 
@@ -179,8 +200,9 @@ def add(x: Tensor, y: Tensor) -> Tensor:
         raise ValueError(f"add shape mismatch: {x.data.shape} vs {y.data.shape}")
 
     def backward_fn(g):
-        x.grad += g
-        y.grad += g
+        for t in (x, y):
+            if t.requires_grad:
+                t.grad += g
 
     return Tensor(x.data + y.data, parents=(x, y), backward_fn=backward_fn, op="add")
 
@@ -203,7 +225,8 @@ def concat_channels(xs) -> Tensor:
     def backward_fn(g):
         off = 0
         for t, c in zip(xs, sizes):
-            t.grad += g[off:off + c]
+            if t.requires_grad:
+                t.grad += g[off:off + c]
             off += c
 
     return Tensor(y, parents=tuple(xs), backward_fn=backward_fn, op="concat_channels")
@@ -219,6 +242,10 @@ def sum_all(x: Tensor) -> Tensor:
 
 
 def _topo_order(root: Tensor):
+    """Nodes that need a gradient, parents before consumers.
+
+    A node that needs none has no ancestor that does, so the walk stops there.
+    """
     order: list[Tensor] = []
     seen: set[int] = set()
     stack: list[tuple[Tensor, bool]] = [(root, False)]
@@ -232,9 +259,9 @@ def _topo_order(root: Tensor):
         seen.add(id(node))
         stack.append((node, True))
         for p in node.parents:
-            if id(p) not in seen:
+            if p.requires_grad and id(p) not in seen:
                 stack.append((p, False))
-    return order  # parents precede consumers
+    return order
 
 
 def backward(root: Tensor, seed=None) -> None:
@@ -243,7 +270,8 @@ def backward(root: Tensor, seed=None) -> None:
     A scalar root seeds with 1; any other root requires an explicit seed of
     matching shape (e.g. an upstream loss gradient). Existing .grad buffers on
     the visited nodes are reset first, so parameters can be reused across
-    training steps without manual zeroing.
+    training steps without manual zeroing. Nodes with ``requires_grad`` False
+    get no buffer and propagate nothing; a root that needs none is a no-op.
     """
     if seed is None:
         if root.data.size != 1:
@@ -253,6 +281,8 @@ def backward(root: Tensor, seed=None) -> None:
         seed = np.asarray(seed, dtype=np.float64)
         if seed.shape != root.data.shape:
             raise ValueError(f"seed shape {seed.shape} does not match root shape {root.data.shape}")
+    if not root.requires_grad:
+        return
     order = _topo_order(root)
     for node in order:
         node.grad = np.zeros(node.data.shape, dtype=np.float64)

@@ -248,7 +248,7 @@ def _check_full_graph(rng, size=8) -> CheckResult:
     params.tensors["head.b"].data = params.tensors["head.b"].data + np.array([0.37, 0.29, 0.43])
     src = Volume(rng.random((size, size, size)), INTENSITY)
     tgt = Volume(rng.random((size, size, size)), INTENSITY)
-    x = ad.Tensor(np.stack([src.data, tgt.data]))
+    x = ad.Tensor(np.stack([src.data, tgt.data]), requires_grad=False)  # as in training
     alpha, beta, window = 1.0, 1e-2, 5
 
     def f():

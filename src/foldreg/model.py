@@ -160,7 +160,7 @@ def faim_forward(params: ModelParams, source: Volume, target: Volume) -> Displac
     if source.dims != target.dims:
         raise ValueError(f"dims mismatch: {source.dims} vs {target.dims}")
     dtype = next(iter(params.tensors.values())).data.dtype
-    x = Tensor(np.stack([source.data, target.data]).astype(dtype, copy=False))
+    x = Tensor(np.stack([source.data, target.data]).astype(dtype, copy=False), requires_grad=False)
     out = faim_apply(params, x)
     return DisplacementField(out.data)
 

@@ -8,7 +8,9 @@ kind one parameter set is trained across shuffled pairs for ``epochs``
 epochs; for the ``direct`` kind each pair gets its own zero-initialized field
 optimized for ``steps`` iterations (classical per-pair registration).
 
-A NaN/Inf loss aborts the run and keeps the last good checkpoint.
+A NaN/Inf loss or gradient aborts the run with ``TrainingDiverged`` and keeps
+the last good checkpoint: the parameters (and Adam state) from before the
+update that led to the non-finite value.
 """
 
 from __future__ import annotations
@@ -381,7 +383,16 @@ def _train_faim(cfg, vols, pairs, base_meta, out_dir, faim_config):
     meta = dict(base_meta)
     meta.update(params.config.to_meta())
 
-    last_good = {k: v.copy() for k, v in arrays.items()}
+    # parameters and Adam state before the latest update: the last ones whose
+    # loss and gradient were both finite
+    def snapshot():
+        return _with_adam({k: v.copy() for k, v in arrays.items()}, state), state.t
+
+    def diverged(message):
+        meta["adam_t"] = str(good_t)
+        return TrainingDiverged(message, _dump_checkpoint(out_dir, meta, good))
+
+    good, good_t = snapshot()
     rows = []
     final_bd = None
     step = 0
@@ -390,22 +401,20 @@ def _train_faim(cfg, vols, pairs, base_meta, out_dir, faim_config):
         for idx in order:
             src_id, tgt_id = pairs[idx]
             src, tgt = vols[src_id], vols[tgt_id]
-            x = Tensor(np.stack([src.data, tgt.data]).astype(np.float32, copy=False))
+            x = Tensor(np.stack([src.data, tgt.data]).astype(np.float32, copy=False), requires_grad=False)
             u_node = model_mod.faim_apply(params, x)
             bd, grad_u = _loss_and_grad(src, tgt, u_node.data, cfg)
             if grad_u is None:
-                meta["adam_t"] = str(state.t)
-                path = _dump_checkpoint(out_dir, meta, _with_adam(last_good, state))
-                raise TrainingDiverged(
-                    f"loss diverged at step {step} (pair {src_id}->{tgt_id})", path
-                )
+                raise diverged(f"loss diverged at step {step} (pair {src_id}->{tgt_id})")
             backward(u_node, seed=grad_u)
             grads = {name: t.grad for name, t in params.tensors.items()}
             if cfg.clip_norm:
                 optim.clip_global_norm(grads, cfg.clip_norm)
-            optim.adam_step(arrays, grads, state)
-            for k, v in arrays.items():
-                np.copyto(last_good[k], v)
+            good, good_t = snapshot()
+            try:
+                optim.adam_step(arrays, grads, state)
+            except optim.DivergenceError as exc:
+                raise diverged(f"{exc} at step {step} (pair {src_id}->{tgt_id})") from exc
             rows.append((step, epoch, src_id, tgt_id, bd))
             final_bd = bd
             step += 1
@@ -425,20 +434,27 @@ def _train_direct(cfg, vols, pairs, base_meta, out_dir):
         params = model_mod.direct_field_model(dims)
         field_arr = params.tensors["field"].data
         state = optim.adam_init({"field": field_arr}, lr=cfg.lr)
+
+        # the field before the latest update: the last one whose loss and
+        # gradient were both finite
         last_good = field_arr.copy()
+
+        def diverged(message):
+            out_arrays[f"field:{src_id}:{tgt_id}"] = last_good
+            return TrainingDiverged(message, _dump_checkpoint(out_dir, meta, out_arrays))
+
         for it in range(cfg.steps):
             bd, grad_u = _loss_and_grad(src, tgt, field_arr, cfg)
             if grad_u is None:
-                out_arrays[f"field:{src_id}:{tgt_id}"] = last_good
-                path = _dump_checkpoint(out_dir, meta, out_arrays)
-                raise TrainingDiverged(
-                    f"loss diverged optimizing pair {src_id}->{tgt_id} at iteration {it}", path
-                )
+                raise diverged(f"loss diverged optimizing pair {src_id}->{tgt_id} at iteration {it}")
             grads = {"field": grad_u}
             if cfg.clip_norm:
                 optim.clip_global_norm(grads, cfg.clip_norm)
-            optim.adam_step({"field": field_arr}, grads, state)
             np.copyto(last_good, field_arr)
+            try:
+                optim.adam_step({"field": field_arr}, grads, state)
+            except optim.DivergenceError as exc:
+                raise diverged(f"{exc} optimizing pair {src_id}->{tgt_id} at iteration {it}") from exc
             rows.append((step, it, src_id, tgt_id, bd))
             final_bd = bd
             step += 1

@@ -131,10 +131,14 @@ class TestConvTranspose:
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(2)
-        x = rng.standard_normal((2, 3, 4, 3))
-        w = rng.standard_normal((2, 3, 2, 2, 2))
         b = rng.standard_normal(3)
-        for stride, padding in [(1, 0), (2, 0), (2, 1), (3, 1)]:
+        for x_shape, k, stride, padding in [
+            ((2, 3, 4, 3), 2, 1, 0), ((2, 3, 4, 3), 2, 2, 0), ((2, 3, 4, 3), 2, 2, 1),
+            ((2, 3, 4, 3), 2, 3, 1), ((2, 3, 4, 3), 3, 1, 1), ((2, 3, 4, 3), 3, 2, 1),
+            ((2, 3, 5, 1), 3, 3, 0), ((2, 3, 5, 1), 3, 3, 1), ((2, 3, 5, 1), 2, 3, 0),
+        ]:
+            x = rng.standard_normal(x_shape)
+            w = rng.standard_normal((2, 3, k, k, k))
             out = ad.conv3d_transpose(ad.Tensor(x), ad.Tensor(w), ad.Tensor(b), stride, padding)
             assert np.allclose(out.data, brute_conv3d_transpose(x, w, b, stride, padding), atol=1e-10)
 
@@ -265,6 +269,8 @@ class TestGradientsAgainstFd:
         ("conv", ((2, 5, 5, 5), (1, 2, 3, 3, 3), (1,)), dict(stride=2, padding=0)),
         ("convT", ((3, 3, 3, 3), (3, 2, 2, 2, 2), (2,)), dict(stride=2, padding=0)),
         ("convT", ((2, 3, 3, 3), (2, 2, 3, 3, 3), (2,)), dict(stride=1, padding=1)),
+        ("conv", ((2, 6, 5, 7), (3, 2, 3, 3, 3), (3,)), dict(stride=2, padding=1)),
+        ("convT", ((2, 3, 3, 3), (2, 2, 3, 3, 3), (2,)), dict(stride=2, padding=1)),
     ])
     def test_conv_ops(self, op, shapes, kwargs):
         rng = np.random.default_rng(9)
@@ -294,3 +300,49 @@ class TestGradientsAgainstFd:
                 g = grad.reshape(-1)[idx]
                 worst = max(worst, abs(g - fd) / max(abs(g), abs(fd), 1e-6))
         assert worst < 1e-4
+
+
+def _through_each_op(x):
+    """A scalar graph in which x feeds every op next to gradient-requiring leaves.
+
+    Returns the root and those leaves.
+    """
+    rng = np.random.default_rng(10)
+    c = x.data.shape[0]
+    params = [ad.Tensor(rng.standard_normal(shape)) for shape in
+              ((3, c, 3, 3, 3), (3,), (c, 3, 2, 2, 2), (3,), (c,), x.data.shape)]
+    conv_w, conv_b, convT_w, convT_b, slopes, other = params
+    down = ad.conv3d(x, conv_w, conv_b, stride=2, padding=1)
+    up = ad.conv3d_transpose(x, convT_w, convT_b, stride=2)
+    cat = ad.concat_channels([x, ad.prelu(x, slopes), ad.add(x, other)])
+    root = ad.add(ad.add(ad.sum_all(down), ad.sum_all(up)), ad.sum_all(cat))
+    return root, params
+
+
+class TestRequiresGrad:
+    def test_frozen_leaf_gets_no_grad(self):
+        x = ad.Tensor(np.random.default_rng(11).standard_normal((2, 4, 4, 4)), requires_grad=False)
+        root, params = _through_each_op(x)
+        ad.backward(root)
+        assert x.grad is None
+        assert all(p.grad is not None for p in params)
+        frozen_root = ad.sum_all(x)
+        assert not frozen_root.requires_grad
+        ad.backward(frozen_root)
+        assert x.grad is None and frozen_root.grad is None
+
+    def test_param_grads_unchanged_by_frozen_input(self):
+        data = np.random.default_rng(12).standard_normal((2, 4, 4, 4))
+        grads = []
+        for requires_grad in (True, False):
+            root, params = _through_each_op(ad.Tensor(data, requires_grad=requires_grad))
+            ad.backward(root)
+            grads.append([p.grad for p in params])
+        for a, b in zip(*grads):
+            assert np.array_equal(a, b)
+
+    def test_conv_transpose_keeps_float32(self):
+        x = ad.Tensor(np.ones((2, 3, 3, 3), dtype=np.float32))
+        w = ad.Tensor(np.ones((2, 4, 3, 3, 3), dtype=np.float32))
+        out = ad.conv3d_transpose(x, w, ad.Tensor(np.zeros(4, dtype=np.float32)), stride=2, padding=1)
+        assert out.data.dtype == np.float32

@@ -1,9 +1,13 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from foldreg import model, trainer
 from foldreg.jacobian import det_map, folding_count, jacobian_raw
+from foldreg.loss import total_loss
 from foldreg.trainer import (
     Dataset,
     TrainConfig,
@@ -17,7 +21,8 @@ from foldreg.trainer import (
     train,
     write_loss_log,
 )
-from foldreg.volume import Volume
+from foldreg.volume import DisplacementField, Volume
+from foldreg.warp import warp_image
 
 
 class TestMakePairs:
@@ -126,6 +131,19 @@ def tiny_dataset(seed=0, n=3, dims=(8, 8, 8)):
     return synth_dataset(seed=seed, n=n, dims=dims)
 
 
+def _checkpoint_loss_on_failing_pair(err, ds, cfg):
+    """Total loss of the kept checkpoint on the pair the run diverged on."""
+    src_id, tgt_id = re.search(r"pair (\w+)->(\w+)", str(err)).groups()
+    meta, arrays = model.load_checkpoint(err.checkpoint_path)
+    src, tgt = ds.volumes[src_id], ds.volumes[tgt_id]
+    if meta["kind"] == "faim":
+        u = model.faim_forward(model.params_from_checkpoint(meta, arrays), src, tgt)
+    else:
+        u = DisplacementField(arrays[f"field:{src_id}:{tgt_id}"])
+    bd = total_loss(warp_image(src, u).warped, tgt, u, cfg.alpha, cfg.beta, cfg.cc_mode, cfg.cc_window)
+    return meta, bd.total
+
+
 class TestTrainDirect:
     def test_identical_volumes_stay_near_zero(self):
         rng = np.random.default_rng(7)
@@ -202,14 +220,19 @@ class TestTrainFaim:
             assert np.array_equal(v.data, before[k])
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_divergence_keeps_last_checkpoint(self, tmp_path):
         ds = tiny_dataset()
-        # absurd learning rate forces NaN quickly
-        cfg = TrainConfig(lr=1e12, epochs=5, alpha=1.0, seed=0, cc_mode="global")
-        with pytest.raises(TrainingDiverged) as err:
-            train(cfg, ds.volumes, kind="faim", out_dir=tmp_path)
-        assert err.value.checkpoint_path is not None
-        assert err.value.checkpoint_path.is_file()
+        # absurd learning rates force NaN quickly; the kept checkpoint is the
+        # one from before the update that diverged, so its loss is finite
+        for lr in (1e3, 1e12):
+            cfg = TrainConfig(lr=lr, epochs=5, alpha=1.0, seed=0, cc_mode="global")
+            with pytest.raises(TrainingDiverged, match="loss diverged") as err:
+                train(cfg, ds.volumes, kind="faim", out_dir=tmp_path / repr(lr))
+            assert err.value.checkpoint_path is not None
+            assert err.value.checkpoint_path.is_file()
+            _, loss = _checkpoint_loss_on_failing_pair(err.value, ds, cfg)
+            assert np.isfinite(loss)
 
     def test_needs_two_volumes(self):
         ds = tiny_dataset()
@@ -222,6 +245,33 @@ class TestTrainFaim:
         cfg = TrainConfig(lr=1e-4, epochs=1, alpha=1.0, seed=0, crop=(8, 8, 8), cc_mode="global")
         res = train(cfg, {k: ds.volumes[k] for k in ds.ids[:2]}, kind="faim")
         assert res.meta["dims"] == "8,8,8"
+
+
+class TestDivergence:
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("kind", ["faim", "direct"])
+    def test_gradient_path_keeps_last_good(self, tmp_path, monkeypatch, kind):
+        # finite loss, non-finite gradient on the third step: adam_step refuses it
+        real = trainer._loss_and_grad
+        calls = []
+
+        def poisoned(*args):
+            bd, grad_u = real(*args)
+            calls.append(bd)
+            if len(calls) == 3:
+                grad_u = np.full_like(grad_u, np.nan)
+            return bd, grad_u
+
+        monkeypatch.setattr(trainer, "_loss_and_grad", poisoned)
+        ds = tiny_dataset()
+        cfg = TrainConfig(lr=1e-2, epochs=1, alpha=1.0, seed=0, cc_mode="global", steps=5)
+        with pytest.raises(TrainingDiverged, match="diverged gradient") as err:
+            train(cfg, ds.volumes, kind=kind, out_dir=tmp_path)
+        meta, loss = _checkpoint_loss_on_failing_pair(err.value, ds, cfg)
+        # the parameters the third loss was computed with, after two updates
+        assert loss == pytest.approx(calls[2].total, rel=1e-5)
+        if kind == "faim":
+            assert meta["adam_t"] == "2"
 
 
 class TestLossLog:
