@@ -184,19 +184,11 @@ def _cmd_describe(args) -> int:
         meta, arrays = model.load_checkpoint(args.checkpoint)
         params = model.params_from_checkpoint(meta, arrays)
     else:
+        meta = trainer.read_key_values(args.config) if args.config else {}
         try:
-            if args.config:
-                meta = {}
-                for line in Path(args.config).read_text().splitlines():
-                    line = line.strip()
-                    if line and not line.startswith("#"):
-                        k, _, v = line.partition("=")
-                        meta[k.strip()] = v.strip()
-                cfg = model.FaimConfig.from_meta({**model.FaimConfig().to_meta(), **meta})
-            else:
-                cfg = model.FaimConfig()
+            cfg = model.FaimConfig.from_meta({**model.FaimConfig().to_meta(), **meta})
             params = model.build_faim(cfg, seed=0)
-        except (ValueError, KeyError) as exc:
+        except ValueError as exc:
             raise UsageError(f"invalid config: {exc}") from exc
     print(model.describe(params))
     return 0

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from . import jacobian, loss, model
+from . import jacobian, loss, model, trainer
 from .volume import INTENSITY, DisplacementField, Volume
 from .warp import warp_backward, warp_image
 
@@ -248,7 +248,7 @@ def _check_full_graph(rng, size=8) -> CheckResult:
     params.tensors["head.b"].data = params.tensors["head.b"].data + np.array([0.37, 0.29, 0.43])
     src = Volume(rng.random((size, size, size)), INTENSITY)
     tgt = Volume(rng.random((size, size, size)), INTENSITY)
-    x = ad.Tensor(np.stack([src.data, tgt.data]), requires_grad=False)  # as in training
+    x = model.faim_input(params, src, tgt)
     alpha, beta, window = 1.0, 1e-2, 5
 
     def f():
@@ -265,11 +265,9 @@ def _check_full_graph(rng, size=8) -> CheckResult:
     face_dist = np.abs(coords - np.round(coords))[inside]
     if face_dist.size and face_dist.min() < 0.02:
         raise RuntimeError("graph check setup left a sample point near a cell face")
-    u = DisplacementField(u_node.data)
-    grad_s, grad_u = loss.loss_backward(
-        warp_image(src, u).warped, tgt, u, alpha, beta, loss.LOCAL, window
-    )
-    grad_u += warp_backward(src, u, grad_s)
+    # the analytic side is the gradient training runs
+    cfg = trainer.TrainConfig(alpha=alpha, beta=beta, cc_mode=loss.LOCAL, cc_window=window)
+    _, grad_u = trainer._loss_and_grad(src, tgt, u_node.data, cfg)
     ad.backward(u_node, seed=grad_u)
     arrays = [t.data for t in params.tensors.values()]
     grads = [t.grad for t in params.tensors.values()]

@@ -2,12 +2,9 @@
 
 Two model kinds share the loss machinery:
 
-* ``faim``: the convolutional network. First an inception-style layer
-  (parallel convs at several odd kernel sizes, channel-concat, 1x1x1 merge),
-  then two stride-2 encoder convs, a residual conv block, two stride-2
-  transposed convs for upsampling, and a linear 3-channel head. Exactly three
-  add-skip junctions tie the downsampling and upsampling paths; PReLU
-  activations everywhere except the head. No pooling layers.
+* ``faim``: the convolutional network (inception layer, encoder, residual
+  block, upsampling path with add-skips, linear head, no pooling), described
+  once, row by row, in ``faim_layers``.
 * ``direct``: the parameters are the displacement field itself, one tensor of
   shape (3, nx, ny, nz), optimized per image pair. It reproduces classical
   variational registration and doubles as an oracle for the loss stack.
@@ -53,25 +50,13 @@ class FaimConfig:
                 raise ValueError(f"channel counts must be >= 1, got {c}")
 
     def to_meta(self) -> dict[str, str]:
-        return {
-            "branch_kernels": ",".join(str(k) for k in self.branch_kernels),
-            "branch_channels": str(self.branch_channels),
-            "merge_channels": str(self.merge_channels),
-            "enc1_channels": str(self.enc1_channels),
-            "enc2_channels": str(self.enc2_channels),
-            "head_kernel": str(self.head_kernel),
-        }
+        return {k: ",".join(map(str, v)) if isinstance(v, tuple) else str(v) for k, v in vars(self).items()}
 
     @classmethod
     def from_meta(cls, meta) -> "FaimConfig":
-        cfg = cls(
-            branch_kernels=tuple(int(k) for k in meta["branch_kernels"].split(",")),
-            branch_channels=int(meta["branch_channels"]),
-            merge_channels=int(meta["merge_channels"]),
-            enc1_channels=int(meta["enc1_channels"]),
-            enc2_channels=int(meta["enc2_channels"]),
-            head_kernel=int(meta["head_kernel"]),
-        )
+        """Inverse of ``to_meta``; every field must be present."""
+        cfg = cls(**{k: tuple(int(n) for n in meta[k].split(",")) if isinstance(v, tuple) else int(meta[k])
+                     for k, v in vars(cls()).items()})
         cfg.validate()
         return cfg
 
@@ -96,38 +81,49 @@ def _glorot(rng, shape, fan_in, fan_out, dtype, scale=1.0):
     return rng.uniform(-bound, bound, size=shape).astype(dtype)
 
 
+def faim_layers(cfg: FaimConfig) -> tuple[tuple, ...]:
+    """The network as one row per layer, in parameter and call order.
+
+    A row is ``(name, op, input, cin, cout, k, stride, act, skip)``:
+
+    * ``op`` "conv" has kernel (cout, cin, k, k, k), "convT" (transposed)
+      has (cin, cout, k, k, k). Padding is always (k - 1) // 2: stride-1
+      convs keep the size, k3 s2 convs halve it, k2 s2 convTs double it.
+    * ``input`` is "input" (the stacked source/target pair), a layer name,
+      or a tuple of layer names whose outputs are channel-concatenated.
+    * ``act`` is "PReLU" (slopes start at 0.25) or "linear"; a linear
+      layer's kernel starts at 1e-3 of the Glorot bound so the initial
+      deformation is close to identity.
+    * ``skip`` names a layer whose output is added: after the PReLU of a
+      conv (residual block), before the PReLU of a convT (U-net junction).
+    """
+    cb, c0, c1, c2 = cfg.branch_channels, cfg.merge_channels, cfg.enc1_channels, cfg.enc2_channels
+    branches = tuple(f"branch{k}" for k in cfg.branch_kernels)
+    return (
+        *((b, "conv", "input", 2, cb, k, 1, "PReLU", None) for b, k in zip(branches, cfg.branch_kernels)),
+        ("merge", "conv", branches, cb * len(branches), c0, 1, 1, "PReLU", None),
+        ("enc1", "conv", "merge", c0, c1, 3, 2, "PReLU", None),
+        ("enc2", "conv", "enc1", c1, c2, 3, 2, "PReLU", None),
+        ("res", "conv", "enc2", c2, c2, 3, 1, "PReLU", "enc2"),
+        ("up2", "convT", "res", c2, c1, 2, 2, "PReLU", "enc1"),
+        ("up1", "convT", "up2", c1, c0, 2, 2, "PReLU", "merge"),
+        ("head", "conv", "up1", c0, 3, cfg.head_kernel, 1, "linear", None),
+    )
+
+
 def build_faim(cfg: FaimConfig = FaimConfig(), seed: int = 0, dtype=np.float32) -> ModelParams:
     """Create the network parameters; same seed gives bit-identical values."""
     cfg.validate()
     rng = np.random.default_rng(seed)
-    cb, c0, c1, c2 = cfg.branch_channels, cfg.merge_channels, cfg.enc1_channels, cfg.enc2_channels
     tensors: dict[str, Tensor] = {}
-
-    def conv_block(name, cin, cout, k, *, with_act=True, scale=1.0):
-        w = _glorot(rng, (cout, cin, k, k, k), cin * k**3, cout * k**3, dtype, scale)
-        tensors[f"{name}.w"] = Tensor(w, name=f"{name}.w")
-        tensors[f"{name}.b"] = Tensor(np.zeros(cout, dtype=dtype), name=f"{name}.b")
-        if with_act:
-            tensors[f"{name}.a"] = Tensor(np.full(cout, 0.25, dtype=dtype), name=f"{name}.a")
-
-    for k in cfg.branch_kernels:
-        conv_block(f"branch{k}", 2, cb, k)
-    conv_block("merge", cb * len(cfg.branch_kernels), c0, 1)
-    conv_block("enc1", c0, c1, 3)
-    conv_block("enc2", c1, c2, 3)
-    conv_block("res", c2, c2, 3)
-    # transposed-conv kernels are (Cin, Cout, k, k, k)
-    w = _glorot(rng, (c2, c1, 2, 2, 2), c2 * 8, c1 * 8, dtype)
-    tensors["up2.w"] = Tensor(w, name="up2.w")
-    tensors["up2.b"] = Tensor(np.zeros(c1, dtype=dtype), name="up2.b")
-    tensors["up2.a"] = Tensor(np.full(c1, 0.25, dtype=dtype), name="up2.a")
-    w = _glorot(rng, (c1, c0, 2, 2, 2), c1 * 8, c0 * 8, dtype)
-    tensors["up1.w"] = Tensor(w, name="up1.w")
-    tensors["up1.b"] = Tensor(np.zeros(c0, dtype=dtype), name="up1.b")
-    tensors["up1.a"] = Tensor(np.full(c0, 0.25, dtype=dtype), name="up1.a")
-    # near-zero head so the initial deformation is close to identity
-    conv_block("head", c0, 3, cfg.head_kernel, with_act=False, scale=1e-3)
-
+    for name, op, _, cin, cout, k, _, act, _ in faim_layers(cfg):
+        shape = (cin, cout, k, k, k) if op == "convT" else (cout, cin, k, k, k)
+        scale = 1.0 if act == "PReLU" else 1e-3
+        init = {"w": _glorot(rng, shape, cin * k**3, cout * k**3, dtype, scale), "b": np.zeros(cout, dtype=dtype)}
+        if act == "PReLU":
+            init["a"] = np.full(cout, 0.25, dtype=dtype)
+        for part, data in init.items():
+            tensors[f"{name}.{part}"] = Tensor(data, name=f"{name}.{part}")
     return ModelParams(kind="faim", tensors=tensors, config=cfg)
 
 
@@ -135,34 +131,36 @@ def faim_apply(params: ModelParams, x: Tensor) -> Tensor:
     """Run the network graph on a (2, nx, ny, nz) stacked source/target pair."""
     if params.kind != "faim":
         raise ValueError(f"expected a faim model, got kind {params.kind!r}")
-    cfg = params.config
     t = params.tensors
     dims = x.data.shape[1:]
     if any(n % 4 != 0 for n in dims):
         raise ValueError(f"input dims must be divisible by 4, got {dims}")
+    out = {"input": x}
+    for name, op, src, _, _, k, stride, act, skip in faim_layers(params.config):
+        h = ad.concat_channels([out[s] for s in src]) if isinstance(src, tuple) else out[src]
+        conv = ad.conv3d_transpose if op == "convT" else ad.conv3d
+        h = conv(h, t[f"{name}.w"], t[f"{name}.b"], stride=stride, padding=(k - 1) // 2)
+        if skip and op == "convT":
+            h = ad.add(h, out[skip])
+        if act == "PReLU":
+            h = ad.prelu(h, t[f"{name}.a"])
+        if skip and op == "conv":
+            h = ad.add(h, out[skip])
+        out[name] = h
+    return h
 
-    branches = []
-    for k in cfg.branch_kernels:
-        h = ad.conv3d(x, t[f"branch{k}.w"], t[f"branch{k}.b"], stride=1, padding=(k - 1) // 2)
-        branches.append(ad.prelu(h, t[f"branch{k}.a"]))
-    l0 = ad.prelu(ad.conv3d(ad.concat_channels(branches), t["merge.w"], t["merge.b"]), t["merge.a"])
-    l1 = ad.prelu(ad.conv3d(l0, t["enc1.w"], t["enc1.b"], stride=2, padding=1), t["enc1.a"])
-    l2 = ad.prelu(ad.conv3d(l1, t["enc2.w"], t["enc2.b"], stride=2, padding=1), t["enc2.a"])
-    l3 = ad.add(ad.prelu(ad.conv3d(l2, t["res.w"], t["res.b"], stride=1, padding=1), t["res.a"]), l2)
-    u2 = ad.prelu(ad.add(ad.conv3d_transpose(l3, t["up2.w"], t["up2.b"], stride=2), l1), t["up2.a"])
-    u1 = ad.prelu(ad.add(ad.conv3d_transpose(u2, t["up1.w"], t["up1.b"], stride=2), l0), t["up1.a"])
-    hk = cfg.head_kernel
-    return ad.conv3d(u1, t["head.w"], t["head.b"], stride=1, padding=(hk - 1) // 2)
+
+def faim_input(params: ModelParams, source: Volume, target: Volume) -> Tensor:
+    """The network input: source and target as 2 channels in the parameter dtype, frozen."""
+    if source.dims != target.dims:
+        raise ValueError(f"dims mismatch: {source.dims} vs {target.dims}")
+    dtype = next(iter(params.tensors.values())).data.dtype
+    return Tensor(np.stack([source.data, target.data]).astype(dtype, copy=False), requires_grad=False)
 
 
 def faim_forward(params: ModelParams, source: Volume, target: Volume) -> DisplacementField:
     """Predict the displacement field registering source to target."""
-    if source.dims != target.dims:
-        raise ValueError(f"dims mismatch: {source.dims} vs {target.dims}")
-    dtype = next(iter(params.tensors.values())).data.dtype
-    x = Tensor(np.stack([source.data, target.data]).astype(dtype, copy=False), requires_grad=False)
-    out = faim_apply(params, x)
-    return DisplacementField(out.data)
+    return DisplacementField(faim_apply(params, faim_input(params, source, target)).data)
 
 
 def direct_field_model(dims, seed: int = 0, dtype=np.float32) -> ModelParams:
@@ -179,36 +177,31 @@ def direct_field_model(dims, seed: int = 0, dtype=np.float32) -> ModelParams:
 
 
 def describe(params: ModelParams) -> str:
-    lines = []
+    """Architecture summary; per-layer parameter counts are the sizes of the actual tensors."""
+    def layer_size(name):
+        return sum(int(t.data.size) for key, t in params.tensors.items() if key.split(".")[0] == name)
+
     if params.kind == "direct":
         nx, ny, nz = params.dims
-        lines.append(f"direct-field model on {nx}x{ny}x{nz}")
-        lines.append(f"field           3x{nx}x{ny}x{nz}            params {3 * nx * ny * nz}")
-        lines.append(f"total parameters: {param_count(params)}")
-        return "\n".join(lines)
-
-    cfg = params.config
-    cb, c0, c1, c2 = cfg.branch_channels, cfg.merge_channels, cfg.enc1_channels, cfg.enc2_channels
+        return "\n".join([f"direct-field model on {nx}x{ny}x{nz}",
+                          f"field           3x{nx}x{ny}x{nz}            params {layer_size('field')}",
+                          f"total parameters: {param_count(params)}"])
 
     def row(name, desc, n):
-        lines.append(f"{name:<10} {desc:<46} params {n}")
+        lines.append(f"{name:<10} {desc:<50} params {n}")
 
-    lines.append("faim network (input: stacked source+target, 2 channels)")
-    for k in cfg.branch_kernels:
-        row(f"branch{k}", f"conv k{k} s1 p{(k - 1) // 2}  2->{cb}  PReLU", 2 * cb * k**3 + 2 * cb)
-    nb = len(cfg.branch_kernels)
-    row("concat", f"channel concat -> {nb * cb}", 0)
-    row("merge", f"conv k1 s1 p0  {nb * cb}->{c0}  PReLU", nb * cb * c0 + 2 * c0)
-    row("enc1", f"conv k3 s2 p1  {c0}->{c1}  PReLU", c0 * c1 * 27 + 2 * c1)
-    row("enc2", f"conv k3 s2 p1  {c1}->{c2}  PReLU", c1 * c2 * 27 + 2 * c2)
-    row("res", f"conv k3 s1 p1  {c2}->{c2}  PReLU, add-skip from enc2", c2 * c2 * 27 + 2 * c2)
-    row("up2", f"convT k2 s2 p0 {c2}->{c1}, add-skip from enc1, PReLU", c2 * c1 * 8 + 2 * c1)
-    row("up1", f"convT k2 s2 p0 {c1}->{c0}, add-skip from merge, PReLU", c1 * c0 * 8 + 2 * c0)
-    hk = cfg.head_kernel
-    row("head", f"conv k{hk} s1 p{(hk - 1) // 2}  {c0}->3  linear", c0 * 3 * hk**3 + 3)
-    lines.append("add skips: 3")
+    lines = ["faim network (input: stacked source+target, 2 channels)"]
+    skips = 0
+    for name, op, src, cin, cout, k, stride, act, skip in faim_layers(params.config):
+        if isinstance(src, tuple):
+            row("concat", f"channel concat -> {cin}", 0)
+        junction = [f"add-skip from {skip}"] if skip else []
+        steps = [act, *junction] if op == "conv" else [*junction, act]
+        row(name, f"{op} k{k} s{stride} p{(k - 1) // 2}  {cin}->{cout}  " + ", ".join(steps), layer_size(name))
+        skips += bool(skip)
+    lines.append(f"add skips: {skips}")
     lines.append("pooling layers: 0")
-    lines.append("head activation: linear, 3 channels")
+    lines.append(f"head activation: {act}, {cout} channels")  # the last row is the head
     lines.append(f"total parameters: {param_count(params)}")
     lines.append(f"reference full-scale parameter count: {FULL_SCALE_REFERENCE_PARAMS}")
     return "\n".join(lines)
@@ -275,24 +268,32 @@ def load_checkpoint(path):
 
 
 def params_from_checkpoint(meta: dict, arrays: dict[str, np.ndarray]) -> ModelParams:
-    """Rebuild a model from checkpoint contents (optimizer state is skipped)."""
+    """Rebuild a model from checkpoint contents (optimizer state is skipped).
+
+    Missing, unparsable or invalid model metadata raises ``FormatError``.
+    """
     kind = meta.get("kind")
+    if kind not in ("faim", "direct"):
+        raise FormatError(f"unknown model kind {kind!r} in checkpoint")
     model_arrays = {k: v for k, v in arrays.items() if not k.startswith(("adam.", "field:"))}
-    if kind == "faim":
-        cfg = FaimConfig.from_meta(meta)
-        params = build_faim(cfg, seed=0)
-        if set(params.tensors) != set(model_arrays):
-            raise FormatError("checkpoint tensors do not match the model config")
-        for name, t in params.tensors.items():
-            if t.data.shape != model_arrays[name].shape:
-                raise FormatError(f"checkpoint tensor {name} has shape {model_arrays[name].shape}, "
-                                  f"expected {t.data.shape}")
-            t.data = model_arrays[name]
-        return params
+    try:
+        if kind == "direct":
+            params = direct_field_model(meta["dims"].split(","))
+        else:
+            params = build_faim(FaimConfig.from_meta(meta), seed=0)
+    except KeyError as exc:
+        raise FormatError(f"checkpoint metadata lacks {exc}") from exc
+    except ValueError as exc:
+        raise FormatError(f"bad checkpoint metadata: {exc}") from exc
     if kind == "direct":
-        dims = tuple(int(n) for n in meta["dims"].split(","))
-        params = direct_field_model(dims)
         if "field" in model_arrays:
             params.tensors["field"].data = model_arrays["field"]
         return params
-    raise FormatError(f"unknown model kind {kind!r} in checkpoint")
+    if set(params.tensors) != set(model_arrays):
+        raise FormatError("checkpoint tensors do not match the model config")
+    for name, t in params.tensors.items():
+        if t.data.shape != model_arrays[name].shape:
+            raise FormatError(f"checkpoint tensor {name} has shape {model_arrays[name].shape}, "
+                              f"expected {t.data.shape}")
+        t.data = model_arrays[name]
+    return params

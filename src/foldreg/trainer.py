@@ -24,7 +24,7 @@ import numpy as np
 from . import loss as loss_mod
 from . import model as model_mod
 from . import optim
-from .autodiff import Tensor, backward
+from .autodiff import backward
 from .jacobian import jacobian_raw
 from .volume import (
     INTENSITY,
@@ -61,6 +61,10 @@ class TrainConfig:
     steps: int = 100  # per-pair iterations, direct kind only
 
     def validate(self) -> None:
+        if not 0 < self.lr < np.inf:
+            raise ValueError(f"lr must be positive and finite, got {self.lr!r}")
+        if self.clip_norm is not None and not self.clip_norm > 0:
+            raise ValueError(f"clip norm must be positive, got {self.clip_norm!r}")
         if self.alpha < 0 or self.beta < 0:
             raise ValueError("alpha and beta must be non-negative")
         if self.epochs < 1 or self.steps < 1:
@@ -108,14 +112,19 @@ def save_config(cfg: TrainConfig, path) -> None:
     Path(path).write_text("".join(f"{k}={v}\n" for k, v in cfg.to_meta().items()))
 
 
-def load_config(path) -> TrainConfig:
+def read_key_values(path) -> dict[str, str]:
+    """Parse a flat key=value file; blank lines and # comments are skipped."""
     meta = {}
     for line in Path(path).read_text().splitlines():
         line = line.strip()
         if line and not line.startswith("#"):
             k, _, v = line.partition("=")
             meta[k.strip()] = v.strip()
-    return TrainConfig.from_meta(meta)
+    return meta
+
+
+def load_config(path) -> TrainConfig:
+    return TrainConfig.from_meta(read_key_values(path))
 
 
 def make_pairs(ids) -> list[tuple]:
@@ -401,8 +410,7 @@ def _train_faim(cfg, vols, pairs, base_meta, out_dir, faim_config):
         for idx in order:
             src_id, tgt_id = pairs[idx]
             src, tgt = vols[src_id], vols[tgt_id]
-            x = Tensor(np.stack([src.data, tgt.data]).astype(np.float32, copy=False), requires_grad=False)
-            u_node = model_mod.faim_apply(params, x)
+            u_node = model_mod.faim_apply(params, model_mod.faim_input(params, src, tgt))
             bd, grad_u = _loss_and_grad(src, tgt, u_node.data, cfg)
             if grad_u is None:
                 raise diverged(f"loss diverged at step {step} (pair {src_id}->{tgt_id})")

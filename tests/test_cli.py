@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from foldreg.cli import main
-from foldreg.model import load_checkpoint
+from foldreg.model import FaimConfig, build_faim, load_checkpoint, save_checkpoint
 from foldreg.trainer import load_dataset
 from foldreg.volume import DisplacementField, load_field, load_volume, save_field
 
@@ -83,6 +83,14 @@ class TestTrain:
         with pytest.raises(SystemExit) as exc:
             run(["train", "--out", str(tmp_path / "x")])
         assert exc.value.code == 1
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--lr", "-1"), ("--lr", "0"), ("--lr", "nan"), ("--lr", "inf"),
+        ("--clip-norm", "0"), ("--clip-norm", "-1"),
+    ])
+    def test_bad_lr_or_clip_norm_usage_error(self, synth_dir, tmp_path, flag, value):
+        assert run(["train", "--data", str(synth_dir), flag, value, "--out", str(tmp_path / "x")]) == 1
+        assert not (tmp_path / "x").exists()
 
     def test_nonexistent_data_runtime_error(self, tmp_path):
         code = run(["train", "--data", str(tmp_path / "missing"), "--out", str(tmp_path / "x")])
@@ -210,6 +218,15 @@ class TestDescribe:
     def test_checkpoint(self, direct_ckpt, capsys):
         assert run(["describe", "--checkpoint", str(direct_ckpt)]) == 0
         assert str(3 * 8**3) in capsys.readouterr().out
+
+    def test_checkpoint_missing_metadata_exit_2(self, tmp_path, capsys):
+        params = build_faim(FaimConfig(), seed=0)
+        meta = {"kind": "faim", **params.config.to_meta()}
+        del meta["head_kernel"]
+        path = tmp_path / "m.fck"
+        save_checkpoint(path, meta, params.arrays())
+        assert run(["describe", "--checkpoint", str(path)]) == 2
+        assert "head_kernel" in capsys.readouterr().err
 
     def test_invalid_kernel_usage_error(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -17,8 +19,19 @@ from foldreg.model import (
 from foldreg.volume import FormatError, Volume
 
 
+CUSTOM = FaimConfig(branch_kernels=(3, 5), branch_channels=4, merge_channels=8,
+                    enc1_channels=8, enc2_channels=16, head_kernel=5)
+
+# sha256 of the FCK1 file of build_faim(cfg, seed=0): pins tensor names,
+# insertion order, shapes, RNG draws and the config metadata
+CHECKPOINT_SHA256 = {
+    "default": "95133e0eb297f1f2fdc6a334313881c1610867d4268129e3977f3a1ca932819a",
+    "custom": "c71a2f35e7735381f7ca4fa0aaf6a35497c9379dc7edf3224c284de54213071e",
+}
+
+
 def hand_counted_params(cfg: FaimConfig) -> int:
-    """Closed-form parameter total from the layer table."""
+    """Closed-form parameter total, written independently of the layer table."""
     cb, c0, c1, c2 = cfg.branch_channels, cfg.merge_channels, cfg.enc1_channels, cfg.enc2_channels
     total = 0
     for k in cfg.branch_kernels:
@@ -41,10 +54,14 @@ class TestBuild:
         assert param_count(params) == hand_counted_params(cfg)
 
     def test_param_count_custom_config(self):
-        cfg = FaimConfig(branch_kernels=(3, 5), branch_channels=4, merge_channels=8,
-                         enc1_channels=8, enc2_channels=16, head_kernel=5)
-        params = build_faim(cfg, seed=1)
-        assert param_count(params) == hand_counted_params(cfg)
+        params = build_faim(CUSTOM, seed=1)
+        assert param_count(params) == hand_counted_params(CUSTOM)
+
+    @pytest.mark.parametrize("name,cfg", [("default", FaimConfig()), ("custom", CUSTOM)])
+    def test_checkpoint_bytes_pinned(self, name, cfg, tmp_path):
+        path = tmp_path / "m.fck"
+        save_checkpoint(path, {"kind": "faim", **cfg.to_meta()}, build_faim(cfg, seed=0).arrays())
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == CHECKPOINT_SHA256[name]
 
     def test_same_seed_bit_identical(self):
         a = build_faim(FaimConfig(), seed=7)
@@ -91,6 +108,24 @@ class TestBuild:
         assert out.op == "conv3d"  # linear head, no activation on top
         assert out.data.shape[0] == 3
         assert "pool" not in " ".join(ops)
+
+    def test_layer_call_sequence_pinned(self, monkeypatch):
+        # checkpoints and the benchmark's layer tracer rely on this order of ad.* calls
+        calls = []
+        for op in ("conv3d", "conv3d_transpose", "prelu", "add", "concat_channels"):
+            def spy(*args, _op=op, _fn=getattr(ad, op), **kwargs):
+                calls.append(" ".join([_op, *[a.name for a in args if isinstance(a, ad.Tensor) and a.name][:1]]))
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(ad, op, spy)
+        faim_apply(build_faim(FaimConfig(), seed=0), ad.Tensor(np.zeros((2, 8, 8, 8), np.float32)))
+        expected = []
+        for k in (3, 5, 7):
+            expected += [f"conv3d branch{k}.w", f"prelu branch{k}.a"]
+        expected += ["concat_channels", "conv3d merge.w", "prelu merge.a", "conv3d enc1.w", "prelu enc1.a",
+                     "conv3d enc2.w", "prelu enc2.a", "conv3d res.w", "prelu res.a", "add",
+                     "conv3d_transpose up2.w", "add", "prelu up2.a",
+                     "conv3d_transpose up1.w", "add", "prelu up1.a", "conv3d head.w"]
+        assert calls == expected
 
 
 class TestForward:
@@ -192,6 +227,20 @@ class TestDescribe:
         assert "linear" in text
         assert "179787" in text
 
+    @pytest.mark.parametrize("cfg", [FaimConfig(), CUSTOM], ids=["default", "custom"])
+    def test_layer_rows_count_actual_tensors(self, cfg):
+        params = build_faim(cfg, seed=0)
+        rows = [line for line in describe(params).splitlines() if " params " in line]
+        total = 0
+        for line in rows:
+            layer, n = line.split()[0], int(line.rsplit("params ", 1)[1])
+            assert n == sum(t.data.size for key, t in params.tensors.items() if key.split(".")[0] == layer)
+            total += n
+        # one row per tensor-owning layer, plus the concat junction
+        layers = {key.split(".")[0] for key in params.tensors} | {"concat"}
+        assert sorted(line.split()[0] for line in rows) == sorted(layers)
+        assert total == param_count(params) == hand_counted_params(cfg)
+
     def test_direct_model_parameter_total(self):
         text = describe(direct_field_model((16, 16, 16), seed=0))
         assert str(3 * 16**3) in text
@@ -224,6 +273,23 @@ class TestCheckpoint:
         path.write_bytes(path.read_bytes()[:-10])
         with pytest.raises(FormatError):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("kind,drop,override", [
+        ("faim", "head_kernel", {}),
+        ("direct", "dims", {}),
+        ("faim", None, {"branch_channels": "eight"}),
+        ("faim", None, {"head_kernel": "4"}),
+    ], ids=["faim_missing_key", "direct_missing_dims", "unparsable_value", "invalid_config"])
+    def test_malformed_metadata_is_format_error(self, kind, drop, override):
+        if kind == "faim":
+            params = build_faim(FaimConfig(), seed=0)
+            meta, arrays = {"kind": "faim", **params.config.to_meta()}, params.arrays()
+        else:
+            meta, arrays = {"kind": "direct", "dims": "4,4,4"}, {"field:a:b": np.zeros((3, 4, 4, 4), np.float32)}
+        meta.pop(drop, None)
+        meta.update(override)
+        with pytest.raises(FormatError, match="checkpoint metadata"):
+            params_from_checkpoint(meta, arrays)
 
     def test_direct_round_trip(self, tmp_path):
         rng = np.random.default_rng(8)
