@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import gradcheck as gradcheck_mod
@@ -17,18 +18,11 @@ from . import metrics, model, trainer
 from .jacobian import det_map, det_volume, folding_count, folding_mask
 from .optim import DivergenceError
 from .trainer import TrainConfig, TrainingDiverged
-from .volume import (
-    FormatError,
-    center_crop,
-    load_field,
-    load_volume,
-    save_field,
-    save_volume,
-)
+from .volume import FormatError, load_field, load_volume, save_field, save_volume
 from .warp import warp_image
 
 
-class UsageError(ValueError):
+class UsageError(argparse.ArgumentTypeError):
     pass
 
 
@@ -56,6 +50,8 @@ def _parse_dims(text: str) -> tuple[int, int, int]:
 def _apply_thread_cap(threads):
     if threads is None:
         return
+    if threads < 1:
+        raise UsageError(f"--threads must be >= 1, got {threads}")
     try:
         from threadpoolctl import threadpool_limits
 
@@ -74,28 +70,12 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _train_config(args) -> TrainConfig:
+def _cmd_train(args) -> int:
+    cfg = TrainConfig(**{f.name: getattr(args, f.name) for f in fields(TrainConfig)})
     try:
-        cfg = TrainConfig(
-            lr=args.lr,
-            epochs=args.epochs,
-            alpha=args.alpha,
-            beta=args.beta,
-            cc_mode=args.cc,
-            cc_window=args.window,
-            seed=args.seed,
-            crop=_parse_dims(args.crop) if args.crop else None,
-            clip_norm=args.clip_norm,
-            steps=args.steps,
-        )
         cfg.validate()
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    return cfg
-
-
-def _cmd_train(args) -> int:
-    cfg = _train_config(args)
     ds = trainer.load_dataset(args.data)
     result = trainer.train(cfg, ds.volumes, kind=args.model, out_dir=args.out)
     bd = result.final
@@ -109,18 +89,16 @@ def _cmd_train(args) -> int:
     return 0
 
 
+def _load_run(path):
+    """A checkpoint's training settings and its predictor; malformed settings are a FormatError."""
+    meta, arrays = model.load_checkpoint(path)
+    return TrainConfig.from_checkpoint(meta), metrics.checkpoint_predictor(meta, arrays)
+
+
 def _cmd_register(args) -> int:
-    meta, arrays = model.load_checkpoint(args.checkpoint)
-    source = load_volume(args.source)
-    target = load_volume(args.target)
-    crop = meta.get("crop", "none")
-    if crop != "none":
-        target_dims = tuple(int(c) for c in crop.split(","))
-        source = center_crop(source, target_dims)
-        target = center_crop(target, target_dims)
-    if source.dims != target.dims:
-        raise ValueError(f"dims mismatch: {source.dims} vs {target.dims}")
-    predict = metrics.checkpoint_predictor(meta, arrays)
+    cfg, predict = _load_run(args.checkpoint)
+    source, target = trainer.crop_volumes(
+        {"source": load_volume(args.source), "target": load_volume(args.target)}, cfg.crop).values()
     src_id = Path(args.source).stem
     tgt_id = Path(args.target).stem
     u = predict(src_id, tgt_id, source, target)
@@ -133,21 +111,19 @@ def _cmd_register(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    meta, arrays = model.load_checkpoint(args.checkpoint)
+    cfg, predict = _load_run(args.checkpoint)
     ds = trainer.load_dataset(args.data)
     if not ds.labels:
         raise ValueError("unlabeled dataset: evaluation needs label volumes")
-    predict = metrics.checkpoint_predictor(meta, arrays)
-    pairs = trainer.make_pairs(ds.ids)
     result = metrics.evaluate(
         predict,
-        ds.volumes,
-        ds.labels,
-        pairs,
-        alpha=float(meta.get("alpha", 1.0)),
-        beta=float(meta.get("beta", 0.0)),
-        cc_mode=meta.get("cc_mode", "local"),
-        window=int(meta.get("cc_window", 9)),
+        trainer.crop_volumes(ds.volumes, cfg.crop),
+        trainer.crop_volumes(ds.labels, cfg.crop),
+        trainer.make_pairs(ds.ids),
+        alpha=cfg.alpha,
+        beta=cfg.beta,
+        cc_mode=cfg.cc_mode,
+        window=cfg.cc_window,
     )
     Path(args.report).write_text(metrics.report_csv(result))
     if args.per_label:
@@ -184,12 +160,11 @@ def _cmd_describe(args) -> int:
         meta, arrays = model.load_checkpoint(args.checkpoint)
         params = model.params_from_checkpoint(meta, arrays)
     else:
-        meta = trainer.read_key_values(args.config) if args.config else {}
         try:
-            cfg = model.FaimConfig.from_meta({**model.FaimConfig().to_meta(), **meta})
-            params = model.build_faim(cfg, seed=0)
+            cfg = model.FaimConfig.load(args.config) if args.config else model.FaimConfig()
         except ValueError as exc:
             raise UsageError(f"invalid config: {exc}") from exc
+        params = model.build_faim(cfg, seed=0)
     print(model.describe(params))
     return 0
 
@@ -207,21 +182,22 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_synth)
 
+    # every TrainConfig field is a flag of the same dest, defaulted from the dataclass
     p = sub.add_parser("train", help="train a registration model")
     p.add_argument("--data", required=True, help="dataset directory or manifest")
     p.add_argument("--model", choices=("faim", "direct"), default="faim")
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--beta", type=float, default=0.0)
-    p.add_argument("--lr", type=float, default=1e-4)
-    p.add_argument("--epochs", type=int, default=10)
-    p.add_argument("--steps", type=int, default=100, help="per-pair iterations (direct model)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cc", choices=("local", "global"), default="local")
-    p.add_argument("--window", type=int, default=9)
-    p.add_argument("--crop", default=None, help="center-crop target dims")
-    p.add_argument("--clip-norm", type=float, default=None)
+    p.add_argument("--alpha", type=float)
+    p.add_argument("--beta", type=float)
+    p.add_argument("--lr", type=float)
+    p.add_argument("--epochs", type=int)
+    p.add_argument("--steps", type=int, help="per-pair iterations (direct model)")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--cc", dest="cc_mode", choices=("local", "global"))
+    p.add_argument("--window", dest="cc_window", type=int)
+    p.add_argument("--crop", type=_parse_dims, help="center-crop target dims: N or NX,NY,NZ")
+    p.add_argument("--clip-norm", type=float)
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=_cmd_train)
+    p.set_defaults(fn=_cmd_train, **asdict(TrainConfig()))
 
     p = sub.add_parser("register", help="predict a field and warp a source volume")
     p.add_argument("--checkpoint", required=True)
@@ -261,8 +237,8 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _apply_thread_cap(args.threads)
     try:
+        _apply_thread_cap(args.threads)
         return args.fn(args)
     except UsageError as exc:
         print(f"foldreg: error: {exc}", file=sys.stderr)

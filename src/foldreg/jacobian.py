@@ -38,43 +38,24 @@ def jacobian_raw(u: np.ndarray) -> np.ndarray:
     dims = u.shape[1:]
     _check_extents(dims)
     out = np.empty((3, 3) + dims, dtype=u.dtype)
-    for c in range(3):
-        for a in range(3):
-            fd = np.diff(u[c], axis=a)
-            lead = [slice(None)] * 3
-            lead[a] = slice(0, dims[a] - 1)
-            out[(c, a) + tuple(lead)] = fd
-            last = [slice(None)] * 3
-            last[a] = dims[a] - 1
-            prev = [slice(None)] * 3
-            prev[a] = dims[a] - 2
-            # backward difference at the high boundary equals the last forward one
-            out[(c, a) + tuple(last)] = fd[tuple(prev)]
+    for a in range(3):
+        # views with axis a moved next to the channel axis
+        src, dst = np.moveaxis(u, a + 1, 1), np.moveaxis(out[:, a], a + 1, 1)
+        np.subtract(src[:, 1:], src[:, :-1], out=dst[:, :-1])
+        # backward difference at the high boundary equals the last forward one
+        dst[:, -1] = dst[:, -2]
     return out
 
 
 def jacobian_adjoint(grad: np.ndarray) -> np.ndarray:
     """Adjoint of jacobian_raw: scatter stencil gradients back onto u."""
-    dims = grad.shape[2:]
-    out = np.zeros((3,) + dims, dtype=np.result_type(grad.dtype, np.float64))
-    for c in range(3):
-        for a in range(3):
-            g = grad[c, a]
-            n = dims[a]
-            interior = [slice(None)] * 3
-            interior[a] = slice(0, n - 1)
-            shifted = [slice(None)] * 3
-            shifted[a] = slice(1, n)
-            gi = g[tuple(interior)]
-            out[(c,) + tuple(shifted)] += gi
-            out[(c,) + tuple(interior)] -= gi
-            last = [slice(None)] * 3
-            last[a] = n - 1
-            prev = [slice(None)] * 3
-            prev[a] = n - 2
-            gl = g[tuple(last)]
-            out[(c,) + tuple(last)] += gl
-            out[(c,) + tuple(prev)] -= gl
+    out = np.zeros((3,) + grad.shape[2:], dtype=np.result_type(grad.dtype, np.float64))
+    for a in range(3):
+        g, o = np.moveaxis(grad[:, a], a + 1, 1), np.moveaxis(out, a + 1, 1)
+        o[:, 1:] += g[:, :-1]
+        o[:, :-1] -= g[:, :-1]
+        o[:, -1] += g[:, -1]
+        o[:, -2] -= g[:, -1]
     return out
 
 

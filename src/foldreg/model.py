@@ -23,6 +23,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .settings import Settings, format_key_values, parse_key_values
 from .volume import DisplacementField, FormatError, Volume
 
 FULL_SCALE_REFERENCE_PARAMS = 179_787  # original network at 144x180x144
@@ -31,7 +32,7 @@ _CKPT_MAGIC = b"FCK1"
 
 
 @dataclass(frozen=True)
-class FaimConfig:
+class FaimConfig(Settings):
     branch_kernels: tuple[int, ...] = (3, 5, 7)
     branch_channels: int = 8
     merge_channels: int = 16
@@ -48,17 +49,6 @@ class FaimConfig:
         for c in (self.branch_channels, self.merge_channels, self.enc1_channels, self.enc2_channels):
             if c < 1:
                 raise ValueError(f"channel counts must be >= 1, got {c}")
-
-    def to_meta(self) -> dict[str, str]:
-        return {k: ",".join(map(str, v)) if isinstance(v, tuple) else str(v) for k, v in vars(self).items()}
-
-    @classmethod
-    def from_meta(cls, meta) -> "FaimConfig":
-        """Inverse of ``to_meta``; every field must be present."""
-        cfg = cls(**{k: tuple(int(n) for n in meta[k].split(",")) if isinstance(v, tuple) else int(meta[k])
-                     for k, v in vars(cls()).items()})
-        cfg.validate()
-        return cfg
 
 
 @dataclass
@@ -215,7 +205,7 @@ def save_checkpoint(path, meta: dict, arrays: dict[str, np.ndarray]) -> None:
     """Write metadata and named float32 tensors; load restores them bit-exactly."""
     blob = bytearray()
     blob += _CKPT_MAGIC
-    text = "".join(f"{k}={v}\n" for k, v in meta.items()).encode("utf-8")
+    text = format_key_values(meta).encode("utf-8")
     blob += struct.pack("<I", len(text))
     blob += text
     blob += struct.pack("<I", len(arrays))
@@ -238,13 +228,8 @@ def load_checkpoint(path):
     try:
         (text_len,) = struct.unpack_from("<I", buf, off)
         off += 4
-        text = buf[off:off + text_len].decode("utf-8")
+        meta = parse_key_values(buf[off:off + text_len].decode("utf-8"))
         off += text_len
-        meta = {}
-        for line in text.splitlines():
-            if line:
-                k, _, v = line.partition("=")
-                meta[k] = v
         (n_tensors,) = struct.unpack_from("<I", buf, off)
         off += 4
         arrays: dict[str, np.ndarray] = {}
@@ -276,16 +261,13 @@ def params_from_checkpoint(meta: dict, arrays: dict[str, np.ndarray]) -> ModelPa
     if kind not in ("faim", "direct"):
         raise FormatError(f"unknown model kind {kind!r} in checkpoint")
     model_arrays = {k: v for k, v in arrays.items() if not k.startswith(("adam.", "field:"))}
-    try:
-        if kind == "direct":
+    if kind == "faim":
+        params = build_faim(FaimConfig.from_checkpoint(meta), seed=0)
+    else:
+        try:
             params = direct_field_model(meta["dims"].split(","))
-        else:
-            params = build_faim(FaimConfig.from_meta(meta), seed=0)
-    except KeyError as exc:
-        raise FormatError(f"checkpoint metadata lacks {exc}") from exc
-    except ValueError as exc:
-        raise FormatError(f"bad checkpoint metadata: {exc}") from exc
-    if kind == "direct":
+        except (KeyError, ValueError) as exc:
+            raise FormatError(f"bad checkpoint metadata: dims={meta.get('dims')!r}") from exc
         if "field" in model_arrays:
             params.tensors["field"].data = model_arrays["field"]
         return params

@@ -26,6 +26,7 @@ from . import model as model_mod
 from . import optim
 from .autodiff import backward
 from .jacobian import jacobian_raw
+from .settings import Settings, format_key_values
 from .volume import (
     INTENSITY,
     LABEL,
@@ -48,7 +49,7 @@ class TrainingDiverged(RuntimeError):
 
 
 @dataclass(frozen=True)
-class TrainConfig:
+class TrainConfig(Settings):
     lr: float = 1e-4
     epochs: int = 10
     alpha: float = 1.0
@@ -65,66 +66,24 @@ class TrainConfig:
             raise ValueError(f"lr must be positive and finite, got {self.lr!r}")
         if self.clip_norm is not None and not self.clip_norm > 0:
             raise ValueError(f"clip norm must be positive, got {self.clip_norm!r}")
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError("alpha and beta must be non-negative")
+        if not (0 <= self.alpha < np.inf and 0 <= self.beta < np.inf):
+            raise ValueError(f"alpha and beta must be non-negative and finite, got {self.alpha!r}, {self.beta!r}")
         if self.epochs < 1 or self.steps < 1:
             raise ValueError("epochs and steps must be >= 1")
         if self.cc_window < 1 or self.cc_window % 2 == 0:
             raise ValueError("cc window must be odd")
         if self.cc_mode not in (loss_mod.LOCAL, loss_mod.GLOBAL):
             raise ValueError(f"unknown cc mode {self.cc_mode!r}")
-
-    def to_meta(self) -> dict[str, str]:
-        return {
-            "lr": repr(self.lr),
-            "epochs": str(self.epochs),
-            "alpha": repr(self.alpha),
-            "beta": repr(self.beta),
-            "cc_mode": self.cc_mode,
-            "cc_window": str(self.cc_window),
-            "seed": str(self.seed),
-            "crop": ",".join(str(c) for c in self.crop) if self.crop else "none",
-            "clip_norm": repr(self.clip_norm) if self.clip_norm else "none",
-            "steps": str(self.steps),
-        }
-
-    @classmethod
-    def from_meta(cls, meta) -> "TrainConfig":
-        crop = meta.get("crop", "none")
-        clip = meta.get("clip_norm", "none")
-        cfg = cls(
-            lr=float(meta.get("lr", 1e-4)),
-            epochs=int(meta.get("epochs", 10)),
-            alpha=float(meta.get("alpha", 1.0)),
-            beta=float(meta.get("beta", 0.0)),
-            cc_mode=meta.get("cc_mode", loss_mod.LOCAL),
-            cc_window=int(meta.get("cc_window", loss_mod.DEFAULT_WINDOW)),
-            seed=int(meta.get("seed", 0)),
-            crop=None if crop == "none" else tuple(int(c) for c in crop.split(",")),
-            clip_norm=None if clip == "none" else float(clip),
-            steps=int(meta.get("steps", 100)),
-        )
-        cfg.validate()
-        return cfg
+        if self.crop is not None and not (
+                len(self.crop) == 3 and all(isinstance(c, int) and c > 0 for c in self.crop)):
+            raise ValueError(f"crop must be 3 positive ints, got {self.crop!r}")
 
 
 def save_config(cfg: TrainConfig, path) -> None:
-    Path(path).write_text("".join(f"{k}={v}\n" for k, v in cfg.to_meta().items()))
+    Path(path).write_text(format_key_values(cfg.to_meta()))
 
 
-def read_key_values(path) -> dict[str, str]:
-    """Parse a flat key=value file; blank lines and # comments are skipped."""
-    meta = {}
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            k, _, v = line.partition("=")
-            meta[k.strip()] = v.strip()
-    return meta
-
-
-def load_config(path) -> TrainConfig:
-    return TrainConfig.from_meta(read_key_values(path))
+load_config = TrainConfig.load
 
 
 def make_pairs(ids) -> list[tuple]:
@@ -269,11 +228,11 @@ def load_dataset(manifest_path) -> Dataset:
         entry_kind, sid, rel = parts
         path = root / rel
         if entry_kind == "volume":
-            ds.volumes[sid] = load_volume(path)
+            ds.volumes[sid] = load_volume(path, INTENSITY)
             if sid not in ds.ids:
                 ds.ids.append(sid)
         elif entry_kind == "label":
-            ds.labels[sid] = load_volume(path)
+            ds.labels[sid] = load_volume(path, LABEL)
         elif entry_kind == "field":
             ds.fields[sid] = load_field(path)
         else:
@@ -307,17 +266,12 @@ def write_loss_log(rows, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _prepare_volumes(volumes: dict[str, Volume], cfg: TrainConfig) -> dict[str, Volume]:
-    if len(volumes) < 2:
-        raise ValueError("training needs at least 2 volumes")
-    out = {}
-    for sid, vol in volumes.items():
-        if cfg.crop:
-            vol = center_crop(vol, cfg.crop)
-        out[sid] = vol
+def crop_volumes(volumes: dict[str, Volume], crop) -> dict[str, Volume]:
+    """Center-crop each volume to ``crop`` (None keeps them); they must then share dims."""
+    out = {sid: center_crop(vol, crop) if crop else vol for sid, vol in volumes.items()}
     dims = {v.dims for v in out.values()}
-    if len(dims) != 1:
-        raise ValueError(f"volumes must share dims after cropping, got {sorted(dims)}")
+    if len(dims) > 1:
+        raise ValueError(f"volumes must share dims, got {sorted(dims)}")
     return out
 
 
@@ -361,7 +315,9 @@ def train(
     cfg.validate()
     if kind not in ("faim", "direct"):
         raise ValueError(f"unknown model kind {kind!r}")
-    vols = _prepare_volumes(volumes, cfg)
+    if len(volumes) < 2:
+        raise ValueError("training needs at least 2 volumes")
+    vols = crop_volumes(volumes, cfg.crop)
     ids = sorted(vols)
     pairs = make_pairs(ids)
     dims = vols[ids[0]].dims

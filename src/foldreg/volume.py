@@ -203,18 +203,24 @@ def _parse_frv(buf: bytes, path):
     return kind_code, (nx, ny, nz), channels, flat
 
 
-def load_volume(path) -> Volume:
-    """Load a single-channel FRV1 volume or an uncompressed NIfTI-1 file."""
+def load_volume(path, kind: str | None = None) -> Volume:
+    """Load a single-channel FRV1 volume or an uncompressed NIfTI-1 file.
+
+    ``kind`` is the kind the caller expects: an FRV1 file of the other kind
+    raises ``FormatError``, and NIfTI data is read as that kind (intensity
+    when None; labels need an integer element kind).
+    """
     buf = Path(path).read_bytes()
-    if buf[:4] == _MAGIC:
-        kind_code, dims, channels, flat = _parse_frv(buf, path)
-        if kind_code == _KIND_DISPLACEMENT or channels != 1:
-            raise FormatError(f"{path}: holds a displacement field; use load_field")
-        data = flat.reshape(dims, order="F")
-        if kind_code == _KIND_LABEL:
-            return Volume(data.astype(np.int32), LABEL)
-        return Volume(data.astype(np.float32), INTENSITY)
-    return _load_nifti(buf, path)
+    if buf[:4] != _MAGIC:
+        return _load_nifti(buf, path, kind or INTENSITY)
+    kind_code, dims, channels, flat = _parse_frv(buf, path)
+    if kind_code == _KIND_DISPLACEMENT or channels != 1:
+        raise FormatError(f"{path}: holds a displacement field; use load_field")
+    file_kind = LABEL if kind_code == _KIND_LABEL else INTENSITY
+    if kind not in (None, file_kind):
+        raise FormatError(f"{path}: holds a {file_kind} volume, expected {kind}")
+    data = flat.reshape(dims, order="F")
+    return Volume(data.astype(np.int32 if file_kind == LABEL else np.float32), file_kind)
 
 
 def load_field(path) -> DisplacementField:
@@ -233,7 +239,7 @@ def load_field(path) -> DisplacementField:
 # Minimal NIfTI-1 reader
 
 
-def _load_nifti(buf: bytes, path, kind: str = INTENSITY) -> Volume:
+def _load_nifti(buf: bytes, path, kind: str) -> Volume:
     if len(buf) < 348:
         raise FormatError(f"{path}: bad magic/header (file shorter than a NIfTI-1 header)")
     sizeof_hdr = struct.unpack_from("<i", buf, 0)[0]
@@ -271,8 +277,3 @@ def _load_nifti(buf: bytes, path, kind: str = INTENSITY) -> Volume:
             raise FormatError(f"{path}: label load requires an integer element kind")
         return Volume(data.astype(np.int32), LABEL)
     return Volume(data.astype(np.float32), INTENSITY)
-
-
-def load_nifti(path, kind: str = INTENSITY) -> Volume:
-    """Load a NIfTI-1 file explicitly, optionally as labels."""
-    return _load_nifti(Path(path).read_bytes(), path, kind=kind)

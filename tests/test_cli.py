@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from test_volume import build_nifti
 
+from foldreg import metrics
 from foldreg.cli import main
 from foldreg.model import FaimConfig, build_faim, load_checkpoint, save_checkpoint
-from foldreg.trainer import load_dataset
-from foldreg.volume import DisplacementField, load_field, load_volume, save_field
+from foldreg.trainer import load_dataset, make_pairs
+from foldreg.volume import DisplacementField, center_crop, load_field, load_volume, save_field
 
 
 def run(argv):
@@ -87,6 +89,7 @@ class TestTrain:
     @pytest.mark.parametrize("flag,value", [
         ("--lr", "-1"), ("--lr", "0"), ("--lr", "nan"), ("--lr", "inf"),
         ("--clip-norm", "0"), ("--clip-norm", "-1"),
+        ("--alpha", "nan"), ("--beta", "inf"), ("--beta", "-1"),
     ])
     def test_bad_lr_or_clip_norm_usage_error(self, synth_dir, tmp_path, flag, value):
         assert run(["train", "--data", str(synth_dir), flag, value, "--out", str(tmp_path / "x")]) == 1
@@ -156,6 +159,50 @@ class TestEvaluate:
         code = run(["evaluate", "--checkpoint", str(direct_ckpt), "--data", str(stripped),
                     "--report", str(tmp_path / "r.csv")])
         assert code == 2
+
+    @pytest.mark.parametrize("kind,flags", [("direct", ["--steps", "3"]), ("faim", ["--epochs", "1"])])
+    def test_crops_like_register(self, tmp_path, kind, flags):
+        data, ckpt, report = tmp_path / "data", tmp_path / "run" / "checkpoint.fck", tmp_path / "r.csv"
+        assert run(["synth", "--seed", "2", "--n", "3", "--dims", "12", "--out", str(data)]) == 0
+        assert run(["train", "--data", str(data), "--model", kind, "--crop", "8", "--cc", "global", *flags,
+                    "--out", str(ckpt.parent)]) == 0
+        assert run(["evaluate", "--checkpoint", str(ckpt), "--data", str(data), "--report", str(report)]) == 0
+        # the report of the same checkpoint on center-cropped volumes and labels
+        ds = load_dataset(data)
+        meta, arrays = load_checkpoint(ckpt)
+        cropped = [{sid: center_crop(v, (8, 8, 8)) for sid, v in vols.items()} for vols in (ds.volumes, ds.labels)]
+        expected = metrics.evaluate(metrics.checkpoint_predictor(meta, arrays), *cropped, make_pairs(ds.ids),
+                                    cc_mode="global")
+        assert report.read_text() == metrics.report_csv(expected)
+
+    def test_nifti_dataset_same_report(self, synth_dir, direct_ckpt, tmp_path):
+        nifti = tmp_path / "nifti"
+        nifti.mkdir()
+        ds = load_dataset(synth_dir)
+        lines = []
+        for sid in ds.ids:
+            for entry, vol, datatype in (("volume", ds.volumes[sid], 16), ("label", ds.labels[sid], 8)):
+                (nifti / f"{sid}_{entry}.nii").write_bytes(build_nifti(vol.data, datatype=datatype))
+                lines.append(f"{entry} {sid} {sid}_{entry}.nii")
+        (nifti / "manifest.txt").write_text("\n".join(lines) + "\n")
+        reports = []
+        for data in (synth_dir, nifti):
+            reports.append(tmp_path / f"{data.name}.csv")
+            assert run(["evaluate", "--checkpoint", str(direct_ckpt), "--data", str(data),
+                        "--report", str(reports[-1])]) == 0
+        assert reports[0].read_bytes() == reports[1].read_bytes()
+
+    @pytest.mark.parametrize("key,value", [("alpha", "abc"), ("crop", "8,8"), ("cc_mode", None)])
+    def test_malformed_training_metadata_exit_2(self, synth_dir, direct_ckpt, tmp_path, capsys, key, value):
+        meta, arrays = load_checkpoint(direct_ckpt)
+        del meta[key]
+        if value is not None:
+            meta[key] = value
+        bad = tmp_path / "bad.fck"
+        save_checkpoint(bad, meta, arrays)
+        assert run(["evaluate", "--checkpoint", str(bad), "--data", str(synth_dir),
+                    "--report", str(tmp_path / "r.csv")]) == 2
+        assert "checkpoint metadata" in capsys.readouterr().err
 
 
 class TestJmap:
@@ -227,6 +274,16 @@ class TestDescribe:
         save_checkpoint(path, meta, params.arrays())
         assert run(["describe", "--checkpoint", str(path)]) == 2
         assert "head_kernel" in capsys.readouterr().err
+
+    def test_unknown_key_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text("head_kernal=5\n")
+        assert run(["describe", "--config", str(cfg)]) == 1
+        assert "head_kernal" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_threads_below_one_usage_error(self, threads):
+        assert run(["--threads", threads, "describe"]) == 1
 
     def test_invalid_kernel_usage_error(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

@@ -7,6 +7,7 @@ from foldreg.jacobian import (
     displacement_jacobian,
     folding_count,
     folding_mask,
+    jacobian_adjoint,
     jacobian_raw,
     r2_backward,
     r2_penalty,
@@ -59,6 +60,13 @@ class TestDisplacementJacobian:
         u_arr = rng.standard_normal((3, 4, 4, 4))
         D = jacobian_raw(u_arr)
         assert np.allclose(D, brute_force_jacobian(u_arr), atol=1e-12)
+
+    @pytest.mark.parametrize("dims", [(2, 3, 2), (5, 6, 7)])
+    def test_adjoint_identity(self, dims):
+        rng = np.random.default_rng(1)
+        u = rng.standard_normal((3, *dims))
+        g = rng.standard_normal((3, 3, *dims))
+        assert np.vdot(jacobian_raw(u), g) == pytest.approx(np.vdot(u, jacobian_adjoint(g)), rel=1e-12)
 
     def test_extent_one_rejected(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -111,13 +112,60 @@ class TestDatasetIO:
             load_dataset(tmp_path / "nope")
 
 
+CUSTOM_TRAIN = TrainConfig(lr=2e-4, epochs=1, alpha=0.5, beta=0.25, cc_mode="global", cc_window=5, seed=3,
+                           crop=(8, 8, 8), clip_norm=1.5, steps=2)
+CUSTOM_FAIM = model.FaimConfig(branch_kernels=(3, 5), branch_channels=4, merge_channels=8, enc1_channels=8,
+                               enc2_channels=16, head_kernel=5)
+DEFAULT_LINES = ("lr=0.0001\nepochs={}\nalpha=1.0\nbeta=0.0\ncc_mode=local\ncc_window=9\nseed=0\n"
+                 "crop=none\nclip_norm=none\nsteps={}\n")
+CUSTOM_LINES = ("lr=0.0002\nepochs=1\nalpha=0.5\nbeta=0.25\ncc_mode=global\ncc_window=5\nseed=3\n"
+                "crop=8,8,8\nclip_norm=1.5\nsteps=2\n")
+# config.txt and FCK1 metadata text of small runs on 12^3 subjects, recorded
+# before TrainConfig and FaimConfig shared one codec: (kind, train config,
+# model config, config.txt, checkpoint metadata)
+PINNED_RUNS = {
+    "faim-default": ("faim", TrainConfig(epochs=1), None, DEFAULT_LINES.format(1, 100),
+                     "kind=faim\ndims=12,12,12\n" + DEFAULT_LINES.format(1, 100)
+                     + "branch_kernels=3,5,7\nbranch_channels=8\nmerge_channels=16\nenc1_channels=32\n"
+                       "enc2_channels=32\nhead_kernel=3\nadam_t=6\n"),
+    "faim-custom": ("faim", CUSTOM_TRAIN, CUSTOM_FAIM, CUSTOM_LINES,
+                    "kind=faim\ndims=8,8,8\n" + CUSTOM_LINES
+                    + "branch_kernels=3,5\nbranch_channels=4\nmerge_channels=8\nenc1_channels=8\n"
+                      "enc2_channels=16\nhead_kernel=5\nadam_t=6\n"),
+    "direct-default": ("direct", TrainConfig(steps=2), None, DEFAULT_LINES.format(10, 2),
+                       "kind=direct\ndims=12,12,12\n" + DEFAULT_LINES.format(10, 2)),
+    "direct-custom": ("direct", CUSTOM_TRAIN, None, CUSTOM_LINES, "kind=direct\ndims=8,8,8\n" + CUSTOM_LINES),
+}
+
+
 class TestConfigFile:
+    @pytest.mark.parametrize("name", sorted(PINNED_RUNS))
+    def test_run_metadata_pinned(self, tmp_path, name):
+        kind, cfg, faim_cfg, config_text, meta_text = PINNED_RUNS[name]
+        train(cfg, tiny_dataset(dims=(12, 12, 12)).volumes, kind=kind, out_dir=tmp_path, faim_config=faim_cfg)
+        assert (tmp_path / "config.txt").read_text() == config_text
+        blob = (tmp_path / "checkpoint.fck").read_bytes()
+        (length,) = struct.unpack_from("<I", blob, 4)
+        assert blob[8:8 + length].decode() == meta_text
+        assert load_config(tmp_path / "config.txt") == cfg
+
     def test_round_trip(self, tmp_path):
         cfg = TrainConfig(lr=5e-3, epochs=2, alpha=0.25, beta=1e-3, cc_mode="global",
                           cc_window=5, seed=9, crop=(8, 8, 8), clip_norm=2.0, steps=40)
         path = tmp_path / "config.txt"
         save_config(cfg, path)
         assert load_config(path) == cfg
+
+    @pytest.mark.parametrize("text,match", [
+        ("epochz=3\n", "unknown setting epochz"),
+        ("crop=8,8\n", "crop must be 3 positive ints"),
+        ("lr=abc\n", "could not convert"),
+    ], ids=["unknown_key", "short_crop", "unparsable_value"])
+    def test_malformed_file_rejected(self, tmp_path, text, match):
+        path = tmp_path / "config.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=match):
+            load_config(path)
 
     def test_defaults_from_empty_meta(self):
         cfg = TrainConfig.from_meta({})

@@ -14,7 +14,6 @@ from foldreg.volume import (
     center_crop,
     crop_field,
     load_field,
-    load_nifti,
     load_volume,
     normalize_intensity,
     save_field,
@@ -242,10 +241,21 @@ class TestNifti:
         data = np.arange(8).astype("<i2").reshape(2, 2, 2)
         path = tmp_path / "v.nii"
         path.write_bytes(build_nifti(data, datatype=4))
-        out = load_nifti(path, kind=LABEL)
+        out = load_volume(path, LABEL)
         assert out.kind == LABEL
         assert out.data.dtype == np.int32
         assert np.array_equal(out.data, data.astype(np.int32))
+
+    @pytest.mark.parametrize("container", ["nifti", "frv"])
+    def test_intensity_file_rejected_as_labels(self, tmp_path, container):
+        data = np.zeros((2, 2, 2), dtype="<f4")
+        path = tmp_path / "v"
+        if container == "nifti":
+            path.write_bytes(build_nifti(data, datatype=16))
+        else:
+            save_volume(Volume(data), path)
+        with pytest.raises(FormatError):
+            load_volume(path, LABEL)
 
 
 class TestCropField:
