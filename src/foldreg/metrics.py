@@ -15,6 +15,7 @@ import numpy as np
 from . import loss as loss_mod
 from .jacobian import det_map, folding_count
 from .model import faim_forward, params_from_checkpoint
+from .trainer import TrainConfig
 from .volume import LABEL, DisplacementField, Volume, zero_field
 from .warp import warp_image, warp_labels
 
@@ -105,10 +106,10 @@ def evaluate(
     volumes: dict[str, Volume],
     labels: dict[str, Volume],
     pairs,
-    alpha: float = 1.0,
-    beta: float = 0.0,
-    cc_mode: str = loss_mod.LOCAL,
-    window: int = loss_mod.DEFAULT_WINDOW,
+    alpha: float = TrainConfig.alpha,
+    beta: float = TrainConfig.beta,
+    cc_mode: str = TrainConfig.cc_mode,
+    window: int = TrainConfig.cc_window,
 ) -> EvalResult:
     """Evaluate a predictor over ordered pairs; see the module docstring."""
     if not pairs:

@@ -148,6 +148,13 @@ def faim_input(params: ModelParams, source: Volume, target: Volume) -> Tensor:
     return Tensor(np.stack([source.data, target.data]).astype(dtype, copy=False), requires_grad=False)
 
 
+def predict(params: ModelParams, source: Volume, target: Volume) -> Tensor:
+    """The field registering source to target as a tape node: the network output, or the direct field."""
+    if params.kind == "direct":
+        return params.tensors["field"]
+    return faim_apply(params, faim_input(params, source, target))
+
+
 def faim_forward(params: ModelParams, source: Volume, target: Volume) -> DisplacementField:
     """Predict the displacement field registering source to target."""
     return DisplacementField(faim_apply(params, faim_input(params, source, target)).data)
@@ -174,7 +181,8 @@ def describe(params: ModelParams) -> str:
     if params.kind == "direct":
         nx, ny, nz = params.dims
         return "\n".join([f"direct-field model on {nx}x{ny}x{nz}",
-                          f"field           3x{nx}x{ny}x{nz}            params {layer_size('field')}",
+                          *(f"{name:<15} {'x'.join(map(str, t.data.shape))}            params {t.data.size}"
+                            for name, t in params.tensors.items()),
                           f"total parameters: {param_count(params)}"])
 
     def row(name, desc, n):
@@ -260,17 +268,20 @@ def params_from_checkpoint(meta: dict, arrays: dict[str, np.ndarray]) -> ModelPa
     kind = meta.get("kind")
     if kind not in ("faim", "direct"):
         raise FormatError(f"unknown model kind {kind!r} in checkpoint")
-    model_arrays = {k: v for k, v in arrays.items() if not k.startswith(("adam.", "field:"))}
-    if kind == "faim":
-        params = build_faim(FaimConfig.from_checkpoint(meta), seed=0)
-    else:
+    if kind == "direct":
         try:
             params = direct_field_model(meta["dims"].split(","))
         except (KeyError, ValueError) as exc:
             raise FormatError(f"bad checkpoint metadata: dims={meta.get('dims')!r}") from exc
-        if "field" in model_arrays:
-            params.tensors["field"].data = model_arrays["field"]
+        # the trained fields, one per pair, instead of the zero field
+        params.tensors = {k: Tensor(v, name=k) for k, v in arrays.items() if k.startswith("field:")}
+        for name, t in params.tensors.items():
+            if t.data.shape != (3, *params.dims):
+                raise FormatError(f"checkpoint tensor {name} has shape {t.data.shape}, "
+                                  f"expected {(3, *params.dims)}")
         return params
+    model_arrays = {k: v for k, v in arrays.items() if not k.startswith(("adam.", "field:"))}
+    params = build_faim(FaimConfig.from_checkpoint(meta), seed=0)
     if set(params.tensors) != set(model_arrays):
         raise FormatError("checkpoint tensors do not match the model config")
     for name, t in params.tensors.items():

@@ -1,12 +1,13 @@
 """Training loop, ordered-pair protocol, and the synthetic desk-scale dataset.
 
 Training iterates over all ordered (source, target) pairs of distinct
-subjects: n subjects give n*(n-1) pairs. One pair per step; per step the
-model predicts u, the source is warped, the total loss and its analytic
-gradients are evaluated, and Adam updates the parameters. For the ``faim``
-kind one parameter set is trained across shuffled pairs for ``epochs``
-epochs; for the ``direct`` kind each pair gets its own zero-initialized field
-optimized for ``steps`` iterations (classical per-pair registration).
+subjects: n subjects give n*(n-1) pairs. One pair per step, and one step
+(``_fit``) for both model kinds: the model predicts u, the source is warped,
+the total loss and its analytic gradients are evaluated, backpropagated into
+the parameters, and Adam updates them. For the ``faim`` kind one parameter
+set is trained across shuffled pairs for ``epochs`` epochs; for the
+``direct`` kind each pair gets its own zero-initialized field optimized for
+``steps`` iterations (classical per-pair registration).
 
 A NaN/Inf loss or gradient aborts the run with ``TrainingDiverged`` and keeps
 the last good checkpoint: the parameters (and Adam state) from before the
@@ -43,9 +44,7 @@ from .warp import warp_backward, warp_image, warp_labels
 
 
 class TrainingDiverged(RuntimeError):
-    def __init__(self, message, checkpoint_path=None):
-        super().__init__(message)
-        self.checkpoint_path = checkpoint_path
+    checkpoint_path: Path | None = None  # the last good checkpoint, when the run has an out_dir
 
 
 @dataclass(frozen=True)
@@ -290,14 +289,17 @@ def _loss_and_grad(src: Volume, tgt: Volume, u_arr: np.ndarray, cfg: TrainConfig
     return bd, grad_u
 
 
-def _dump_checkpoint(out_dir, meta, arrays) -> Path | None:
+def _write_run(result: TrainResult, cfg: TrainConfig, out_dir) -> None:
+    """Write loss_log.csv, config.txt and checkpoint.fck of a finished or diverged run."""
     if out_dir is None:
-        return None
+        return
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    path = out / "checkpoint.fck"
-    model_mod.save_checkpoint(path, meta, arrays)
-    return path
+    result.log_path = out / "loss_log.csv"
+    write_loss_log(result.log_rows, result.log_path)
+    save_config(cfg, out / "config.txt")
+    result.checkpoint_path = out / "checkpoint.fck"
+    model_mod.save_checkpoint(result.checkpoint_path, result.meta, result.arrays)
 
 
 def train(
@@ -310,7 +312,8 @@ def train(
     """Train a model over all ordered pairs; see the module docstring.
 
     With ``out_dir`` set, writes checkpoint.fck, loss_log.csv and config.txt
-    there. On divergence the last good parameters are written before raising.
+    there, also when the run diverges: the checkpoint then holds the last
+    good parameters and the log the completed steps.
     """
     cfg.validate()
     if kind not in ("faim", "direct"):
@@ -318,112 +321,77 @@ def train(
     if len(volumes) < 2:
         raise ValueError("training needs at least 2 volumes")
     vols = crop_volumes(volumes, cfg.crop)
-    ids = sorted(vols)
-    pairs = make_pairs(ids)
-    dims = vols[ids[0]].dims
-
-    base_meta = {"kind": kind, "dims": ",".join(str(d) for d in dims)}
-    base_meta.update(cfg.to_meta())
-
-    if kind == "faim":
-        result = _train_faim(cfg, vols, pairs, base_meta, out_dir, faim_config)
-    else:
-        result = _train_direct(cfg, vols, pairs, base_meta, out_dir)
-
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        result.log_path = out / "loss_log.csv"
-        write_loss_log(result.log_rows, result.log_path)
-        save_config(cfg, out / "config.txt")
-        result.checkpoint_path = _dump_checkpoint(out_dir, result.meta, result.arrays)
+    pairs = make_pairs(vols)
+    dims = vols[pairs[0][0]].dims
+    meta = {"kind": kind, "dims": ",".join(str(d) for d in dims), **cfg.to_meta()}
+    result = TrainResult(meta=meta, arrays={}, log_rows=[], final=None)
+    try:
+        if kind == "faim":
+            params = model_mod.build_faim(faim_config or model_mod.FaimConfig(), seed=cfg.seed)
+            meta.update(params.config.to_meta())
+            state = optim.adam_init(params.arrays(), lr=cfg.lr)
+            rng = np.random.default_rng(cfg.seed)
+            schedule = ((epoch, pairs[i]) for epoch in range(cfg.epochs) for i in rng.permutation(len(pairs)))
+            try:
+                _fit(params, state, schedule, vols, cfg, result.log_rows)
+            finally:  # a diverged run keeps its restored state too
+                meta["adam_t"] = str(state.t)
+                result.arrays = _with_adam(params.arrays(), state)
+        else:
+            for src_id, tgt_id in pairs:
+                params = model_mod.direct_field_model(dims)
+                result.arrays[f"field:{src_id}:{tgt_id}"] = params.tensors["field"].data
+                state = optim.adam_init(params.arrays(), lr=cfg.lr)
+                schedule = ((it, (src_id, tgt_id)) for it in range(cfg.steps))
+                _fit(params, state, schedule, vols, cfg, result.log_rows)
+    except TrainingDiverged as exc:
+        _write_run(result, cfg, out_dir)
+        exc.checkpoint_path = result.checkpoint_path
+        raise
+    result.final = result.log_rows[-1][-1]
+    _write_run(result, cfg, out_dir)
     return result
 
 
-def _train_faim(cfg, vols, pairs, base_meta, out_dir, faim_config):
-    params = model_mod.build_faim(faim_config or model_mod.FaimConfig(), seed=cfg.seed)
+def _fit(params, state, schedule, vols, cfg, rows) -> None:
+    """Train ``params`` in place, one step per (epoch or iteration, pair) of ``schedule``.
+
+    A step predicts the field, takes the loss and its gradient, backprops it
+    into the parameters, clips, and updates them with Adam; it appends one log
+    row to ``rows``, whose length numbers the steps. A non-finite loss or
+    gradient sets the parameters and ``state`` back to the last good ones,
+    those from before the update that led to it, and raises
+    ``TrainingDiverged``.
+    """
     arrays = params.arrays()
-    state = optim.adam_init(arrays, lr=cfg.lr)
-    rng = np.random.default_rng(cfg.seed)
-    meta = dict(base_meta)
-    meta.update(params.config.to_meta())
+    live = [*arrays.values(), *state.m.values(), *state.v.values()]
+    good = [a.copy() for a in live]
+    good_t = state.t
 
-    # parameters and Adam state before the latest update: the last ones whose
-    # loss and gradient were both finite
-    def snapshot():
-        return _with_adam({k: v.copy() for k, v in arrays.items()}, state), state.t
+    def diverged(reason):
+        for a, g in zip(live, good):
+            np.copyto(a, g)
+        state.t = good_t
+        return TrainingDiverged(f"{reason} at step {len(rows)} (pair {src_id}->{tgt_id})")
 
-    def diverged(message):
-        meta["adam_t"] = str(good_t)
-        return TrainingDiverged(message, _dump_checkpoint(out_dir, meta, good))
-
-    good, good_t = snapshot()
-    rows = []
-    final_bd = None
-    step = 0
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(len(pairs))
-        for idx in order:
-            src_id, tgt_id = pairs[idx]
-            src, tgt = vols[src_id], vols[tgt_id]
-            u_node = model_mod.faim_apply(params, model_mod.faim_input(params, src, tgt))
-            bd, grad_u = _loss_and_grad(src, tgt, u_node.data, cfg)
-            if grad_u is None:
-                raise diverged(f"loss diverged at step {step} (pair {src_id}->{tgt_id})")
-            backward(u_node, seed=grad_u)
-            grads = {name: t.grad for name, t in params.tensors.items()}
-            if cfg.clip_norm:
-                optim.clip_global_norm(grads, cfg.clip_norm)
-            good, good_t = snapshot()
-            try:
-                optim.adam_step(arrays, grads, state)
-            except optim.DivergenceError as exc:
-                raise diverged(f"{exc} at step {step} (pair {src_id}->{tgt_id})") from exc
-            rows.append((step, epoch, src_id, tgt_id, bd))
-            final_bd = bd
-            step += 1
-    meta["adam_t"] = str(state.t)
-    return TrainResult(meta=meta, arrays=_with_adam(arrays, state), log_rows=rows, final=final_bd)
-
-
-def _train_direct(cfg, vols, pairs, base_meta, out_dir):
-    dims = vols[sorted(vols)[0]].dims
-    meta = dict(base_meta)
-    out_arrays: dict[str, np.ndarray] = {}
-    rows = []
-    final_bd = None
-    step = 0
-    for src_id, tgt_id in pairs:
+    for epoch, (src_id, tgt_id) in schedule:
         src, tgt = vols[src_id], vols[tgt_id]
-        params = model_mod.direct_field_model(dims)
-        field_arr = params.tensors["field"].data
-        state = optim.adam_init({"field": field_arr}, lr=cfg.lr)
-
-        # the field before the latest update: the last one whose loss and
-        # gradient were both finite
-        last_good = field_arr.copy()
-
-        def diverged(message):
-            out_arrays[f"field:{src_id}:{tgt_id}"] = last_good
-            return TrainingDiverged(message, _dump_checkpoint(out_dir, meta, out_arrays))
-
-        for it in range(cfg.steps):
-            bd, grad_u = _loss_and_grad(src, tgt, field_arr, cfg)
-            if grad_u is None:
-                raise diverged(f"loss diverged optimizing pair {src_id}->{tgt_id} at iteration {it}")
-            grads = {"field": grad_u}
-            if cfg.clip_norm:
-                optim.clip_global_norm(grads, cfg.clip_norm)
-            np.copyto(last_good, field_arr)
-            try:
-                optim.adam_step({"field": field_arr}, grads, state)
-            except optim.DivergenceError as exc:
-                raise diverged(f"{exc} optimizing pair {src_id}->{tgt_id} at iteration {it}") from exc
-            rows.append((step, it, src_id, tgt_id, bd))
-            final_bd = bd
-            step += 1
-        out_arrays[f"field:{src_id}:{tgt_id}"] = field_arr.copy()
-    return TrainResult(meta=meta, arrays=out_arrays, log_rows=rows, final=final_bd)
+        u_node = model_mod.predict(params, src, tgt)
+        bd, grad_u = _loss_and_grad(src, tgt, u_node.data, cfg)
+        if grad_u is None:
+            raise diverged("loss diverged")
+        backward(u_node, seed=grad_u)
+        grads = {name: t.grad for name, t in params.tensors.items()}
+        if cfg.clip_norm:
+            optim.clip_global_norm(grads, cfg.clip_norm)
+        for a, g in zip(live, good):
+            np.copyto(g, a)
+        good_t = state.t
+        try:
+            optim.adam_step(arrays, grads, state)
+        except optim.DivergenceError as exc:
+            raise diverged(exc) from exc
+        rows.append((len(rows), epoch, src_id, tgt_id, bd))
 
 
 def _with_adam(arrays: dict[str, np.ndarray], state: optim.AdamState) -> dict[str, np.ndarray]:

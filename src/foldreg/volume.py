@@ -220,7 +220,15 @@ def load_volume(path, kind: str | None = None) -> Volume:
     if kind not in (None, file_kind):
         raise FormatError(f"{path}: holds a {file_kind} volume, expected {kind}")
     data = flat.reshape(dims, order="F")
-    return Volume(data.astype(np.int32 if file_kind == LABEL else np.float32), file_kind)
+    if file_kind == LABEL:
+        return _label_volume(data, path)
+    return Volume(data.astype(np.float32), INTENSITY)
+
+
+def _label_volume(data: np.ndarray, path) -> Volume:
+    if data.size and data.min() < 0:
+        raise FormatError(f"{path}: label volumes must be non-negative")
+    return Volume(data.astype(np.int32), LABEL)
 
 
 def load_field(path) -> DisplacementField:
@@ -275,5 +283,5 @@ def _load_nifti(buf: bytes, path, kind: str) -> Volume:
     if kind == LABEL:
         if not np.issubdtype(dtype, np.integer):
             raise FormatError(f"{path}: label load requires an integer element kind")
-        return Volume(data.astype(np.int32), LABEL)
+        return _label_volume(data, path)
     return Volume(data.astype(np.float32), INTENSITY)

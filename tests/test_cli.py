@@ -264,7 +264,11 @@ class TestDescribe:
 
     def test_checkpoint(self, direct_ckpt, capsys):
         assert run(["describe", "--checkpoint", str(direct_ckpt)]) == 0
-        assert str(3 * 8**3) in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert str(3 * 8**3) in out
+        # one row per trained pair: 4 subjects -> 12 fields, counted from the checkpoint
+        assert sum(line.startswith("field:") for line in out.splitlines()) == 12
+        assert f"total parameters: {12 * 3 * 8**3}" in out
 
     def test_checkpoint_missing_metadata_exit_2(self, tmp_path, capsys):
         params = build_faim(FaimConfig(), seed=0)

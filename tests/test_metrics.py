@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -127,6 +129,12 @@ class TestEvaluate:
         res = evaluate(identity_predictor, self.ds.volumes, self.ds.labels, self.pairs)
         assert res.mean_dice == pytest.approx(np.mean([r.mean_dice for r in res.reports]), abs=1e-12)
         assert res.mean_total == pytest.approx(np.mean([r.total for r in res.reports]), abs=1e-12)
+
+    def test_loss_defaults_are_the_training_defaults(self):
+        cfg = trainer.TrainConfig()
+        defaults = {name: p.default for name, p in inspect.signature(evaluate).parameters.items()
+                    if p.default is not p.empty}
+        assert defaults == {"alpha": cfg.alpha, "beta": cfg.beta, "cc_mode": cfg.cc_mode, "window": cfg.cc_window}
 
     def test_row_order_is_pair_order(self):
         res = evaluate(identity_predictor, self.ds.volumes, self.ds.labels, self.pairs)

@@ -291,6 +291,17 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="checkpoint metadata"):
             params_from_checkpoint(meta, arrays)
 
+    def test_direct_checkpoint_params_are_its_fields(self):
+        meta = {"kind": "direct", "dims": "4,4,4"}
+        arrays = {f"field:{p}": np.full((3, 4, 4, 4), i, np.float32) for i, p in enumerate(["a:b", "b:a"])}
+        params = params_from_checkpoint(meta, arrays)
+        assert sorted(params.tensors) == ["field:a:b", "field:b:a"]
+        assert np.array_equal(params.tensors["field:b:a"].data, arrays["field:b:a"])
+        assert param_count(params) == 2 * 3 * 4**3
+        arrays["field:a:b"] = np.zeros((3, 4, 4, 5), np.float32)
+        with pytest.raises(FormatError, match="field:a:b"):
+            params_from_checkpoint(meta, arrays)
+
     def test_direct_round_trip(self, tmp_path):
         rng = np.random.default_rng(8)
         arrays = {"field:a:b": rng.standard_normal((3, 4, 4, 4)).astype(np.float32)}

@@ -179,9 +179,9 @@ def tiny_dataset(seed=0, n=3, dims=(8, 8, 8)):
     return synth_dataset(seed=seed, n=n, dims=dims)
 
 
-def _checkpoint_loss_on_failing_pair(err, ds, cfg):
-    """Total loss of the kept checkpoint on the pair the run diverged on."""
-    src_id, tgt_id = re.search(r"pair (\w+)->(\w+)", str(err)).groups()
+def _checkpoint_loss_on_failing_pair(err, ds, cfg, pair=None):
+    """Total loss of the kept checkpoint on ``pair``, by default the pair the run diverged on."""
+    src_id, tgt_id = pair or re.search(r"pair (\w+)->(\w+)", str(err)).groups()
     meta, arrays = model.load_checkpoint(err.checkpoint_path)
     src, tgt = ds.volumes[src_id], ds.volumes[tgt_id]
     if meta["kind"] == "faim":
@@ -296,28 +296,57 @@ class TestTrainFaim:
 
 
 class TestDivergence:
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-    @pytest.mark.parametrize("kind", ["faim", "direct"])
-    def test_gradient_path_keeps_last_good(self, tmp_path, monkeypatch, kind):
-        # finite loss, non-finite gradient on the third step: adam_step refuses it
-        real = trainer._loss_and_grad
-        calls = []
+    """Both kinds share one step and one divergence protocol; a step fails on its third call."""
 
-        def poisoned(*args):
-            bd, grad_u = real(*args)
-            calls.append(bd)
+    def _diverge(self, tmp_path, monkeypatch, kind, route):
+        real = trainer._loss_and_grad
+        ds = tiny_dataset()
+        ids = {id(v): sid for sid, v in ds.volumes.items()}  # uncropped runs train on these objects
+        calls = []  # (pair, breakdown) of every loss evaluation
+
+        def poisoned(src, tgt, u_arr, cfg):
+            bd, grad_u = real(src, tgt, u_arr, cfg)
+            calls.append(((ids[id(src)], ids[id(tgt)]), bd))
             if len(calls) == 3:
+                if route == "loss":
+                    return None, None
                 grad_u = np.full_like(grad_u, np.nan)
             return bd, grad_u
 
         monkeypatch.setattr(trainer, "_loss_and_grad", poisoned)
-        ds = tiny_dataset()
         cfg = TrainConfig(lr=1e-2, epochs=1, alpha=1.0, seed=0, cc_mode="global", steps=5)
-        with pytest.raises(TrainingDiverged, match="diverged gradient") as err:
+        message = "loss diverged" if route == "loss" else "diverged gradient in '.+'"
+        with pytest.raises(TrainingDiverged, match=rf"^{message} at step 2 \(pair (\w+)->(\w+)\)$") as err:
             train(cfg, ds.volumes, kind=kind, out_dir=tmp_path)
-        meta, loss = _checkpoint_loss_on_failing_pair(err.value, ds, cfg)
+        assert err.value.checkpoint_path == tmp_path / "checkpoint.fck"
+        assert f"pair {calls[2][0][0]}->{calls[2][0][1]}" in str(err.value)
+        # the diverged run writes the same three files as a finished one,
+        # and its log holds the two completed steps
+        rows = [line.split(",") for line in (tmp_path / "loss_log.csv").read_text().splitlines()[1:]]
+        assert [(int(r[0]), (r[2], r[3]), float(r[-1])) for r in rows] == [
+            (step, pair, bd.total) for step, (pair, bd) in enumerate(calls[:2])]
+        assert load_config(tmp_path / "config.txt") == cfg
+        return ds, cfg, err.value, calls
+
+    @pytest.mark.parametrize("kind", ["faim", "direct"])
+    def test_loss_path_keeps_last_good(self, tmp_path, monkeypatch, kind):
+        # non-finite loss on the third step: the kept state is the one the
+        # second loss was computed with, after one update
+        ds, cfg, err, calls = self._diverge(tmp_path, monkeypatch, kind, "loss")
+        pair, bd = calls[1]
+        meta, loss = _checkpoint_loss_on_failing_pair(err, ds, cfg, pair)
+        assert loss == pytest.approx(bd.total, rel=1e-5)
+        if kind == "faim":
+            assert meta["adam_t"] == "1"
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("kind", ["faim", "direct"])
+    def test_gradient_path_keeps_last_good(self, tmp_path, monkeypatch, kind):
+        # finite loss, non-finite gradient on the third step: adam_step refuses it
+        ds, cfg, err, calls = self._diverge(tmp_path, monkeypatch, kind, "gradient")
+        meta, loss = _checkpoint_loss_on_failing_pair(err, ds, cfg)
         # the parameters the third loss was computed with, after two updates
-        assert loss == pytest.approx(calls[2].total, rel=1e-5)
+        assert loss == pytest.approx(calls[2][1].total, rel=1e-5)
         if kind == "faim":
             assert meta["adam_t"] == "2"
 

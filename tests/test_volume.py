@@ -257,6 +257,21 @@ class TestNifti:
         with pytest.raises(FormatError):
             load_volume(path, LABEL)
 
+    @pytest.mark.parametrize("container", ["nifti", "frv"])
+    def test_negative_labels_rejected(self, tmp_path, container):
+        data = np.arange(8, dtype="<i2").reshape(2, 2, 2)
+        path = tmp_path / "v"
+        if container == "nifti":
+            data[0, 0, 0] = -1
+            path.write_bytes(build_nifti(data, datatype=4))
+        else:
+            save_volume(Volume(data, LABEL), path)
+            blob = bytearray(path.read_bytes())
+            struct.pack_into("<i", blob, 28, -1)  # first voxel, right after the header
+            path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="non-negative"):
+            load_volume(path, LABEL)
+
 
 class TestCropField:
     def test_crop_field_matches_volume_rule(self):
