@@ -361,10 +361,14 @@ def _fit(params, state, schedule, vols, cfg, rows) -> None:
     row to ``rows``, whose length numbers the steps. A non-finite loss or
     gradient sets the parameters and ``state`` back to the last good ones,
     those from before the update that led to it, and raises
-    ``TrainingDiverged``.
+    ``TrainingDiverged``. Only a network's Adam moments are snapshotted: a
+    direct checkpoint stores none, and a direct model's state ends with its
+    pair.
     """
     arrays = params.arrays()
-    live = [*arrays.values(), *state.m.values(), *state.v.values()]
+    live = list(arrays.values())
+    if params.kind == "faim":
+        live += [*state.m.values(), *state.v.values()]
     good = [a.copy() for a in live]
     good_t = state.t
 

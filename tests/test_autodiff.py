@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import foldreg.autodiff as ad
+from foldreg.model import FaimConfig, faim_layers
 
 
 def brute_conv3d(x, w, b, stride, padding):
@@ -271,6 +272,8 @@ class TestGradientsAgainstFd:
         ("convT", ((2, 3, 3, 3), (2, 2, 3, 3, 3), (2,)), dict(stride=1, padding=1)),
         ("conv", ((2, 6, 5, 7), (3, 2, 3, 3, 3), (3,)), dict(stride=2, padding=1)),
         ("convT", ((2, 3, 3, 3), (2, 2, 3, 3, 3), (2,)), dict(stride=2, padding=1)),
+        ("conv", ((2, 6, 5, 7), (2, 2, 5, 5, 5), (2,)), dict(stride=1, padding=2)),
+        ("conv", ((2, 6, 5, 7), (1, 2, 7, 7, 7), (1,)), dict(stride=1, padding=3)),
     ])
     def test_conv_ops(self, op, shapes, kwargs):
         rng = np.random.default_rng(9)
@@ -300,6 +303,58 @@ class TestGradientsAgainstFd:
                 g = grad.reshape(-1)[idx]
                 worst = max(worst, abs(g - fd) / max(abs(g), abs(fd), 1e-6))
         assert worst < 1e-4
+
+
+# the stride-1 conv rows of the default network: (name, cin, cout, k)
+STRIDE1_LAYERS = [(name, cin, cout, k) for name, op, _, cin, cout, k, stride, _, _ in faim_layers(FaimConfig())
+                  if op == "conv" and stride == 1]
+
+
+def _rel(a, ref):
+    return np.abs(a - ref).max() / np.abs(ref).max()
+
+
+class TestStride1Kernels:
+    """The FFT and shifted-row kernels against the im2col/scatter oracle."""
+
+    def test_kernel_rule_per_faim_layer(self):
+        picked = {name: ad.conv_kernel(k, stride, (k - 1) // 2)
+                  for name, op, _, _, _, k, stride, _, _ in faim_layers(FaimConfig()) if op == "conv"}
+        assert picked == {"branch3": "rows", "branch5": "fft", "branch7": "fft", "merge": "rows",
+                          "enc1": "window", "enc2": "window", "res": "rows", "head": "rows"}
+
+    @pytest.mark.parametrize("extent", [(16, 16, 16), (9, 6, 7)])
+    @pytest.mark.parametrize("name,cin,cout,k", STRIDE1_LAYERS)
+    def test_faim_layer_matches_oracle(self, name, cin, cout, k, extent):
+        rng = np.random.default_rng(k * 100 + cin)
+        p = (k - 1) // 2
+        x_arr = rng.standard_normal((cin, *extent))
+        w_arr = rng.standard_normal((cout, cin, k, k, k))
+        b_arr = rng.standard_normal(cout)
+        g = rng.standard_normal((cout, *extent))
+        x, w, b = ad.Tensor(x_arr), ad.Tensor(w_arr), ad.Tensor(b_arr)
+        out = ad.conv3d(x, w, b, stride=1, padding=p)
+        ad.backward(out, seed=g)
+        forward = ad._conv_raw(x_arr, w_arr, 1, p) + b_arr[:, None, None, None]
+        assert _rel(out.data, forward) <= 1e-12
+        assert _rel(x.grad, ad._conv_input_grad(g, w_arr, 1, p, extent)) <= 1e-12
+        assert _rel(w.grad, ad._weight_grad(g, x_arr, k, 1, p)) <= 1e-12
+        out32 = ad.conv3d(ad.Tensor(x_arr.astype(np.float32)), ad.Tensor(w_arr.astype(np.float32)),
+                          ad.Tensor(b_arr.astype(np.float32)), stride=1, padding=p)
+        assert out32.data.dtype == np.float32
+        assert _rel(out32.data, forward) <= 1e-5
+
+    def test_fft_kernel_deterministic(self):
+        def run():
+            rng = np.random.default_rng(13)
+            x = ad.Tensor(rng.standard_normal((2, 12, 10, 9)).astype(np.float32))
+            w = ad.Tensor(rng.standard_normal((8, 2, 7, 7, 7)).astype(np.float32))
+            b = ad.Tensor(np.zeros(8, dtype=np.float32))
+            out = ad.conv3d(x, w, b, stride=1, padding=3)
+            ad.backward(out, seed=rng.standard_normal(out.data.shape))
+            return out.data.tobytes(), x.grad.tobytes(), w.grad.tobytes()
+
+        assert run() == run()
 
 
 def _through_each_op(x):
