@@ -1,12 +1,18 @@
-"""Time FAIM training steps at one volume size and report the peak RSS.
+"""Time FAIM training steps or one evaluated pair at one volume size and report the peak RSS.
 
     PYTHONPATH=src python scripts/measure_step.py --dims 64
+    PYTHONPATH=src python scripts/measure_step.py --dims 64 --evaluate
+    PYTHONPATH=src python scripts/measure_step.py --dims 144,180,144 --evaluate
 
-Synthesizes two subjects, trains the default FAIM network for one epoch
-(two steps, one per ordered pair; local CC, beta 0.01) and prints the wall
-time of the training call and the peak resident set size of the process.
-BLAS is pinned to one thread before numpy is imported, as in the benchmark.
-Not part of the test suite: at 64^3 it takes seconds and close to a GiB.
+Synthesizes two subjects. By default it trains the default FAIM network for
+one epoch (two steps, one per ordered pair; local CC, beta 0.01); with
+``--evaluate`` it instead runs ``metrics.evaluate`` on one pair with an
+untrained network, loaded through ``metrics.checkpoint_predictor`` as
+``foldreg evaluate`` does. It prints the wall time of that call and the peak
+resident set size of the process, so run each phase in its own process to get
+its own peak. BLAS is pinned to one thread before numpy is imported, as in
+the benchmark. Not part of the test suite: at 64^3 it takes seconds and
+hundreds of MiB.
 """
 
 from __future__ import annotations
@@ -17,24 +23,55 @@ import resource
 import time
 
 
+def _dims(text: str) -> tuple[int, int, int]:
+    """``D`` for a cube or ``D,H,W``."""
+    try:
+        parts = [int(p) for p in text.split(",")]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad dims {text!r}") from exc
+    if len(parts) == 1:
+        parts *= 3
+    if len(parts) != 3:
+        raise argparse.ArgumentTypeError(f"bad dims {text!r}: expected D or D,H,W")
+    return tuple(parts)
+
+
+def _peak_mib() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--dims", type=int, default=64, help="edge length of the cubic volumes (divisible by 4)")
+    ap.add_argument("--dims", type=_dims, default=(64, 64, 64),
+                    help="D or D,H,W: volume extents (each divisible by 4)")
+    ap.add_argument("--evaluate", action="store_true",
+                    help="time one evaluated pair of an untrained network instead of training")
     args = ap.parse_args()
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"
 
-    from foldreg import trainer
+    from foldreg import metrics, model, trainer
 
-    ds = trainer.synth_dataset(seed=0, n=2, dims=(args.dims,) * 3)
+    ds = trainer.synth_dataset(seed=0, n=2, dims=args.dims)
     cfg = trainer.TrainConfig(epochs=1, beta=0.01)
-    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    start = time.perf_counter()
-    result = trainer.train(cfg, ds.volumes, kind="faim")
+    size = "x".join(map(str, args.dims))
+    if args.evaluate:
+        params = model.build_faim(seed=0)
+        meta = {"kind": "faim", **params.config.to_meta()}
+        predict = metrics.checkpoint_predictor(meta, params.arrays())
+        before = _peak_mib()
+        start = time.perf_counter()
+        result = metrics.evaluate(predict, ds.volumes, ds.labels, [tuple(ds.ids)],
+                                  alpha=cfg.alpha, beta=cfg.beta, cc_mode=cfg.cc_mode, window=cfg.cc_window)
+        summary = f"evaluate 1 pair  mean Dice {result.mean_dice!r}  total {result.mean_total!r}"
+    else:
+        before = _peak_mib()
+        start = time.perf_counter()
+        result = trainer.train(cfg, ds.volumes, kind="faim")
+        summary = f"train {len(result.log_rows)} steps  final loss {result.final.total!r}"
     elapsed = time.perf_counter() - start
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    print(f"dims {args.dims}^3  steps {len(result.log_rows)}  train {elapsed:.2f} s  "
-          f"peak RSS {peak:.0f} MiB (before training {before:.0f} MiB)  final loss {result.final.total!r}")
+    print(f"dims {size}  {summary}  {elapsed:.2f} s  "
+          f"peak RSS {_peak_mib():.0f} MiB (before {before:.0f} MiB)")
 
 
 if __name__ == "__main__":

@@ -9,8 +9,20 @@ order, by ``backward``.
 Each tensor carries ``requires_grad``. Leaves default to True; pass False for
 inputs whose gradient nothing reads, such as the stacked source/target
 volumes. An op's output requires a gradient iff one of its parents does, and
-``backward`` allocates buffers and runs backward closures only for those
-nodes, so no work is spent on the input gradient of a frozen input.
+``backward`` visits and runs backward closures only for those nodes, so no
+work is spent on the input gradient of a frozen input.
+
+Tape-free rule: an op output that needs no gradient keeps no parents and no
+closure. A forward pass on frozen parameters and a frozen input therefore
+records no tape, and each activation is freed once its last reader is done.
+
+Gradient lifetime: ``backward`` allocates no buffer up front. A node's first
+gradient contribution becomes its ``.grad``, always a C-contiguous float64
+array: a fresh closure result is adopted as it is, and a contribution that
+aliases another buffer (``add`` hands the same gradient to both operands,
+``concat_channels`` hands out slices, ``sum_all`` broadcasts) is copied.
+Later contributions are added into it. An interior node's gradient is
+dropped (set to None) as soon as its own closure has run; leaves keep theirs.
 
 Convolution kernels. ``conv_kernel`` is the one rule that picks how a
 convolution runs, fixed in code:
@@ -62,14 +74,16 @@ class Tensor:
     __slots__ = ("data", "grad", "parents", "backward_fn", "name", "op", "requires_grad")
 
     def __init__(self, data, name="", parents=(), backward_fn=None, op="leaf", requires_grad=True):
+        parents = tuple(parents)
         self.data = np.asarray(data)
         self.grad = None
-        self.parents = tuple(parents)
-        self.backward_fn = backward_fn
         self.name = name
         self.op = op
         # the flag is the caller's for a leaf; an op output needs a gradient iff a parent does
-        self.requires_grad = any(p.requires_grad for p in self.parents) if self.parents else requires_grad
+        self.requires_grad = any(p.requires_grad for p in parents) if parents else requires_grad
+        # an output that needs no gradient keeps no tape, so its inputs are freed after their last reader
+        self.parents = parents if self.requires_grad else ()
+        self.backward_fn = backward_fn if self.requires_grad else None
 
     @property
     def shape(self):
@@ -283,6 +297,21 @@ def _rows_weight_grad(g: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
 _SAME_KERNELS = {"fft": (_fft_conv, _fft_weight_grad), "rows": (_rows_conv, _rows_weight_grad)}
 
 
+def _accumulate(t: Tensor, g: np.ndarray, fresh: bool = True) -> None:
+    """Add one gradient contribution into ``t.grad``; the first one becomes it.
+
+    ``fresh`` says that the closure made ``g`` and nothing else holds it: then
+    a C-contiguous float64 ``g`` is adopted as it is. Any other first
+    contribution is copied into a new C-contiguous float64 buffer.
+    """
+    if t.grad is not None:
+        t.grad += g
+    elif fresh and g.dtype == np.float64 and g.flags.c_contiguous:
+        t.grad = g
+    else:
+        t.grad = np.array(g, dtype=np.float64, order="C")
+
+
 def _check_4d(x: Tensor, who: str) -> None:
     if x.data.ndim != 4:
         raise ValueError(f"{who} expects a (C, D, H, W) tensor, got shape {x.data.shape}")
@@ -323,11 +352,11 @@ def conv3d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
 
     def backward_fn(g):
         if x.requires_grad:
-            x.grad += input_grad(g)
+            _accumulate(x, input_grad(g))
         if w.requires_grad:
-            w.grad += weight_grad(g)
+            _accumulate(w, weight_grad(g))
         if b.requires_grad:
-            b.grad += g.sum(axis=(1, 2, 3))
+            _accumulate(b, g.sum(axis=(1, 2, 3)))
 
     return Tensor(y, parents=(x, w, b), backward_fn=backward_fn, op="conv3d")
 
@@ -352,11 +381,11 @@ def conv3d_transpose(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: 
 
     def backward_fn(g):
         if x.requires_grad:
-            x.grad += _conv_raw(g, w.data, stride, padding)
+            _accumulate(x, _conv_raw(g, w.data, stride, padding))
         if w.requires_grad:
-            w.grad += _weight_grad(x.data, g, k, stride, padding)
+            _accumulate(w, _weight_grad(x.data, g, k, stride, padding))
         if b.requires_grad:
-            b.grad += g.sum(axis=(1, 2, 3))
+            _accumulate(b, g.sum(axis=(1, 2, 3)))
 
     return Tensor(y, parents=(x, w, b), backward_fn=backward_fn, op="conv3d_transpose")
 
@@ -372,9 +401,9 @@ def prelu(x: Tensor, slopes: Tensor) -> Tensor:
 
     def backward_fn(g):
         if x.requires_grad:
-            x.grad += g * np.where(pos, 1.0, a)
+            _accumulate(x, g * np.where(pos, 1.0, a))
         if slopes.requires_grad:
-            slopes.grad += (g * np.where(pos, 0.0, x.data)).sum(axis=(1, 2, 3))
+            _accumulate(slopes, (g * np.where(pos, 0.0, x.data)).sum(axis=(1, 2, 3)))
 
     return Tensor(y, parents=(x, slopes), backward_fn=backward_fn, op="prelu")
 
@@ -386,7 +415,7 @@ def add(x: Tensor, y: Tensor) -> Tensor:
     def backward_fn(g):
         for t in (x, y):
             if t.requires_grad:
-                t.grad += g
+                _accumulate(t, g, fresh=False)
 
     return Tensor(x.data + y.data, parents=(x, y), backward_fn=backward_fn, op="add")
 
@@ -410,7 +439,7 @@ def concat_channels(xs) -> Tensor:
         off = 0
         for t, c in zip(xs, sizes):
             if t.requires_grad:
-                t.grad += g[off:off + c]
+                _accumulate(t, g[off:off + c], fresh=False)
             off += c
 
     return Tensor(y, parents=tuple(xs), backward_fn=backward_fn, op="concat_channels")
@@ -420,7 +449,7 @@ def sum_all(x: Tensor) -> Tensor:
     y = np.asarray(x.data.sum(dtype=np.float64))
 
     def backward_fn(g):
-        x.grad += g
+        _accumulate(x, np.broadcast_to(g, x.data.shape), fresh=False)
 
     return Tensor(y, parents=(x,), backward_fn=backward_fn, op="sum_all")
 
@@ -452,25 +481,36 @@ def backward(root: Tensor, seed=None) -> None:
     """Accumulate gradients of the root into every node of its graph.
 
     A scalar root seeds with 1; any other root requires an explicit seed of
-    matching shape (e.g. an upstream loss gradient). Existing .grad buffers on
-    the visited nodes are reset first, so parameters can be reused across
-    training steps without manual zeroing. Nodes with ``requires_grad`` False
-    get no buffer and propagate nothing; a root that needs none is a no-op.
+    matching shape (e.g. an upstream loss gradient). A C-contiguous float64
+    seed is not copied: it becomes the root's gradient, so a root that is a
+    leaf ends with ``root.grad`` aliasing the caller's seed; any other seed is
+    converted first. Nodes with ``requires_grad`` False get no gradient and
+    propagate nothing; a root that needs none is a no-op.
+
+    Gradients live as the module docstring says. Every visited node starts
+    with ``grad`` None, so parameters can be reused across training steps
+    without manual zeroing. When backward returns, interior nodes hold None
+    and each leaf holds its float64 gradient, zeros for a leaf that no
+    closure reached.
     """
     if seed is None:
         if root.data.size != 1:
             raise ValueError("backward on a non-scalar root requires an explicit seed gradient")
         seed = np.ones_like(root.data, dtype=np.float64)
     else:
-        seed = np.asarray(seed, dtype=np.float64)
+        seed = np.asarray(seed, dtype=np.float64, order="C")
         if seed.shape != root.data.shape:
             raise ValueError(f"seed shape {seed.shape} does not match root shape {root.data.shape}")
     if not root.requires_grad:
         return
     order = _topo_order(root)
     for node in order:
-        node.grad = np.zeros(node.data.shape, dtype=np.float64)
-    root.grad += seed
-    for node in reversed(order):
-        if node.backward_fn is not None:
-            node.backward_fn(node.grad)
+        node.grad = None
+    root.grad = seed
+    for node in reversed(order):  # consumers first: a node's gradient is complete at its turn
+        if node.parents:
+            if node.grad is not None and node.backward_fn is not None:
+                node.backward_fn(node.grad)
+            node.grad = None
+        elif node.grad is None:
+            node.grad = np.zeros(node.data.shape, dtype=np.float64)

@@ -16,7 +16,7 @@ float32 little-endian tensors. Round trips are bit-exact.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -125,8 +125,13 @@ def faim_apply(params: ModelParams, x: Tensor) -> Tensor:
     dims = x.data.shape[1:]
     if any(n % 4 != 0 for n in dims):
         raise ValueError(f"input dims must be divisible by 4, got {dims}")
+    rows = faim_layers(params.config)
+    last_reader = {}  # output name -> index of the last row that reads it, as input or skip
+    for i, (_, _, src, *_, skip) in enumerate(rows):
+        for s in (*(src if isinstance(src, tuple) else (src,)), *((skip,) if skip else ())):
+            last_reader[s] = i
     out = {"input": x}
-    for name, op, src, _, _, k, stride, act, skip in faim_layers(params.config):
+    for i, (name, op, src, _, _, k, stride, act, skip) in enumerate(rows):
         h = ad.concat_channels([out[s] for s in src]) if isinstance(src, tuple) else out[src]
         conv = ad.conv3d_transpose if op == "convT" else ad.conv3d
         h = conv(h, t[f"{name}.w"], t[f"{name}.b"], stride=stride, padding=(k - 1) // 2)
@@ -137,6 +142,9 @@ def faim_apply(params: ModelParams, x: Tensor) -> Tensor:
         if skip and op == "conv":
             h = ad.add(h, out[skip])
         out[name] = h
+        for s, j in last_reader.items():
+            if j == i:
+                del out[s]  # frees it, unless a closure holds it for backward
     return h
 
 
@@ -156,8 +164,15 @@ def predict(params: ModelParams, source: Volume, target: Volume) -> Tensor:
 
 
 def faim_forward(params: ModelParams, source: Volume, target: Volume) -> DisplacementField:
-    """Predict the displacement field registering source to target."""
-    return DisplacementField(faim_apply(params, faim_input(params, source, target)).data)
+    """Predict the displacement field registering source to target, without a tape.
+
+    The network runs on frozen views of the parameters (the same arrays,
+    ``requires_grad`` False; the caller's tensors are untouched), so no op
+    output keeps its inputs and each activation is freed after its last reader.
+    """
+    frozen = {name: Tensor(t.data, name=t.name, requires_grad=False) for name, t in params.tensors.items()}
+    view = replace(params, tensors=frozen)
+    return DisplacementField(faim_apply(view, faim_input(view, source, target)).data)
 
 
 def direct_field_model(dims, seed: int = 0, dtype=np.float32) -> ModelParams:

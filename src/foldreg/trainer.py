@@ -385,6 +385,7 @@ def _fit(params, state, schedule, vols, cfg, rows) -> None:
         if grad_u is None:
             raise diverged("loss diverged")
         backward(u_node, seed=grad_u)
+        del u_node, grad_u  # the step's graph: its activations must not outlive backward
         grads = {name: t.grad for name, t in params.tensors.items()}
         if cfg.clip_norm:
             optim.clip_global_norm(grads, cfg.clip_norm)

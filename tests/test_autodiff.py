@@ -401,3 +401,110 @@ class TestRequiresGrad:
         w = ad.Tensor(np.ones((2, 4, 3, 3, 3), dtype=np.float32))
         out = ad.conv3d_transpose(x, w, ad.Tensor(np.zeros(4, dtype=np.float32)), stride=2, padding=1)
         assert out.data.dtype == np.float32
+
+
+def _graph_nodes(root):
+    nodes, stack, seen = [], [root], set()
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node.parents)
+    return nodes
+
+
+# sha256 over (name, float64 gradient bytes) of every parameter after one 8^3
+# FAIM step, default config, float32 parameters, recorded when every gradient
+# buffer was still zero-filled up front: freeing buffers must not move a bit
+FAIM_STEP_GRAD_SHA256 = "b71fcd73a235ec5f7775ce5a55981b3be236152305e086345dc9fdb056489b66"
+
+
+class TestGradientLifetime:
+    def test_interior_grads_dropped_leaves_keep_float64(self):
+        x = ad.Tensor(np.random.default_rng(13).standard_normal((2, 4, 4, 4)).astype(np.float32))
+        root, params = _through_each_op(x)
+        ad.backward(root)
+        nodes = _graph_nodes(root)
+        interior = [n for n in nodes if n.parents]
+        leaves = [n for n in nodes if not n.parents]
+        assert len(interior) >= 8 and len(leaves) == len(params) + 1
+        assert all(n.grad is None for n in interior)
+        for leaf in leaves:
+            assert leaf.grad.dtype == np.float64 and leaf.grad.shape == leaf.data.shape
+            assert leaf.grad.flags.c_contiguous
+
+    def test_add_of_a_node_with_itself_sums(self):
+        x = ad.Tensor(np.zeros((2, 3, 3, 3), dtype=np.float32))
+        seed = np.random.default_rng(14).standard_normal(x.shape)
+        ad.backward(ad.add(x, x), seed=seed)
+        assert np.array_equal(x.grad, seed + seed)
+
+    def test_leaf_read_by_conv_and_add_sums(self):
+        rng = np.random.default_rng(15)
+        x_arr = rng.standard_normal((2, 5, 5, 5))
+        w = ad.Tensor(rng.standard_normal((2, 2, 3, 3, 3)))
+        b = ad.Tensor(np.zeros(2))
+        seed = rng.standard_normal((2, 5, 5, 5))
+        conv_only = ad.Tensor(x_arr)
+        ad.backward(ad.conv3d(conv_only, w, b, 1, 1), seed=seed)
+        x = ad.Tensor(x_arr)
+        ad.backward(ad.add(ad.conv3d(x, w, b, 1, 1), x), seed=seed)
+        assert np.array_equal(x.grad, conv_only.grad + seed)
+
+    def test_add_operands_share_no_buffer(self):
+        a, b = ad.Tensor(np.zeros((1, 2, 2, 2))), ad.Tensor(np.zeros((1, 2, 2, 2)))
+        seed = np.arange(8.0).reshape(1, 2, 2, 2)
+        ad.backward(ad.add(a, b), seed=seed)
+        assert not np.shares_memory(a.grad, b.grad)
+        assert not np.shares_memory(a.grad, seed) and not np.shares_memory(b.grad, seed)
+        a.grad[...] = -1.0
+        assert np.array_equal(b.grad, seed) and np.array_equal(seed, np.arange(8.0).reshape(1, 2, 2, 2))
+
+    def test_concat_operands_share_no_buffer(self):
+        a, b = ad.Tensor(np.zeros((2, 2, 2, 2))), ad.Tensor(np.zeros((3, 2, 2, 2)))
+        seed = np.arange(40.0).reshape(5, 2, 2, 2)
+        ad.backward(ad.concat_channels([a, b]), seed=seed)
+        assert not np.shares_memory(a.grad, seed) and not np.shares_memory(b.grad, seed)
+        a.grad[...] = -1.0
+        b.grad[...] = -2.0
+        assert np.array_equal(seed, np.arange(40.0).reshape(5, 2, 2, 2))
+
+    def test_sum_all_gradient_is_writable(self):
+        x = ad.Tensor(np.zeros((1, 2, 2, 2), dtype=np.float32))
+        ad.backward(ad.sum_all(x))
+        x.grad[0, 0, 0, 0] = 7.0
+        assert x.grad.sum() == 14.0 and x.grad.dtype == np.float64
+
+    def test_leaf_root_adopts_float64_seed(self):
+        field = ad.Tensor(np.zeros((3, 2, 2, 2), dtype=np.float32))
+        seed = np.ones((3, 2, 2, 2))
+        ad.backward(field, seed=seed)
+        assert field.grad is seed
+        ad.backward(field, seed=seed.astype(np.float32))
+        assert field.grad.dtype == np.float64 and np.array_equal(field.grad, seed)
+
+    def test_leaf_that_no_closure_reaches_gets_zeros(self):
+        x = ad.Tensor(np.ones((1, 2, 2, 2)))
+        cut = ad.Tensor(x.data * 2, parents=(x,), op="detached")  # an op output without a closure
+        ad.backward(ad.sum_all(cut))
+        assert cut.grad is None
+        assert x.grad.dtype == np.float64 and np.array_equal(x.grad, np.zeros((1, 2, 2, 2)))
+
+    def test_faim_step_gradients_pinned(self):
+        import hashlib
+
+        from foldreg import model, trainer
+
+        ds = trainer.synth_dataset(seed=0, n=2, dims=(8, 8, 8))
+        params = model.build_faim(model.FaimConfig(), seed=0)
+        src, tgt = ds.volumes["s00"], ds.volumes["s01"]
+        u = model.predict(params, src, tgt)
+        _, grad_u = trainer._loss_and_grad(src, tgt, u.data, trainer.TrainConfig())
+        ad.backward(u, seed=grad_u)
+        digest = hashlib.sha256()
+        for name, t in params.tensors.items():
+            assert t.grad.dtype == np.float64
+            digest.update(name.encode())
+            digest.update(t.grad.tobytes())
+        assert digest.hexdigest() == FAIM_STEP_GRAD_SHA256

@@ -11,6 +11,7 @@ from foldreg.model import (
     direct_field_model,
     faim_apply,
     faim_forward,
+    faim_input,
     load_checkpoint,
     param_count,
     params_from_checkpoint,
@@ -170,6 +171,39 @@ class TestForward:
         src = Volume(rng.random((6, 6, 6), dtype=np.float32))
         with pytest.raises(ValueError, match="divisible by 4"):
             faim_forward(params, src, src)
+
+
+class TestTapeFreeForward:
+    def _pair(self, seed, n=16):
+        rng = np.random.default_rng(seed)
+        return (Volume(rng.random((n, n, n), dtype=np.float32)),
+                Volume(rng.random((n, n, n), dtype=np.float32)))
+
+    def test_same_bytes_as_taped_apply(self):
+        params = build_faim(FaimConfig(), seed=0)
+        src, tgt = self._pair(6)
+        taped = faim_apply(params, faim_input(params, src, tgt))
+        assert taped.requires_grad and taped.parents
+        assert faim_forward(params, src, tgt).data.tobytes() == taped.data.tobytes()
+
+    def test_op_outputs_hold_no_tape(self, monkeypatch):
+        outputs = []
+        for op in ("conv3d", "conv3d_transpose", "prelu", "add", "concat_channels"):
+            def spy(*args, _fn=getattr(ad, op), **kwargs):
+                outputs.append(_fn(*args, **kwargs))
+                return outputs[-1]
+            monkeypatch.setattr(ad, op, spy)
+        faim_forward(build_faim(FaimConfig(), seed=0), *self._pair(7, 8))
+        assert len(outputs) == 23
+        for out in outputs:
+            assert out.parents == () and out.backward_fn is None and not out.requires_grad
+
+    def test_caller_params_untouched(self):
+        params = build_faim(FaimConfig(), seed=0)
+        before = {name: t.data for name, t in params.tensors.items()}
+        faim_forward(params, *self._pair(8, 8))
+        for name, t in params.tensors.items():
+            assert t.requires_grad and t.grad is None and t.data is before[name]
 
 
 class TestDirectModel:

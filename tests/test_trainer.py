@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from foldreg import model, trainer
+from foldreg.autodiff import Tensor
 from foldreg.jacobian import det_map, folding_count, jacobian_raw
 from foldreg.loss import total_loss
 from foldreg.trainer import (
@@ -361,3 +362,59 @@ class TestLossLog:
         text = path.read_text().splitlines()
         assert text[0] == "step,epoch,source,target,image,r1,r2,total"
         assert text[1].startswith("0,0,a,b,0.5,0.1,0.0,0.6")
+
+
+class TestPeakMemory:
+    """tracemalloc peaks of the bytes allocated while a step or a forward pass runs.
+
+    With every gradient buffer zero-filled before backward and a taped
+    inference forward, the peaks were 15.4 MB (one 16^3 training step) and
+    37.5 MB (one 32^3 ``faim_forward``); freeing each array at its last use
+    takes them to about 9.5 and 16.6 MB.
+    """
+
+    @staticmethod
+    def _peak(fn) -> int:
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_faim_training_step(self):
+        ds = synth_dataset(seed=0, n=2, dims=(16, 16, 16))
+        params = model.build_faim(model.FaimConfig(), seed=0)
+        state = trainer.optim.adam_init(params.arrays(), lr=1e-4)
+        rows = []
+        peak = self._peak(lambda: trainer._fit(params, state, [(0, ("s00", "s01"))], ds.volumes,
+                                                TrainConfig(beta=0.01), rows))
+        assert len(rows) == 1
+        assert peak < 12_000_000
+
+    def test_graph_released_before_update(self, monkeypatch):
+        import gc
+
+        ds = synth_dataset(seed=0, n=2, dims=(8, 8, 8))
+        params = model.build_faim(model.FaimConfig(), seed=0)
+        state = trainer.optim.adam_init(params.arrays(), lr=1e-4)
+        leaves = {id(t) for t in params.tensors.values()}
+        live_ops = []
+        adam_step = trainer.optim.adam_step
+
+        def checked(*args):
+            live_ops.append(sum(1 for o in gc.get_objects()
+                                if isinstance(o, Tensor) and any(id(p) in leaves for p in o.parents)))
+            return adam_step(*args)
+
+        monkeypatch.setattr(trainer.optim, "adam_step", checked)
+        trainer._fit(params, state, [(0, ("s00", "s01"))], ds.volumes, TrainConfig(), [])
+        assert live_ops == [0]
+
+    def test_faim_forward(self):
+        ds = synth_dataset(seed=0, n=2, dims=(32, 32, 32))
+        params = model.build_faim(model.FaimConfig(), seed=0)
+        peak = self._peak(lambda: model.faim_forward(params, ds.volumes["s00"], ds.volumes["s01"]))
+        assert peak < 25_000_000
