@@ -1,12 +1,16 @@
-"""Time FAIM training steps or one evaluated pair at one volume size and report the peak RSS.
+"""Time FAIM or direct training steps, or one evaluated pair, at one volume size and report the peak RSS.
 
     PYTHONPATH=src python scripts/measure_step.py --dims 64
     PYTHONPATH=src python scripts/measure_step.py --dims 64 --evaluate
+    PYTHONPATH=src python scripts/measure_step.py --dims 96 --direct
     PYTHONPATH=src python scripts/measure_step.py --dims 144,180,144 --evaluate
 
 Synthesizes two subjects. By default it trains the default FAIM network for
-one epoch (two steps, one per ordered pair; local CC, beta 0.01); with
-``--evaluate`` it instead runs ``metrics.evaluate`` on one pair with an
+one epoch (two steps, one per ordered pair; local CC, beta 0.01). With
+``--direct`` it instead fits the direct model for three steps per ordered
+pair (six steps) with the settings of the ``direct_register`` benchmark
+workload: lr 0.1, alpha 0.01, beta 0.01, local CC with a 9^3 window. With
+``--evaluate`` it runs ``metrics.evaluate`` on one pair with an
 untrained network, loaded through ``metrics.checkpoint_predictor`` as
 ``foldreg evaluate`` does. It prints the wall time of that call and the peak
 resident set size of the process, so run each phase in its own process to get
@@ -44,8 +48,11 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--dims", type=_dims, default=(64, 64, 64),
                     help="D or D,H,W: volume extents (each divisible by 4)")
-    ap.add_argument("--evaluate", action="store_true",
-                    help="time one evaluated pair of an untrained network instead of training")
+    phase = ap.add_mutually_exclusive_group()
+    phase.add_argument("--evaluate", action="store_true",
+                       help="time one evaluated pair of an untrained network instead of training")
+    phase.add_argument("--direct", action="store_true",
+                       help="time direct-model steps (3 per ordered pair) instead of FAIM training")
     args = ap.parse_args()
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"
@@ -64,12 +71,20 @@ def main() -> None:
         result = metrics.evaluate(predict, ds.volumes, ds.labels, [tuple(ds.ids)],
                                   alpha=cfg.alpha, beta=cfg.beta, cc_mode=cfg.cc_mode, window=cfg.cc_window)
         summary = f"evaluate 1 pair  mean Dice {result.mean_dice!r}  total {result.mean_total!r}"
+    elif args.direct:
+        cfg = trainer.TrainConfig(lr=0.1, steps=3, alpha=0.01, beta=0.01)
+        before = _peak_mib()
+        start = time.perf_counter()
+        result = trainer.train(cfg, ds.volumes, kind="direct")
+        summary = f"direct {len(result.log_rows)} steps  final loss {result.final.total!r}"
     else:
         before = _peak_mib()
         start = time.perf_counter()
         result = trainer.train(cfg, ds.volumes, kind="faim")
         summary = f"train {len(result.log_rows)} steps  final loss {result.final.total!r}"
     elapsed = time.perf_counter() - start
+    if args.direct:
+        summary += f"  {1e3 * elapsed / len(result.log_rows):.0f} ms per step"
     print(f"dims {size}  {summary}  {elapsed:.2f} s  "
           f"peak RSS {_peak_mib():.0f} MiB (before {before:.0f} MiB)")
 

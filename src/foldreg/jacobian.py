@@ -120,8 +120,15 @@ def r2_backward(u: DisplacementField, upstream: float = 1.0) -> np.ndarray:
     J = _deformation_jacobian(u.data)
     det = _det3(J)
     scale = -upstream / det.size
-    active = (det < 0.0) * scale
-    grad_J = _cofactors(J) * active  # broadcasts over the (3, 3) leading axes
+    folding = det < 0.0
+    idx = np.flatnonzero(folding)
+    active = folding.ravel()[idx] * scale  # (det < 0) * scale on the folding voxels, in its dtype
+    # cofactors only where det < 0; elsewhere cofactor * 0 would be a signed
+    # zero, which the adjoint's +0 accumulators absorb, so plain zeros give
+    # the same bytes
+    grad_J = np.zeros(J.shape, dtype=np.result_type(J.dtype, active.dtype))
+    cof = _cofactors(np.take(J.reshape(3, 3, -1), idx, axis=2))
+    grad_J.reshape(3, 3, -1)[:, :, idx] = cof * active
     return jacobian_adjoint(grad_J)
 
 

@@ -72,7 +72,9 @@ def global_cc(a: Volume, b: Volume) -> float:
 
 def _box_sum(arr: np.ndarray, w: int) -> np.ndarray:
     # zero-padded sum over the w^3 neighborhood of every voxel
-    return ndimage.uniform_filter(arr, size=w, mode="constant", cval=0.0) * float(w) ** 3
+    out = ndimage.uniform_filter(arr, size=w, mode="constant", cval=0.0)
+    out *= float(w) ** 3
+    return out
 
 
 def _local_cc_with_grad(x: np.ndarray, y: np.ndarray, w: int):
@@ -89,24 +91,67 @@ def _local_cc_with_grad(x: np.ndarray, y: np.ndarray, w: int):
     sxx = _box_sum(x * x, w)
     syy = _box_sum(y * y, w)
     sxy = _box_sum(x * y, w)
-    cross = sxy - sx * sy / count
-    var_x = sxx - sx * sx / count
-    var_y = syy - sy * sy / count
-    denom = var_x * var_y + EPS
-    cc2 = cross * cross / denom
+    # the box sums are fresh arrays, so the arithmetic below overwrites them
+    # and its temporaries in place, keeping each operation's operands and order:
+    # cross = sxy - sx * sy / count, var_x = sxx - sx * sx / count, likewise var_y
+    tmp = sx * sy
+    tmp /= count
+    cross = sxy
+    cross -= tmp
+    np.multiply(sx, sx, out=tmp)
+    tmp /= count
+    var_x = sxx
+    var_x -= tmp
+    np.multiply(sy, sy, out=tmp)
+    tmp /= count
+    var_y = syy
+    var_y -= tmp
+    denom = var_x * var_y
+    denom += EPS
+    cc2 = cross * cross
+    cc2 /= denom
     value = float(cc2.mean(dtype=np.float64))
 
-    g_cross = 2.0 * cross / (denom * n)
-    g_var_x = -cc2 * var_y / (denom * n)
-    g_var_y = -cc2 * var_x / (denom * n)
-    # the zero-padded box sum is self-adjoint, so gradients flow through it unchanged
-    g_sx = _box_sum(-g_cross * sy / count - 2.0 * g_var_x * sx / count, w)
-    g_sy = _box_sum(-g_cross * sx / count - 2.0 * g_var_y * sy / count, w)
+    # g_cross = 2 cross / (denom n), g_var_x = -cc2 var_y / (denom n), likewise g_var_y
+    denom_n = np.multiply(denom, n, out=denom)
+    g_cross = 2.0 * cross
+    g_cross /= denom_n
+    neg_cc2 = np.negative(cc2, out=cc2)
+    g_var_x = neg_cc2 * var_y
+    g_var_x /= denom_n
+    g_var_y = np.multiply(neg_cc2, var_x, out=var_y)
+    g_var_y /= denom_n
+    # the zero-padded box sum is self-adjoint, so gradients flow through it unchanged:
+    # g_sx = box(-g_cross * sy / count - 2 g_var_x * sx / count), likewise g_sy
+    neg_g_cross = np.negative(g_cross, out=cross)
+    a = neg_g_cross * sy
+    a /= count
+    np.multiply(2.0, g_var_x, out=tmp)
+    tmp *= sx
+    tmp /= count
+    a -= tmp
+    g_sx = _box_sum(a, w)
+    np.multiply(neg_g_cross, sx, out=a)
+    a /= count
+    np.multiply(2.0, g_var_y, out=tmp)
+    tmp *= sy
+    tmp /= count
+    a -= tmp
+    g_sy = _box_sum(a, w)
     g_sxy = _box_sum(g_cross, w)
     g_sxx = _box_sum(g_var_x, w)
     g_syy = _box_sum(g_var_y, w)
-    gx = g_sx + g_sxy * y + 2.0 * g_sxx * x
-    gy = g_sy + g_sxy * x + 2.0 * g_syy * y
+    # gx = g_sx + g_sxy * y + 2 g_sxx * x, likewise gy
+    gx = g_sx
+    gx += np.multiply(g_sxy, y, out=a)
+    g_sxx *= 2.0
+    g_sxx *= x
+    gx += g_sxx
+    gy = g_sy
+    gy += np.multiply(g_sxy, x, out=a)
+    g_syy *= 2.0
+    g_syy *= y
+    gy += g_syy
     return value, gx, gy
 
 
@@ -117,18 +162,25 @@ def local_cc(a: Volume, b: Volume, w: int = DEFAULT_WINDOW) -> float:
     return value
 
 
+def _du(u_arr: np.ndarray) -> np.ndarray:
+    """Du in float64, a fresh array."""
+    return jacobian.jacobian_raw(u_arr).astype(np.float64, copy=False)
+
+
+def _r1(D: np.ndarray) -> float:
+    """R1 from Du in float64; squares D in place."""
+    return float(np.square(D, out=D).sum(dtype=np.float64) / D[0, 0].size)
+
+
 def _r1_with_grad(u_arr: np.ndarray):
-    D = jacobian.jacobian_raw(u_arr).astype(np.float64, copy=False)
-    n_vox = u_arr[0].size
-    value = float((D * D).sum(dtype=np.float64) / n_vox)
-    grad = jacobian.jacobian_adjoint(D * (2.0 / n_vox))
-    return value, grad
+    D = _du(u_arr)
+    grad = jacobian.jacobian_adjoint(D * (2.0 / u_arr[0].size))
+    return _r1(D), grad
 
 
 def r1_smoothness(u: DisplacementField) -> float:
     """Voxel mean of the squared Frobenius norm of Du."""
-    value, _ = _r1_with_grad(u.data)
-    return value
+    return _r1(_du(u.data))
 
 
 def _image_term(s_arr: np.ndarray, t_arr: np.ndarray, cc_mode: str, window: int):
@@ -154,7 +206,7 @@ def total_loss(
     if s_warped.dims != u.dims:
         raise ValueError(f"dims mismatch: image {s_warped.dims} vs field {u.dims}")
     image, _, _ = _image_term(s_warped.data, target.data, cc_mode, window)
-    r1, _ = _r1_with_grad(u.data)
+    r1 = _r1(_du(u.data))
     r2 = jacobian.r2_penalty(jacobian.det_map(u))
     total = image + alpha * r1 + beta * r2
     return LossBreakdown(image=image, r1=r1, r2=r2, total=total, alpha=alpha, beta=beta)

@@ -36,9 +36,16 @@ def adam_init(params: dict[str, np.ndarray], lr: float = 1e-4, **kwargs) -> Adam
 
 
 def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray], state: AdamState) -> AdamState:
-    """One Adam update, in place on the parameter arrays; returns the state."""
-    for name in params:
+    """One Adam update, in place on the parameter arrays; returns the state.
+
+    Every gradient is checked before anything changes: a gradient whose shape
+    differs from its parameter's raises ``ValueError``, a non-finite one
+    ``DivergenceError``, and either leaves the parameters and state as they were.
+    """
+    for name, p in params.items():
         g = grads[name]
+        if np.shape(g) != p.shape:
+            raise ValueError(f"gradient shape {np.shape(g)} does not match parameter {name!r} {p.shape}")
         if not np.all(np.isfinite(g)):
             raise DivergenceError(f"diverged gradient in {name!r}")
     state.t += 1
@@ -46,8 +53,6 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray], state
     bc2 = 1.0 - state.beta2 ** state.t
     for name, p in params.items():
         g = np.asarray(grads[name], dtype=np.float64)
-        if g.shape != p.shape:
-            raise ValueError(f"gradient shape {g.shape} does not match parameter {name!r} {p.shape}")
         m = state.m[name]
         v = state.v[name]
         m *= state.beta1

@@ -3,8 +3,13 @@
 Trilinear interpolation with clamp-to-edge boundary handling. Coordinates are
 voxel-lattice positions; out-of-range sample points are clamped componentwise
 to [0, n-1] before interpolation, so every point is valid. At cell faces the
-derivative takes the lower-cell one-sided value (i0 = ceil(p) - 1), a fixed
-subgradient choice at those measure-zero points.
+derivative takes the lower-cell one-sided value (i0 = ceil(p) - 1, clipped to
+[0, n-2]), a fixed subgradient choice at those measure-zero points.
+
+Corners are gathered through one flat index per point, that of its lower
+cell corner in the C-ordered source. The other seven corners are ``take``s at
+the same index from the source shifted by a constant offset: a sum of the
+axis strides, with offset 0 (and frac 0) on an axis of length 1.
 """
 
 from __future__ import annotations
@@ -23,57 +28,65 @@ class WarpResult:
 
 
 def identity_grid(dims, dtype=np.float64) -> np.ndarray:
-    return np.indices(dims).astype(dtype)
+    return np.indices(dims, dtype=dtype)
+
+
+def _strides(dims):
+    """Flat-index step of each axis of a C-ordered array of these dims."""
+    return dims[1] * dims[2], dims[2], 1
 
 
 def _cells(coords, dims):
     """Clamp coordinates and pick interpolation cells (lower-cell at faces).
 
-    Returns (i0, i1, frac, in_range) per axis; in_range marks points whose
-    raw coordinate was inside [0, n-1] (derivative is zero elsewhere).
+    Returns the flat index of each point's lower corner, the flat offset of
+    the upper corner along each axis, and the per-axis fracs.
     """
-    i0s, i1s, fracs, masks = [], [], [], []
-    for axis in range(3):
-        n = dims[axis]
-        raw = coords[axis]
-        c = np.clip(raw, 0.0, float(n - 1))
+    flat = np.zeros(coords.shape[1:], dtype=np.intp)
+    offsets, fracs = [], []
+    for axis, (n, stride) in enumerate(zip(dims, _strides(dims))):
         if n == 1:
-            i0 = np.zeros(c.shape, dtype=np.intp)
-            i1 = i0
-            frac = np.zeros_like(c)
-        else:
-            i0 = np.ceil(c).astype(np.intp) - 1
-            np.clip(i0, 0, n - 2, out=i0)
-            i1 = i0 + 1
-            frac = c - i0.astype(c.dtype)  # keep the input float width
-        i0s.append(i0)
-        i1s.append(i1)
-        fracs.append(frac)
-        masks.append((raw >= 0.0) & (raw <= float(n - 1)))
-    return i0s, i1s, fracs, masks
+            offsets.append(0)
+            fracs.append(np.zeros_like(coords[axis]))
+            continue
+        c = np.clip(coords[axis], 0.0, float(n - 1))
+        i0 = np.ceil(c).astype(np.intp) - 1
+        np.clip(i0, 0, n - 2, out=i0)
+        fracs.append(c - i0.astype(c.dtype))  # keep the input float width
+        i0 *= stride
+        flat += i0
+        offsets.append(stride)
+    return flat, offsets, fracs
 
 
-def _gather_corners(vol: np.ndarray, i0s, i1s):
-    (x0, y0, z0), (x1, y1, z1) = i0s, i1s
-    return (
-        vol[x0, y0, z0], vol[x1, y0, z0], vol[x0, y1, z0], vol[x1, y1, z0],
-        vol[x0, y0, z1], vol[x1, y0, z1], vol[x0, y1, z1], vol[x1, y1, z1],
+def _gather_corners(vol: np.ndarray, flat, offsets):
+    """The cell corners c000, c100, c010, c110, c001, c101, c011, c111 of every point."""
+    v = vol.ravel()
+    ox, oy, oz = offsets
+    return tuple(
+        np.take(v[a * ox + b * oy + c * oz:], flat)
+        for c in (0, 1) for b in (0, 1) for a in (0, 1)
     )
 
 
 def sample_grid(vol: np.ndarray, coords: np.ndarray) -> np.ndarray:
     """Trilinear interpolation of a 3D array at coords of shape (3, ...)."""
-    i0s, i1s, (fx, fy, fz), _ = _cells(coords, vol.shape)
-    c000, c100, c010, c110, c001, c101, c011, c111 = _gather_corners(vol, i0s, i1s)
+    flat, offsets, (fx, fy, fz) = _cells(coords, vol.shape)
+    c000, c100, c010, c110, c001, c101, c011, c111 = _gather_corners(vol, flat, offsets)
     gx = 1.0 - fx
     gy = 1.0 - fy
     gz = 1.0 - fz
-    return (
-        c000 * (gx * gy * gz) + c100 * (fx * gy * gz)
-        + c010 * (gx * fy * gz) + c110 * (fx * fy * gz)
-        + c001 * (gx * gy * fz) + c101 * (fx * gy * fz)
-        + c011 * (gx * fy * fz) + c111 * (fx * fy * fz)
-    )
+    # weights are (x * y) * z products; the four x * y factors are shared
+    gxgy, fxgy, gxfy, fxfy = gx * gy, fx * gy, gx * fy, fx * fy
+    out = c000 * (gxgy * gz)
+    out += c100 * (fxgy * gz)
+    out += c010 * (gxfy * gz)
+    out += c110 * (fxfy * gz)
+    out += c001 * (gxgy * fz)
+    out += c101 * (fxgy * fz)
+    out += c011 * (gxfy * fz)
+    out += c111 * (fxfy * fz)
+    return out
 
 
 def sample_grid_grad(vol: np.ndarray, coords: np.ndarray) -> np.ndarray:
@@ -81,26 +94,27 @@ def sample_grid_grad(vol: np.ndarray, coords: np.ndarray) -> np.ndarray:
 
     Shape (3, ...); zero where the raw coordinate fell outside [0, n-1].
     """
-    i0s, i1s, (fx, fy, fz), masks = _cells(coords, vol.shape)
-    c000, c100, c010, c110, c001, c101, c011, c111 = _gather_corners(vol, i0s, i1s)
+    flat, offsets, (fx, fy, fz) = _cells(coords, vol.shape)
+    c000, c100, c010, c110, c001, c101, c011, c111 = _gather_corners(vol, flat, offsets)
     gx = 1.0 - fx
     gy = 1.0 - fy
     gz = 1.0 - fz
-    dx = (
-        (c100 - c000) * (gy * gz) + (c110 - c010) * (fy * gz)
-        + (c101 - c001) * (gy * fz) + (c111 - c011) * (fy * fz)
-    )
-    dy = (
-        (c010 - c000) * (gx * gz) + (c110 - c100) * (fx * gz)
-        + (c011 - c001) * (gx * fz) + (c111 - c101) * (fx * fz)
-    )
-    dz = (
-        (c001 - c000) * (gx * gy) + (c101 - c100) * (fx * gy)
-        + (c011 - c010) * (gx * fy) + (c111 - c110) * (fx * fy)
-    )
-    grad = np.stack([dx, dy, dz])
-    for axis in range(3):
-        grad[axis] *= masks[axis]
+    grad = np.empty((3, *flat.shape), dtype=np.promote_types(vol.dtype, fx.dtype))
+    dx, dy, dz = grad
+    np.multiply(c100 - c000, gy * gz, out=dx)
+    dx += (c110 - c010) * (fy * gz)
+    dx += (c101 - c001) * (gy * fz)
+    dx += (c111 - c011) * (fy * fz)
+    np.multiply(c010 - c000, gx * gz, out=dy)
+    dy += (c110 - c100) * (fx * gz)
+    dy += (c011 - c001) * (gx * fz)
+    dy += (c111 - c101) * (fx * fz)
+    np.multiply(c001 - c000, gx * gy, out=dz)
+    dz += (c101 - c100) * (fx * gy)
+    dz += (c011 - c010) * (gx * fy)
+    dz += (c111 - c110) * (fx * fy)
+    for axis, n in enumerate(vol.shape):
+        grad[axis] *= (coords[axis] >= 0.0) & (coords[axis] <= float(n - 1))
     return grad
 
 
@@ -130,13 +144,14 @@ def warp_labels(lab: Volume, u: DisplacementField) -> Volume:
     if lab.dims != u.dims:
         raise ValueError(f"dims mismatch: labels {lab.dims} vs field {u.dims}")
     coords = identity_grid(lab.dims, dtype=np.float64) + u.data
-    idx = []
-    for axis, n in enumerate(lab.dims):
+    flat = np.zeros(lab.dims, dtype=np.intp)
+    for axis, (n, stride) in enumerate(zip(lab.dims, _strides(lab.dims))):
         c = np.clip(coords[axis], 0.0, float(n - 1))
         i = np.floor(c + 0.5).astype(np.intp)
         np.clip(i, 0, n - 1, out=i)
-        idx.append(i)
-    return Volume(lab.data[idx[0], idx[1], idx[2]], LABEL)
+        i *= stride
+        flat += i
+    return Volume(np.take(lab.data.ravel(), flat), LABEL)
 
 
 def warp_backward(src: Volume, u: DisplacementField, upstream: np.ndarray) -> np.ndarray:

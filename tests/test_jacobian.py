@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -197,3 +199,38 @@ class TestR2Backward:
         u_arr = self._fd_field()
         u = DisplacementField(u_arr)
         assert np.allclose(r2_backward(u, upstream=2.5), 2.5 * r2_backward(u), atol=1e-15)
+
+
+def r2_pin_field(case):
+    """float32 fields with no, some and only folding voxels."""
+    rng = np.random.default_rng(60)
+    dims = (14, 11, 9)
+    noise = rng.standard_normal((3, *dims))
+    if case == "none":
+        u = noise * 0.05
+    elif case == "some":
+        u = noise * 0.8
+    else:  # u = -2x + noise: I + Du is about -I, det about -1 everywhere
+        u = -2.0 * np.indices(dims) + noise * 0.05
+    return DisplacementField(u.astype(np.float32))
+
+
+# sha256 of r2_backward's dtype, shape and bytes, recorded at the commit
+# before active-set cofactors and passing there
+R2_SHA256 = {
+    "none": "ff8178ac52ae2f2d37bc3565b974396e5dcc982df2afe9f1f5b2d1dc7697df15",
+    "some": "ddc81bfdfbf66ace004eaba6598cc53fe5de46a8c1e649b4546bf17535c4aa5d",
+    "all": "231d652edbe72d11e553f5a076993f27168776fe8bf1787a807a9dcd80049ce1",
+}
+
+
+class TestR2BackwardBytesPinned:
+    @pytest.mark.parametrize("case", sorted(R2_SHA256))
+    def test_output_bytes(self, case):
+        u = r2_pin_field(case)
+        n_fold, n_vox = folding_count(det_map(u)), u.data[0].size
+        assert {"none": n_fold == 0, "some": 0 < n_fold < n_vox, "all": n_fold == n_vox}[case]
+        g = r2_backward(u)
+        digest = hashlib.sha256(f"{g.dtype.str}{g.shape}".encode())
+        digest.update(np.ascontiguousarray(g).tobytes())
+        assert digest.hexdigest() == R2_SHA256[case]

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -238,3 +240,58 @@ class TestLossBackward:
             a = grad_u[c, i, j, k]
             worst = max(worst, abs(a - fd) / max(abs(a), abs(fd), 1e-6))
         assert worst < 1e-4
+
+
+def sha256_of(*arrays):
+    digest = hashlib.sha256()
+    for arr in arrays:
+        arr = np.asarray(arr)
+        digest.update(f"{arr.dtype.str}{arr.shape}".encode())
+        digest.update(np.ascontiguousarray(arr).tobytes())
+    return digest.hexdigest()
+
+
+def pinned_inputs():
+    """float32 images and a float32 field that folds, as a training step sees them."""
+    rng = np.random.default_rng(50)
+    dims = (12, 10, 9)
+    s = Volume(rng.random(dims).astype(np.float32))
+    t = Volume(rng.random(dims).astype(np.float32))
+    u = DisplacementField((rng.standard_normal((3, *dims)) * 0.8).astype(np.float32))
+    return s, t, u
+
+
+LOSS_PIN_MODES = {"local9": (LOCAL, 9), "local5": (LOCAL, 5), "global": (GLOBAL, 9)}
+
+# sha256 of the loss breakdown (image, r1, r2, total as float64) and of
+# loss_backward's (grad_s, grad_u), alpha 0.5, beta 0.2; recorded at the
+# commit before the in-place local CC and passing there
+LOSS_SHA256 = {
+    "local9": (
+        "8e65024030eeedade273225ac9fe972d6559963a4aa17db72674adccfc06875c",
+        "4857877a3b6582a1545cf7f82ac39e273e6a962348a0e293001e3d733fd3c212",
+    ),
+    "local5": (
+        "5f1970acfb833162f1df03d6c370b545b8381e39a4d29618f27a694c4d1191d5",
+        "bbafc49b5be4bd0af875df3fc7f110f0b4ed3afa9772c1b5a0f1cbc8ab25226c",
+    ),
+    "global": (
+        "d78ceeaca2f6d40d62fc429f15a7efb6d88b976b4a338b8ceeb0beb5afb7e85c",
+        "1828a907dfb3b40a5e6e31f4dfe830be1b97808d6c2d7decb22d4acbefa1584a",
+    ),
+}
+
+
+class TestLossBytesPinned:
+    @pytest.mark.parametrize("mode", sorted(LOSS_PIN_MODES))
+    def test_total_loss_bytes(self, mode):
+        s, t, u = pinned_inputs()
+        bd = total_loss(s, t, u, 0.5, 0.2, *LOSS_PIN_MODES[mode])
+        assert bd.r2 > 0
+        assert sha256_of(np.array([bd.image, bd.r1, bd.r2, bd.total])) == LOSS_SHA256[mode][0]
+
+    @pytest.mark.parametrize("mode", sorted(LOSS_PIN_MODES))
+    def test_loss_backward_bytes(self, mode):
+        s, t, u = pinned_inputs()
+        grad_s, grad_u = loss_backward(s, t, u, 0.5, 0.2, *LOSS_PIN_MODES[mode])
+        assert sha256_of(grad_s, grad_u) == LOSS_SHA256[mode][1]

@@ -102,6 +102,26 @@ class TestAdamStep:
         assert p.dtype == np.float32
         assert (p != 0).all()
 
+    def test_bad_gradient_shape_changes_nothing(self):
+        params = {"a": np.zeros(3), "b": np.zeros(2)}
+        state = adam_init(params, lr=0.1)
+        with pytest.raises(ValueError, match="shape"):
+            adam_step(params, {"a": np.ones(3), "b": np.ones(5)}, state)
+        assert state.t == 0
+        for name in params:
+            assert not params[name].any()
+            assert not state.m[name].any() and not state.v[name].any()
+
+    def test_non_finite_gradient_changes_nothing(self):
+        params = {"a": np.zeros(3), "b": np.zeros(2)}
+        state = adam_init(params, lr=0.1)
+        with pytest.raises(DivergenceError):
+            adam_step(params, {"a": np.ones(3), "b": np.array([1.0, np.nan])}, state)
+        assert state.t == 0
+        for name in params:
+            assert not params[name].any()
+            assert not state.m[name].any() and not state.v[name].any()
+
     def test_moment_shapes_mirror_params(self):
         p = np.zeros((2, 3), dtype=np.float32)
         state = adam_init({"p": p}, lr=1e-3)

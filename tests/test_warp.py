@@ -1,8 +1,18 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from foldreg.volume import LABEL, DisplacementField, Volume
-from foldreg.warp import trilinear_sample, warp_backward, warp_image, warp_labels
+from foldreg.warp import (
+    identity_grid,
+    sample_grid,
+    sample_grid_grad,
+    trilinear_sample,
+    warp_backward,
+    warp_image,
+    warp_labels,
+)
 
 
 def const_field(dims, vec, dtype=np.float32):
@@ -168,3 +178,97 @@ class TestWarpBackward:
             a = float(analytic[c, i, j, k])
             worst = max(worst, abs(a - fd) / max(abs(a), abs(fd), 1e-6))
         assert worst < 1e-4
+
+
+def sha256_of(arr):
+    arr = np.asarray(arr)
+    digest = hashlib.sha256(f"{arr.dtype.str}{arr.shape}".encode())
+    digest.update(np.ascontiguousarray(arr).tobytes())
+    return digest.hexdigest()
+
+
+def pin_case(dims, dtype, seed):
+    """Source, labels, field and float64 upstream of one pinned warp case.
+
+    The field reaches well outside the volume, and every third x-slice of it
+    is rounded to whole voxels so that sample points land on cell faces.
+    """
+    rng = np.random.default_rng(seed)
+    src = rng.random(dims).astype(dtype)
+    lab = rng.integers(0, 5, size=dims).astype(np.int32)
+    u = (rng.standard_normal((3, *dims)) * 2.5).astype(dtype)
+    u[:, ::3] = np.round(u[:, ::3])
+    upstream = rng.standard_normal(dims)
+    return Volume(src), Volume(lab, LABEL), DisplacementField(u), upstream
+
+
+PIN_CASES = {
+    "f32_32cube": ((32, 32, 32), np.float32, 40),
+    "f64_20x16x12": ((20, 16, 12), np.float64, 41),
+    "unit_axis_1x5x4": ((1, 5, 4), np.float32, 42),
+}
+
+# sha256 of each output's dtype, shape and bytes, recorded at the commit
+# before flat-index gathers and passing there
+WARP_SHA256 = {
+    "f32_32cube": {
+        "sample_grid": "f627ae8889bd5a0f72a516fc02420ccc8267c33d0ce1a5322222eb9107274c40",
+        "sample_grid_grad": "86f92baa1ee383931830aa22c03f3581b9793c380ae04417e28e674f3fd784d4",
+        "warp_labels": "555d50e0d5d5002cb9088a531c98b560e7de5708fbed5f70e5184b1fd10d7f8d",
+        "warp_backward": "858af7fa57e547548ed2316968e93fbaeeff45b40e07b9585f198df265d23c4f",
+    },
+    "f64_20x16x12": {
+        "sample_grid": "8f7eb8a4fbe9ef8a693e1ffb8f2a8cd0bf9669b1107782a92ee530ecbed5565c",
+        "sample_grid_grad": "a2952b5c03619e050393926c8ad3d7b76eacbaa8a34fe8047e837b4756583144",
+        "warp_labels": "3fe55a5871e6097e57870e909d5c932598a56a844edbe4eabb9645f2107ccb3c",
+        "warp_backward": "bd5f88c9bb0c53bd1ddce3126885dc69bfad051956c28307ea7a9656a64d5ecf",
+    },
+    "unit_axis_1x5x4": {
+        "sample_grid": "c2f10048d99de8372432c6a9c5f691d4f50a2bab65b0d0e43df144c1535156b6",
+        "sample_grid_grad": "24f7672a6ec58ad5cfcacdc0c93add27cf2c21584f13e0254526692a44e05e7f",
+        "warp_labels": "46a4a6e413cc2b3559f15b9c9a33d86f28048c3cbd44e0098d58a3ca7e6e956b",
+        "warp_backward": "ab30a513a860d20c2a7fa523cf14f095948f1f745b405061fa64d2fb7ce9d901",
+    },
+}
+
+
+class TestWarpBytesPinned:
+    @pytest.mark.parametrize("case", sorted(PIN_CASES))
+    @pytest.mark.parametrize("fn", ["sample_grid", "sample_grid_grad", "warp_labels", "warp_backward"])
+    def test_output_bytes(self, case, fn):
+        src, lab, u, upstream = pin_case(*PIN_CASES[case])
+        coords = identity_grid(src.dims, dtype=u.data.dtype) + u.data
+        out = {
+            "sample_grid": lambda: sample_grid(src.data, coords),
+            "sample_grid_grad": lambda: sample_grid_grad(src.data, coords),
+            "warp_labels": lambda: warp_labels(lab, u).data,
+            "warp_backward": lambda: warp_backward(src, u, upstream),
+        }[fn]()
+        assert sha256_of(out) == WARP_SHA256[case][fn]
+
+
+def trilinear_oracle(vol, p):
+    """Per-point trilinear value: clamp, lower cell at faces, one node on a unit axis."""
+    cells = []
+    for axis, n in enumerate(vol.shape):
+        c = min(max(float(p[axis]), 0.0), n - 1.0)
+        if n == 1:
+            cells.append(((0, 1.0),))
+            continue
+        i0 = min(max(int(np.ceil(c)) - 1, 0), n - 2)
+        f = c - i0
+        cells.append(((i0, 1.0 - f), (i0 + 1, f)))
+    return sum(
+        float(vol[i, j, k]) * wi * wj * wk
+        for i, wi in cells[0] for j, wj in cells[1] for k, wk in cells[2]
+    )
+
+
+class TestUnitAxis:
+    def test_sample_grid_matches_oracle(self):
+        src, _, u, _ = pin_case((1, 5, 4), np.float64, 43)
+        coords = identity_grid(src.dims) + u.data
+        out = sample_grid(src.data, coords)
+        for idx in np.ndindex(src.dims):
+            p = coords[(slice(None), *idx)]
+            assert out[idx] == pytest.approx(trilinear_oracle(src.data, p), rel=1e-12, abs=1e-15)
