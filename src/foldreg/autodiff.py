@@ -17,10 +17,11 @@ closure. A forward pass on frozen parameters and a frozen input therefore
 records no tape, and each activation is freed once its last reader is done.
 
 Gradient lifetime: ``backward`` allocates no buffer up front. A node's first
-gradient contribution becomes its ``.grad``, always a C-contiguous float64
-array: a fresh closure result is adopted as it is, and a contribution that
-aliases another buffer (``add`` hands the same gradient to both operands,
-``concat_channels`` hands out slices, ``sum_all`` broadcasts) is copied.
+gradient contribution becomes its ``.grad``, always a C-contiguous array in
+the node's gradient dtype (see Dtypes): a fresh closure result of that dtype
+is adopted as it is, and any other contribution, such as one that aliases
+another buffer (``add`` hands the same gradient to both operands,
+``concat_channels`` hands out slices, ``sum_all`` broadcasts), is copied.
 Later contributions are added into it. An interior node's gradient is
 dropped (set to None) as soon as its own closure has run; leaves keep theirs.
 
@@ -54,9 +55,13 @@ Dtypes: a forward pass returns the common dtype of its operands, so a
 float32 network stays float32. The GEMM kernels compute in that dtype; the
 FFT kernel transforms in float64 and rounds its result, which keeps each
 output within about an ulp of the exact sum (a float32 transform's error
-scales with the largest output of the layer, not with each). Gradients are
-float64: gradient buffers accumulate in float64, and the operand an upstream
-gradient meets is promoted before it is transformed or multiplied.
+scales with the largest output of the layer, not with each). An interior
+node's gradient takes the dtype of its data, so a float32 network also
+backpropagates in float32, through the same kernels, and no operand is
+promoted. A leaf's gradient is float64: the parameters' gradients, which
+clipping and the optimizer read, are accumulated in float64 from the working
+precision contributions. A float64 network runs the same code in float64
+throughout.
 """
 
 from __future__ import annotations
@@ -96,7 +101,9 @@ class Tensor:
 def _pad_spatial(x: np.ndarray, p: int) -> np.ndarray:
     if p == 0:
         return x
-    return np.pad(x, ((0, 0), (p, p), (p, p), (p, p)))
+    xp = np.zeros((x.shape[0], *(n + 2 * p for n in x.shape[1:])), dtype=x.dtype)
+    xp[:, p:-p, p:-p, p:-p] = x
+    return xp
 
 
 def _windows(xp: np.ndarray, k: int, stride: int) -> np.ndarray:
@@ -119,16 +126,22 @@ def _convT_raw(x: np.ndarray, w: np.ndarray, stride: int, padding: int) -> np.nd
     The scatter-adjoint of _conv_raw with the same (k, stride, padding): each
     tap (i, j, l) adds one channel matmul ``w[:, :, i, j, l].T @ x`` into the
     output positions ``r * stride + (i, j, l)``, then ``padding`` is cropped
-    from each side.
+    from each side. When k equals the stride the taps tile the output, each
+    position written by exactly one tap, so there is no zero fill: each tap is
+    added to 0.0 on its way into place, which gives the bytes of a sum into
+    zeros.
     """
     a, b, k = w.shape[0], w.shape[1], w.shape[2]
     sp = x.shape[1:]
-    y = np.zeros((b,) + tuple((n - 1) * stride + k for n in sp), dtype=np.result_type(x, w))
+    tiled = k == stride
+    shape = (b,) + tuple((n - 1) * stride + k for n in sp)
+    y = (np.empty if tiled else np.zeros)(shape, dtype=np.result_type(x, w))
     xf = x.reshape(a, -1)
     span = [(n - 1) * stride + 1 for n in sp]
     for i, j, l in itertools.product(range(k), repeat=3):
         tap = (w[:, :, i, j, l].T @ xf).reshape(b, *sp)
-        y[:, i:i + span[0]:stride, j:j + span[1]:stride, l:l + span[2]:stride] += tap
+        out = y[:, i:i + span[0]:stride, j:j + span[1]:stride, l:l + span[2]:stride]
+        np.add(0.0 if tiled else out, tap, out=out)
     if padding:
         y = y[:, padding:-padding, padding:-padding, padding:-padding]
     return y
@@ -280,7 +293,9 @@ def _rows_weight_grad(g: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
     dt = np.result_type(g, x)
     rows, padded = _shifted_rows(x, k, dt)
     offs, q, groups = _row_taps(sp, padded, k, cin, cout)
-    gq = np.pad(g, ((0, 0), (0, 0), (0, k - 1), (0, k - 1))).reshape(cout, -1)[:, :q]
+    gq = np.zeros((cout, sp[0], padded[1], padded[2]), dtype=g.dtype)
+    gq[:, :, :sp[1], :sp[2]] = g
+    gq = gq.reshape(cout, -1)[:, :q]
     out = np.empty((k * k * cout, cin * k), dtype=dt)
     for taps in groups:
         lo, hi = offs[taps[0]], offs[taps[-1]] + q
@@ -297,19 +312,27 @@ def _rows_weight_grad(g: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
 _SAME_KERNELS = {"fft": (_fft_conv, _fft_weight_grad), "rows": (_rows_conv, _rows_weight_grad)}
 
 
+def _grad_dtype(t: Tensor):
+    """The dtype of ``t.grad``: float64 for a leaf, the dtype of its data for an interior node."""
+    return t.data.dtype if t.parents else np.dtype(np.float64)
+
+
 def _accumulate(t: Tensor, g: np.ndarray, fresh: bool = True) -> None:
     """Add one gradient contribution into ``t.grad``; the first one becomes it.
 
     ``fresh`` says that the closure made ``g`` and nothing else holds it: then
-    a C-contiguous float64 ``g`` is adopted as it is. Any other first
-    contribution is copied into a new C-contiguous float64 buffer.
+    a C-contiguous ``g`` of the node's gradient dtype is adopted as it is. Any
+    other first contribution is copied into a new C-contiguous buffer of that
+    dtype.
     """
     if t.grad is not None:
         t.grad += g
-    elif fresh and g.dtype == np.float64 and g.flags.c_contiguous:
+        return
+    dt = _grad_dtype(t)
+    if fresh and g.dtype == dt and g.flags.c_contiguous:
         t.grad = g
     else:
-        t.grad = np.array(g, dtype=np.float64, order="C")
+        t.grad = np.array(g, dtype=dt, order="C")
 
 
 def _check_4d(x: Tensor, who: str) -> None:
@@ -481,9 +504,11 @@ def backward(root: Tensor, seed=None) -> None:
     """Accumulate gradients of the root into every node of its graph.
 
     A scalar root seeds with 1; any other root requires an explicit seed of
-    matching shape (e.g. an upstream loss gradient). A C-contiguous float64
-    seed is not copied: it becomes the root's gradient, so a root that is a
-    leaf ends with ``root.grad`` aliasing the caller's seed; any other seed is
+    matching shape (e.g. an upstream loss gradient). The seed is taken in the
+    root's gradient dtype (module docstring): float64 for a leaf, the dtype of
+    its data for an interior root. A C-contiguous seed of that dtype is not
+    copied: it becomes the root's gradient, so a root that is a leaf ends with
+    ``root.grad`` aliasing the caller's float64 seed; any other seed is
     converted first. Nodes with ``requires_grad`` False get no gradient and
     propagate nothing; a root that needs none is a no-op.
 
@@ -493,12 +518,13 @@ def backward(root: Tensor, seed=None) -> None:
     and each leaf holds its float64 gradient, zeros for a leaf that no
     closure reached.
     """
+    dt = _grad_dtype(root)
     if seed is None:
         if root.data.size != 1:
             raise ValueError("backward on a non-scalar root requires an explicit seed gradient")
-        seed = np.ones_like(root.data, dtype=np.float64)
+        seed = np.ones_like(root.data, dtype=dt)
     else:
-        seed = np.asarray(seed, dtype=np.float64, order="C")
+        seed = np.asarray(seed, dtype=dt, order="C")
         if seed.shape != root.data.shape:
             raise ValueError(f"seed shape {seed.shape} does not match root shape {root.data.shape}")
     if not root.requires_grad:

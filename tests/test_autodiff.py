@@ -414,10 +414,57 @@ def _graph_nodes(root):
     return nodes
 
 
+def _faim_step_gradients(dtype, params=None, on_graph=None):
+    """Every parameter's gradient after one 8^3 FAIM step, default config, in ``dtype``.
+
+    ``params`` replaces the network built from seed 0; ``on_graph`` sees the
+    output node before backward runs.
+    """
+    from foldreg import model, trainer
+
+    ds = trainer.synth_dataset(seed=0, n=2, dims=(8, 8, 8))
+    if params is None:
+        params = model.build_faim(model.FaimConfig(), seed=0, dtype=dtype)
+    src, tgt = ds.volumes["s00"], ds.volumes["s01"]
+    u = model.predict(params, src, tgt)
+    _, grad_u = trainer._loss_and_grad(src, tgt, u.data, trainer.TrainConfig())
+    if on_graph is not None:
+        on_graph(u)
+    ad.backward(u, seed=grad_u)
+    return {name: t.grad for name, t in params.tensors.items()}
+
+
+def _record_closure_grads(root):
+    """Wrap every closure of root's graph to record, per call: node dtype, gradient dtype,
+    whether the gradient is C-contiguous and whether it is the node's ``.grad``."""
+    seen = []
+    for node in _graph_nodes(root):
+        if node.backward_fn is not None:
+            def wrapped(g, node=node, fn=node.backward_fn):
+                seen.append((node.data.dtype, g.dtype, g.flags.c_contiguous, node.grad is g))
+                fn(g)
+            node.backward_fn = wrapped
+    return seen
+
+
+def _faim_step_digest(dtype) -> str:
+    import hashlib
+
+    digest = hashlib.sha256()
+    for name, g in _faim_step_gradients(dtype).items():
+        assert g.dtype == np.float64
+        digest.update(name.encode())
+        digest.update(g.tobytes())
+    return digest.hexdigest()
+
+
 # sha256 over (name, float64 gradient bytes) of every parameter after one 8^3
-# FAIM step, default config, float32 parameters, recorded when every gradient
-# buffer was still zero-filled up front: freeing buffers must not move a bit
-FAIM_STEP_GRAD_SHA256 = "b71fcd73a235ec5f7775ce5a55981b3be236152305e086345dc9fdb056489b66"
+# FAIM step, default config, float32 parameters, recorded when interior
+# gradients took their node's dtype, so this backward runs in float32
+FAIM_STEP_GRAD_SHA256 = "436c7cb1a45bd2a652d94c2e17bb316c427cc580511ae088c35a24fcbd61913c"
+# the same for float64 parameters, recorded before that change: a float64
+# network's backward runs in float64 as it did, bit for bit
+FAIM64_STEP_GRAD_SHA256 = "4ecd05c4eb0042fd5aaf1e6af391126b30b14c674f3e551c5e93d9adc316b1cb"
 
 
 class TestGradientLifetime:
@@ -435,7 +482,15 @@ class TestGradientLifetime:
             assert leaf.grad.flags.c_contiguous
 
     def test_add_of_a_node_with_itself_sums(self):
+        # the float32 root takes its seed in float32; the leaf sums it twice in float64
         x = ad.Tensor(np.zeros((2, 3, 3, 3), dtype=np.float32))
+        seed = np.random.default_rng(14).standard_normal(x.shape)
+        ad.backward(ad.add(x, x), seed=seed)
+        seed32 = seed.astype(np.float32).astype(np.float64)
+        assert x.grad.dtype == np.float64 and np.array_equal(x.grad, seed32 + seed32)
+
+    def test_float64_add_of_a_node_with_itself_sums(self):
+        x = ad.Tensor(np.zeros((2, 3, 3, 3)))
         seed = np.random.default_rng(14).standard_normal(x.shape)
         ad.backward(ad.add(x, x), seed=seed)
         assert np.array_equal(x.grad, seed + seed)
@@ -492,19 +547,53 @@ class TestGradientLifetime:
         assert x.grad.dtype == np.float64 and np.array_equal(x.grad, np.zeros((1, 2, 2, 2)))
 
     def test_faim_step_gradients_pinned(self):
-        import hashlib
+        assert _faim_step_digest(np.float32) == FAIM_STEP_GRAD_SHA256
 
-        from foldreg import model, trainer
+    def test_float64_faim_step_gradients_pinned(self):
+        assert _faim_step_digest(np.float64) == FAIM64_STEP_GRAD_SHA256
 
-        ds = trainer.synth_dataset(seed=0, n=2, dims=(8, 8, 8))
-        params = model.build_faim(model.FaimConfig(), seed=0)
-        src, tgt = ds.volumes["s00"], ds.volumes["s01"]
-        u = model.predict(params, src, tgt)
-        _, grad_u = trainer._loss_and_grad(src, tgt, u.data, trainer.TrainConfig())
-        ad.backward(u, seed=grad_u)
-        digest = hashlib.sha256()
-        for name, t in params.tensors.items():
-            assert t.grad.dtype == np.float64
-            digest.update(name.encode())
-            digest.update(t.grad.tobytes())
-        assert digest.hexdigest() == FAIM_STEP_GRAD_SHA256
+
+class TestGradientDtype:
+    def test_interior_grad_takes_node_dtype(self):
+        # float32 nodes up to a conv with float64 weights, float64 nodes after it
+        rng = np.random.default_rng(16)
+        x, y, slopes = (ad.Tensor(rng.standard_normal(shape).astype(np.float32))
+                        for shape in ((2, 4, 4, 4), (2, 4, 4, 4), (2,)))
+        w, b = ad.Tensor(rng.standard_normal((3, 2, 3, 3, 3))), ad.Tensor(rng.standard_normal(3))
+        h = ad.prelu(ad.add(x, y), slopes)
+        root = ad.sum_all(ad.concat_channels([h, ad.conv3d(h, w, b, 1, 1)]))
+        seen = _record_closure_grads(root)
+        ad.backward(root)
+        assert [node for node, *_ in seen] == [np.float64] * 3 + [np.float32] * 2
+        assert all(node == g and contiguous and held for node, g, contiguous, held in seen)
+        assert all(t.grad.dtype == np.float64 for t in (x, y, slopes, w, b))
+
+    def test_float32_faim_backward_runs_in_float32(self):
+        recorded = []
+        grads = _faim_step_gradients(np.float32, on_graph=lambda u: recorded.append(_record_closure_grads(u)))
+        calls = recorded[0]
+        assert len(calls) > 20
+        assert all(node == g == np.dtype(np.float32) and contiguous for node, g, contiguous, _ in calls)
+        assert all(g.dtype == np.float64 and g.flags.c_contiguous for g in grads.values())
+
+    def test_interior_root_takes_seed_in_its_dtype(self):
+        for dtype in (np.float32, np.float64):
+            x = ad.Tensor(np.zeros((1, 2, 2, 2), dtype=dtype))
+            root = ad.add(x, ad.Tensor(np.zeros((1, 2, 2, 2), dtype=dtype)))
+            seed = np.random.default_rng(17).standard_normal(root.shape)
+            seen = _record_closure_grads(root)
+            ad.backward(root, seed=seed)
+            assert seen == [(np.dtype(dtype), np.dtype(dtype), True, True)]
+            assert np.array_equal(x.grad, seed.astype(dtype).astype(np.float64))
+
+    def test_float32_step_within_float64_oracle(self):
+        # the float64 network holds the float32 network's weights
+        from foldreg import model
+
+        p32 = model.build_faim(model.FaimConfig(), seed=0)
+        p64 = model.build_faim(model.FaimConfig(), seed=0, dtype=np.float64)
+        for name, t in p64.tensors.items():
+            t.data = p32.tensors[name].data.astype(np.float64)
+        g32 = _faim_step_gradients(np.float32, params=p32)
+        g64 = _faim_step_gradients(np.float64, params=p64)
+        assert max(np.linalg.norm(g32[n] - g64[n]) / np.linalg.norm(g64[n]) for n in g64) <= 2e-6

@@ -1,0 +1,23 @@
+"""Smoke test of scripts/measure_step.py, the script behind the README's step times and peaks.
+
+Each mode runs at 8^3 in its own process, as the script's docstring asks.
+"""
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("mode", [[], ["--direct"], ["--evaluate"]], ids=["train", "direct", "evaluate"])
+def test_measure_step_runs(mode):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "scripts/measure_step.py", "--dims", "8", *mode], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert re.fullmatch(r"dims 8x8x8  .+  peak RSS \d+ MiB \(before \d+ MiB\)\n", proc.stdout), proc.stdout

@@ -27,6 +27,11 @@ from foldreg.volume import DisplacementField, Volume
 from foldreg.warp import warp_image
 
 
+
+# sha256 of test_run_bytes_pinned's loss rows and fields
+DIRECT_RUN_SHA256 = "1f86ad51e31ec121196a7e830432e822f547176d52746f48d9e4b56934dec276"
+
+
 class TestMakePairs:
     def test_cohort_pair_counts(self):
         assert len(make_pairs(range(42))) == 1722
@@ -238,6 +243,23 @@ class TestTrainDirect:
         totals = [bd.total for _, _, s, t, bd in res.log_rows if (s, t) == ("s00", "s01")]
         assert all(b <= a for a, b in zip(totals, totals[1:]))
 
+    def test_run_bytes_pinned(self):
+        # loss rows and final fields of a direct run with folding (the
+        # direct_register settings at 12^3): the field is a leaf root, whose
+        # float64 seed backward adopts as its gradient
+        import hashlib
+
+        ds = synth_dataset(seed=3, n=2, dims=(12, 12, 12))
+        cfg = TrainConfig(lr=0.1, alpha=0.01, beta=0.01, seed=0, steps=8)
+        res = train(cfg, ds.volumes, kind="direct")
+        digest = hashlib.sha256()
+        for step, it, s, t, bd in res.log_rows:
+            digest.update(f"{step},{it},{s},{t},{bd.image!r},{bd.r1!r},{bd.r2!r},{bd.total!r}".encode())
+        for name, a in sorted(res.arrays.items()):
+            digest.update(f"{name}{a.dtype.str}{a.shape}".encode())
+            digest.update(a.tobytes())
+        assert digest.hexdigest() == DIRECT_RUN_SHA256
+
 
 class TestTrainFaim:
     def test_two_epoch_log_and_checkpoint(self, tmp_path):
@@ -370,7 +392,8 @@ class TestPeakMemory:
     With every gradient buffer zero-filled before backward and a taped
     inference forward, the peaks were 15.4 MB (one 16^3 training step) and
     37.5 MB (one 32^3 ``faim_forward``); freeing each array at its last use
-    takes them to about 9.5 and 16.6 MB.
+    takes them to about 9.5 and 16.6 MB, and interior gradients in their
+    node's dtype (float32 here) take the training step to about 7.4 MB.
     """
 
     @staticmethod
@@ -392,7 +415,7 @@ class TestPeakMemory:
         peak = self._peak(lambda: trainer._fit(params, state, [(0, ("s00", "s01"))], ds.volumes,
                                                 TrainConfig(beta=0.01), rows))
         assert len(rows) == 1
-        assert peak < 12_000_000
+        assert peak < 9_000_000
 
     def test_graph_released_before_update(self, monkeypatch):
         import gc
