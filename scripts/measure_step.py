@@ -15,8 +15,9 @@ untrained network, loaded through ``metrics.checkpoint_predictor`` as
 ``foldreg evaluate`` does. It prints the wall time of that call and the peak
 resident set size of the process, so run each phase in its own process to get
 its own peak. BLAS is pinned to one thread before numpy is imported, as in
-the benchmark. The test suite runs each mode at 8^3 only: at 64^3 it takes
-seconds and hundreds of MiB, at 144x180x144 a minute and several GiB.
+the benchmark. The test suite runs each mode at 8^3, and the FAIM modes also
+at 8x12x16, and no larger: at 64^3 it takes seconds and hundreds of MiB, at
+144x180x144 a minute and several GiB.
 """
 
 from __future__ import annotations

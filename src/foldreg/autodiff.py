@@ -28,20 +28,26 @@ dropped (set to None) as soon as its own closure has run; leaves keep theirs.
 Convolution kernels. ``conv_kernel`` is the one rule that picks how a
 convolution runs, fixed in code:
 
-* a stride-1 "same" convolution (2 * padding == k - 1) with k >= 5 runs as an
-  FFT convolution (``scipy.fft`` on ``next_fast_len`` extents, one worker, so
-  repeated runs give the same bytes); a kernel is transformed, and a weight
-  gradient inverted, only along the lines that hold taps;
+* a stride-1 "same" convolution (2 * padding == k - 1) with k >= 5 runs as
+  in-plane FFTs: each depth plane is transformed over (H, W) only
+  (``scipy.fft`` on ``next_fast_len`` extents, one worker, so repeated runs
+  give the same bytes), and per in-plane frequency one complex GEMM of the
+  (Cout, Cin * k) tap-plane spectra with the (Cin * k, D) block of the k depth
+  shifts sums the channels and the depth taps; the weight gradient is the
+  same GEMM on the conjugate spectrum of the upstream gradient, inverted only
+  along the lines read at the k in-plane lags. A kernel is transformed as
+  its Cout * Cin * k tap planes, in 2D;
 * any other stride-1 same convolution runs as shifted-row GEMMs: one copy of
   the k shifts of the flattened, padded input, then one matmul per (i, j) tap
   pair on a flat-offset view of it, several pairs per matmul when the output
   has few channels (k = 1 is a single matmul with no copy);
 * a strided or size-changing convolution runs on an im2col sliding window.
 
-The FFT's cost hardly grows with k, the GEMMs' grows with k^2. On the FAIM
-branches at 32^3 the FFT is 1.5x (forward) to 5x (weight gradient) faster at
-k = 7, the two are even at k = 5 over a forward plus a weight gradient, and
-the GEMMs are 3-12x faster at k = 3.
+The FFT kernel's cost hardly grows with k, the GEMMs' grows with k^2. On the
+FAIM branches at 32^3 (2 -> 8 channels, float32, one thread) a forward pass or
+a weight gradient takes about 10 ms with the FFT kernel at k = 5 and at k = 7,
+against 12 / 18 ms with the GEMMs at k = 5 and 32 / 49 ms at k = 7; at k = 3
+the GEMMs take 3-4 ms and the FFT kernel 8-10.
 
 The same kernel gives a layer's forward pass, its weight gradient and its
 input gradient; the input gradient of a stride-1 same convolution is the same
@@ -185,50 +191,61 @@ def _flip(w: np.ndarray) -> np.ndarray:
 
 
 def _fft_shape(sp, k: int) -> tuple[int, ...]:
-    """Transform extents: n + (k - 1) // 2 per axis is enough that no wrap-around reaches a read value."""
+    """In-plane transform extents: n + (k - 1) // 2 per axis is enough that no wrap-around reaches a read value."""
     return tuple(fft.next_fast_len(max(n + (k - 1) // 2, k), real=True) for n in sp)
 
 
-def _kernel_spectrum(w: np.ndarray, s) -> np.ndarray:
-    """``rfftn(w, s)`` over the tap axes, transforming along each axis only the lines that hold taps."""
-    a = fft.rfft(w.astype(np.float64, copy=False), s[2], axis=-1, workers=1)
-    a = fft.fft(a, s[1], axis=-2, workers=1)
-    return fft.fft(a, s[0], axis=-3, workers=1)
+def _depth_block(x: np.ndarray, k: int, s) -> np.ndarray:
+    """The (F, Cin * k, D) block whose row c * k + a holds, per in-plane frequency, channel c's plane d + a - p.
 
-
-def _lags(spectrum: np.ndarray, s, k: int) -> np.ndarray:
-    """``irfftn(spectrum, s)`` read at the lags -p..p of each axis, inverting only the lines read."""
-    i0, i1, i2 = ((np.arange(k) - (k - 1) // 2) % n for n in s)
-    r = fft.ifft(spectrum, axis=-3, workers=1)[..., i0, :, :]
-    r = fft.ifft(r, axis=-2, workers=1)[..., i1, :]
-    return fft.irfft(r, s[2], axis=-1, workers=1)[..., i2]
-
-
-def _fft_conv(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Same cross-correlation of x (Cin, ...) with w (Cout, Cin, k, k, k) as a product of spectra.
-
-    The linear convolution with the reversed kernel, read at offset (k - 1) // 2.
+    Each depth plane of x is transformed over (H, W) on the extents s, one
+    rfftn into a buffer with p zero planes on each side of the depth axis;
+    F = s1 * (s2 // 2 + 1) frequencies. The k depth windows are copied once.
     """
-    k, p, sp = w.shape[2], (w.shape[2] - 1) // 2, x.shape[1:]
-    s = _fft_shape(sp, k)
-    xf = fft.rfftn(x.astype(np.float64, copy=False), s, axes=(1, 2, 3), workers=1)
-    wf = _kernel_spectrum(w[:, :, ::-1, ::-1, ::-1], s)
-    yf = wf[:, 0] * xf[0]
-    for c in range(1, x.shape[0]):
-        yf += wf[:, c] * xf[c]
-    y = fft.irfftn(yf, s, axes=(1, 2, 3), workers=1)
-    return y[:, p:p + sp[0], p:p + sp[1], p:p + sp[2]].astype(np.result_type(x, w), copy=False)
+    c, d = x.shape[:2]
+    p = (k - 1) // 2
+    buf = np.zeros((c, d + 2 * p, s[0], s[1] // 2 + 1), dtype=np.complex128)
+    buf[:, p:p + d] = fft.rfftn(x.astype(np.float64, copy=False), s, axes=(2, 3), workers=1)
+    buf = buf.reshape(c, d + 2 * p, -1)
+    rows = np.empty((buf.shape[2], c, k, d), dtype=np.complex128)
+    rows[...] = sliding_window_view(buf, k, axis=1).transpose(2, 0, 3, 1)
+    return rows.reshape(buf.shape[2], c * k, d)
 
 
-def _fft_weight_grad(g: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
-    """grad[o, c, taps] = sum_t g[o, t] * x[c, t + taps - p]: circular correlations read at lags -p..p."""
-    s = _fft_shape(x.shape[1:], k)
-    gf = np.conj(fft.rfftn(g.astype(np.float64, copy=False), s, axes=(1, 2, 3), workers=1))
-    xf = fft.rfftn(x.astype(np.float64, copy=False), s, axes=(1, 2, 3), workers=1)
-    out = np.empty((g.shape[0], x.shape[0], k, k, k))
-    for o in range(g.shape[0]):  # one output channel at a time bounds the transient
-        out[o] = _lags(gf[o] * xf, s, k)
-    return out
+def _plane_conv(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Same cross-correlation of x (Cin, ...) with w (Cout, Cin, k, k, k) as in-plane FFTs.
+
+    Per in-plane frequency, one GEMM of the tap planes' spectra (Cout, Cin * k)
+    with the depth block (Cin * k, D) sums the channels and depth taps; the
+    in-plane part is the linear convolution with the reversed taps, read at
+    offset (k - 1) // 2.
+    """
+    cout, cin, k = w.shape[:3]
+    p, (d, h, wd) = (k - 1) // 2, x.shape[1:]
+    s = _fft_shape((h, wd), k)
+    a = fft.rfft(w[:, :, :, ::-1, ::-1].astype(np.float64, copy=False), s[1], axis=-1, workers=1)
+    a = fft.fft(a, s[0], axis=-2, workers=1).reshape(cout, cin * k, -1)
+    y = np.ascontiguousarray(a.transpose(2, 0, 1)) @ _depth_block(x, k, s)
+    y = fft.irfftn(y.transpose(1, 2, 0).reshape(cout, d, s[0], -1), s, axes=(2, 3), workers=1)
+    return y[:, :, p:p + h, p:p + wd].astype(np.result_type(x, w), copy=False)
+
+
+def _plane_weight_grad(g: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
+    """grad[o, c, taps] = sum_t g[o, t] * x[c, t + taps - p], as conj(G) @ the depth block per frequency.
+
+    The in-plane circular correlations are read at the lags -p..p, inverting
+    only the lines read.
+    """
+    cout, cin, d = g.shape[0], x.shape[0], g.shape[1]
+    s = _fft_shape(x.shape[2:], k)
+    gf = fft.rfftn(g.astype(np.float64, copy=False), s, axes=(2, 3), workers=1).reshape(cout, d, -1)
+    gc = np.empty((gf.shape[2], cout, d), dtype=np.complex128)
+    np.conjugate(gf.transpose(2, 0, 1), out=gc)
+    c = gc @ _depth_block(x, k, s).transpose(0, 2, 1)
+    i1, i2 = ((np.arange(k) - (k - 1) // 2) % n for n in s)
+    c = fft.ifft(c.reshape(s[0], -1, cout * cin * k), axis=0, workers=1)[i1]
+    c = fft.irfft(c, s[1], axis=1, workers=1)[:, i2]
+    return c.reshape(k, k, cout, cin, k).transpose(2, 3, 4, 0, 1)
 
 
 def _shifted_rows(x: np.ndarray, k: int, dtype):
@@ -309,7 +326,7 @@ def _rows_weight_grad(g: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
 
 
 # stride-1 same kernels by name: (convolution, weight gradient)
-_SAME_KERNELS = {"fft": (_fft_conv, _fft_weight_grad), "rows": (_rows_conv, _rows_weight_grad)}
+_SAME_KERNELS = {"fft": (_plane_conv, _plane_weight_grad), "rows": (_rows_conv, _rows_weight_grad)}
 
 
 def _grad_dtype(t: Tensor):

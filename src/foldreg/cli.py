@@ -142,7 +142,10 @@ def _cmd_jmap(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    results = gradcheck_mod.run_all(seed=args.seed, size=args.size, tol=args.tol)
+    try:
+        results = gradcheck_mod.run_all(seed=args.seed, size=args.size, tol=args.tol)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     width = max(len(r.name) for r in results)
     failed = False
     for r in results:

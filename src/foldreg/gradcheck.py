@@ -301,7 +301,13 @@ def _check_full_graph(rng, size=8) -> CheckResult:
 
 
 def run_all(seed: int = 0, size: int = 5, tol: float | None = None) -> list[CheckResult]:
-    """Run every finite-difference suite; optionally override the per-op tolerance."""
+    """Run every finite-difference suite; optionally override the per-op tolerance.
+
+    ``size`` is the cube extent of the random inputs. It must be at least 4:
+    below that, the R2 check finds no folding field to differentiate.
+    """
+    if size < 4:
+        raise ValueError(f"gradcheck size must be >= 4, got {size}")
     rng = np.random.default_rng(seed)
     results = [
         _check_conv(rng, size, "conv3d", k=3),

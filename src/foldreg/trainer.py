@@ -111,7 +111,7 @@ def _mode_sum(rng, dims, modes, freqs):
     Half-integer frequencies give non-periodic half-waves, which buy larger
     displacement amplitude per unit of gradient.
     """
-    grid = np.indices(dims).astype(np.float64)
+    grid = np.indices(dims, sparse=True)  # one broadcast coordinate axis each, no full grids
     phase_axes = [2.0 * np.pi * grid[a] / dims[a] for a in range(3)]
     choices = np.array([0.0] + [s * f for f in freqs for s in (1.0, -1.0)])
     out = np.zeros(dims)
@@ -133,7 +133,7 @@ def _smooth_displacement(rng, dims, row_sum_cap=0.45):
     construction. Each channel is a sum of single-axis half/full waves, which
     maximizes displacement amplitude for a given gradient budget.
     """
-    grid = np.indices(dims).astype(np.float64)
+    grid = np.indices(dims, sparse=True)  # one broadcast coordinate axis each, no full grids
     u = np.zeros((3, *dims))
     for c in range(3):
         for a in range(3):

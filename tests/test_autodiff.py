@@ -323,7 +323,7 @@ class TestStride1Kernels:
         assert picked == {"branch3": "rows", "branch5": "fft", "branch7": "fft", "merge": "rows",
                           "enc1": "window", "enc2": "window", "res": "rows", "head": "rows"}
 
-    @pytest.mark.parametrize("extent", [(16, 16, 16), (9, 6, 7)])
+    @pytest.mark.parametrize("extent", [(16, 16, 16), (9, 6, 7), (1, 9, 6), (3, 10, 7)])
     @pytest.mark.parametrize("name,cin,cout,k", STRIDE1_LAYERS)
     def test_faim_layer_matches_oracle(self, name, cin, cout, k, extent):
         rng = np.random.default_rng(k * 100 + cin)
@@ -459,12 +459,11 @@ def _faim_step_digest(dtype) -> str:
 
 
 # sha256 over (name, float64 gradient bytes) of every parameter after one 8^3
-# FAIM step, default config, float32 parameters, recorded when interior
-# gradients took their node's dtype, so this backward runs in float32
-FAIM_STEP_GRAD_SHA256 = "436c7cb1a45bd2a652d94c2e17bb316c427cc580511ae088c35a24fcbd61913c"
-# the same for float64 parameters, recorded before that change: a float64
-# network's backward runs in float64 as it did, bit for bit
-FAIM64_STEP_GRAD_SHA256 = "4ecd05c4eb0042fd5aaf1e6af391126b30b14c674f3e551c5e93d9adc316b1cb"
+# FAIM step, default config, float32 parameters; this backward runs in
+# float32, and branch5 and branch7 sum in the order of the in-plane FFT kernel
+FAIM_STEP_GRAD_SHA256 = "f2f3ce2519096f0dac43496c137248f09e9baea8266823513519a8ba1ba6c2a0"
+# the same for float64 parameters, whose backward runs in float64 throughout
+FAIM64_STEP_GRAD_SHA256 = "a6e426cd9c5f2cc9bca34176ea3b68f3ddb5b6ddf42e0be036ea9aa19b238344"
 
 
 class TestGradientLifetime:

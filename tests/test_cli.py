@@ -254,6 +254,13 @@ class TestGradcheckCmd:
         assert run(["gradcheck", "--seed", "0", "--size", "4", "--tol", "1e-12"]) == 2
         assert "FAIL" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("size", [0, 1, 2, 3])
+    def test_size_below_4_is_usage_error(self, capsys, size):
+        assert run(["gradcheck", "--seed", "0", "--size", str(size)]) == 1
+        err = capsys.readouterr().err
+        assert "size must be >= 4" in err
+        assert "Traceback" not in err
+
 
 class TestDescribe:
     def test_default_config(self, capsys):

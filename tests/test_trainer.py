@@ -30,6 +30,8 @@ from foldreg.warp import warp_image
 
 # sha256 of test_run_bytes_pinned's loss rows and fields
 DIRECT_RUN_SHA256 = "1f86ad51e31ec121196a7e830432e822f547176d52746f48d9e4b56934dec276"
+# sha256 of test_bytes_pinned's volumes, labels and fields
+SYNTH_SHA256 = "a404db26bd96a962f093bab9ed99cc52cc244a0cf4362d034d881ec9a990743b"
 
 
 class TestMakePairs:
@@ -94,6 +96,19 @@ class TestSynthDataset:
     def test_dims_divisibility(self):
         with pytest.raises(ValueError, match="divisible by 4"):
             synth_dataset(seed=0, n=2, dims=(9, 8, 8))
+
+    def test_bytes_pinned(self):
+        # cubes and anisotropic extents, small and up to 64 x 48 x 40
+        import hashlib
+
+        digest = hashlib.sha256()
+        for dims in ((16, 16, 16), (20, 16, 12), (32, 32, 32), (64, 48, 40)):
+            ds = synth_dataset(seed=0, n=2, dims=dims)
+            for sid in ds.ids:
+                for a in (ds.volumes[sid].data, ds.labels[sid].data, ds.fields[sid].data):
+                    digest.update(f"{a.dtype.str}{a.shape}".encode())
+                    digest.update(a.tobytes())
+        assert digest.hexdigest() == SYNTH_SHA256
 
 
 class TestDatasetIO:
