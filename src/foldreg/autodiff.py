@@ -43,19 +43,18 @@ convolution runs, fixed in code:
   has few channels (k = 1 is a single matmul with no copy);
 * a strided or size-changing convolution runs on an im2col sliding window.
 
-The FFT kernel's cost hardly grows with k, the GEMMs' grows with k^2. On the
-FAIM branches at 32^3 (2 -> 8 channels, float32, one thread) a forward pass or
-a weight gradient takes about 10 ms with the FFT kernel at k = 5 and at k = 7,
-against 12 / 18 ms with the GEMMs at k = 5 and 32 / 49 ms at k = 7; at k = 3
-the GEMMs take 3-4 ms and the FFT kernel 8-10.
+Each kernel gives three functions: a layer's forward pass, its input gradient
+and its weight gradient. The input gradient of a stride-1 same convolution is
+the same convolution of the upstream gradient with the flipped,
+channel-swapped kernel; that of the window kernel is a scatter: one channel
+matmul per kernel tap, added into the strided positions of that tap on the
+padded domain, with no zero-dilated copy of the upstream gradient.
 
-The same kernel gives a layer's forward pass, its weight gradient and its
-input gradient; the input gradient of a stride-1 same convolution is the same
-convolution of the upstream gradient with the flipped, channel-swapped kernel.
-The transposed convolution is computed in scatter form, as the adjoint of the
-convolution: one channel matmul per kernel tap, added into the strided output
-positions of that tap, with no zero-dilated copy of the input. The same
-routine gives the input gradient of a strided convolution.
+A transposed convolution is the adjoint of the convolution with the same
+kernel, stride and padding, and one node builder wires both from the same
+three functions: the transposed convolution's forward pass is the
+convolution's input gradient, its input gradient is the convolution's forward
+pass, and its weight gradient is the convolution's with the operands swapped.
 
 Dtypes: a forward pass returns the common dtype of its operands, so a
 float32 network stays float32. The GEMM kernels compute in that dtype; the
@@ -126,56 +125,40 @@ def _conv_raw(x: np.ndarray, w: np.ndarray, stride: int, padding: int) -> np.nda
     return np.tensordot(w, win, axes=([1, 2, 3, 4], [0, 4, 5, 6]))
 
 
-def _convT_raw(x: np.ndarray, w: np.ndarray, stride: int, padding: int) -> np.ndarray:
-    """Fractionally strided convolution: x (A, ...) with w (A, B, k, k, k).
+def _scatter(g: np.ndarray, w: np.ndarray, stride: int, padding: int, out_sp) -> np.ndarray:
+    """Adjoint of _conv_raw: g (A, ...) with w (A, B, k, k, k) onto the B-channel extents ``out_sp``.
 
-    The scatter-adjoint of _conv_raw with the same (k, stride, padding): each
-    tap (i, j, l) adds one channel matmul ``w[:, :, i, j, l].T @ x`` into the
-    output positions ``r * stride + (i, j, l)``, then ``padding`` is cropped
-    from each side. When k equals the stride the taps tile the output, each
-    position written by exactly one tap, so there is no zero fill: each tap is
-    added to 0.0 on its way into place, which gives the bytes of a sum into
-    zeros.
+    Each tap (i, j, l) adds one channel matmul ``w[:, :, i, j, l].T @ g`` into
+    the padded-domain positions ``r * stride + (i, j, l)``; the result is read
+    from ``padding`` on, and the positions that no tap reached are zero. When
+    k equals the stride the taps tile the domain, each position written by
+    exactly one tap, so there is no zero fill: each tap is added to 0.0 on its
+    way into place, which gives the bytes of a sum into zeros. Without padding,
+    a domain of the extents ``out_sp`` is returned as it is.
     """
     a, b, k = w.shape[0], w.shape[1], w.shape[2]
-    sp = x.shape[1:]
+    sp = g.shape[1:]
     tiled = k == stride
     shape = (b,) + tuple((n - 1) * stride + k for n in sp)
-    y = (np.empty if tiled else np.zeros)(shape, dtype=np.result_type(x, w))
-    xf = x.reshape(a, -1)
+    y = (np.empty if tiled else np.zeros)(shape, dtype=np.result_type(g, w))
+    gf = g.reshape(a, -1)
     span = [(n - 1) * stride + 1 for n in sp]
     for i, j, l in itertools.product(range(k), repeat=3):
-        tap = (w[:, :, i, j, l].T @ xf).reshape(b, *sp)
+        tap = (w[:, :, i, j, l].T @ gf).reshape(b, *sp)
         out = y[:, i:i + span[0]:stride, j:j + span[1]:stride, l:l + span[2]:stride]
         np.add(0.0 if tiled else out, tap, out=out)
-    if padding:
-        y = y[:, padding:-padding, padding:-padding, padding:-padding]
-    return y
+    if padding == 0 and shape[1:] == tuple(out_sp):
+        return y
+    out = np.zeros((b, *out_sp), dtype=y.dtype)
+    hi = [min(m, padding + n) for m, n in zip(shape[1:], out_sp)]
+    out[(slice(None), *(slice(0, h - padding) for h in hi))] = y[(slice(None), *(slice(padding, h) for h in hi))]
+    return out
 
 
 def _weight_grad(top: np.ndarray, bottom: np.ndarray, k: int, stride: int, padding: int) -> np.ndarray:
     """grad[i, j, taps] = sum_t top[i, t] * pad(bottom)[j, t*stride + taps]."""
     win = _windows(_pad_spatial(bottom, padding), k, stride)
     return np.tensordot(top, win, axes=([1, 2, 3], [1, 2, 3]))
-
-
-def _conv_input_grad(g: np.ndarray, w: np.ndarray, stride: int, padding: int, in_sp) -> np.ndarray:
-    """Adjoint of _conv_raw onto the exact input shape.
-
-    The floor in the output-extent formula can leave a tail of input
-    positions that no window touched; the plain transposed conv cannot
-    express that, so scatter onto the padded domain and crop/zero-fill.
-    """
-    full = _convT_raw(g, w, stride, 0)  # padded-domain adjoint, extent (T-1)*s + k
-    out = np.zeros((w.shape[1], *in_sp), dtype=full.dtype)
-    src = [slice(None)]
-    dst = [slice(None)]
-    for axis, n in enumerate(in_sp):
-        hi = min(full.shape[1 + axis], padding + n)
-        src.append(slice(padding, hi))
-        dst.append(slice(0, hi - padding))
-    out[tuple(dst)] = full[tuple(src)]
-    return out
 
 
 def conv_kernel(k: int, stride: int, padding: int) -> str:
@@ -325,8 +308,15 @@ def _rows_weight_grad(g: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
     return out.reshape(k, k, cout, cin, k).transpose(2, 3, 0, 1, 4)
 
 
-# stride-1 same kernels by name: (convolution, weight gradient)
-_SAME_KERNELS = {"fft": (_plane_conv, _plane_weight_grad), "rows": (_rows_conv, _rows_weight_grad)}
+def _kernel(k: int, stride: int, padding: int):
+    """(forward(x, w), input_grad(g, w, in_sp), weight_grad(g, x)) of the kernel ``conv_kernel`` names."""
+    name = conv_kernel(k, stride, padding)
+    if name == "window":
+        return (lambda x, w: _conv_raw(x, w, stride, padding),
+                lambda g, w, in_sp: _scatter(g, w, stride, padding, in_sp),
+                lambda g, x: _weight_grad(g, x, k, stride, padding))
+    conv, corr = {"fft": (_plane_conv, _plane_weight_grad), "rows": (_rows_conv, _rows_weight_grad)}[name]
+    return conv, lambda g, w, in_sp: conv(g, _flip(w)), lambda g, x: corr(g, x, k)
 
 
 def _grad_dtype(t: Tensor):
@@ -357,77 +347,51 @@ def _check_4d(x: Tensor, who: str) -> None:
         raise ValueError(f"{who} expects a (C, D, H, W) tensor, got shape {x.data.shape}")
 
 
-def conv3d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    _check_4d(x, "conv3d")
+def _conv_node(op: str, x: Tensor, w: Tensor, b: Tensor, stride: int, padding: int) -> Tensor:
+    """A convolution, or for op "conv3d_transpose" its adjoint: the same kernel, stride and padding."""
+    _check_4d(x, op)
+    transpose = op == "conv3d_transpose"
     cout, cin, k = w.data.shape[0], w.data.shape[1], w.data.shape[2]
+    cin, cout = (cout, cin) if transpose else (cin, cout)  # the adjoint's kernel is (Cin, Cout, k, k, k)
     if w.data.shape[2:] != (k, k, k):
-        raise ValueError(f"conv3d kernel must be cubic, got {w.data.shape}")
+        raise ValueError(f"{op} kernel must be cubic, got {w.data.shape}")
     if cin != x.data.shape[0]:
-        raise ValueError(f"conv3d channel mismatch: kernel expects {cin}, input has {x.data.shape[0]}")
+        raise ValueError(f"{op} channel mismatch: kernel expects {cin}, input has {x.data.shape[0]}")
     if b.data.shape != (cout,):
-        raise ValueError(f"conv3d bias must have shape ({cout},)")
-    out_sp = tuple((n + 2 * padding - k) // stride + 1 for n in x.data.shape[1:])
-    if min(out_sp) < 1 or any((n + 2 * padding) < k for n in x.data.shape[1:]):
-        raise ValueError(f"conv3d shape underflow: input {x.data.shape[1:]}, k={k}, s={stride}, p={padding}")
-    kernel = conv_kernel(k, stride, padding)
-    if kernel == "window":
-        y = _conv_raw(x.data, w.data, stride, padding)
-
-        def input_grad(g):
-            return _conv_input_grad(g, w.data, stride, padding, x.data.shape[1:])
-
-        def weight_grad(g):
-            return _weight_grad(g, x.data, k, stride, padding)
+        raise ValueError(f"{op} bias must have shape ({cout},)")
+    in_sp = x.data.shape[1:]
+    if transpose:
+        out_sp = tuple((n - 1) * stride + k - 2 * padding for n in in_sp)
     else:
-        conv, corr = _SAME_KERNELS[kernel]
-        y = conv(x.data, w.data)
-
-        def input_grad(g):
-            return conv(g, _flip(w.data))
-
-        def weight_grad(g):
-            return corr(g, x.data, k)
-
+        out_sp = tuple((n + 2 * padding - k) // stride + 1 for n in in_sp)
+    if min(out_sp) < 1:
+        raise ValueError(f"{op} shape underflow: input {in_sp}, k={k}, s={stride}, p={padding}")
+    forward, input_grad, weight_grad = _kernel(k, stride, padding)
+    if transpose:  # forward pass and input gradient swap, and so do the weight gradient's operands
+        y = input_grad(x.data, w.data, out_sp)
+        x_grad, w_grad = (lambda g: forward(g, w.data)), (lambda g: weight_grad(x.data, g))
+    else:
+        y = forward(x.data, w.data)
+        x_grad, w_grad = (lambda g: input_grad(g, w.data, in_sp)), (lambda g: weight_grad(g, x.data))
     y = y + b.data[:, None, None, None]
 
     def backward_fn(g):
         if x.requires_grad:
-            _accumulate(x, input_grad(g))
+            _accumulate(x, x_grad(g))
         if w.requires_grad:
-            _accumulate(w, weight_grad(g))
+            _accumulate(w, w_grad(g))
         if b.requires_grad:
             _accumulate(b, g.sum(axis=(1, 2, 3)))
 
-    return Tensor(y, parents=(x, w, b), backward_fn=backward_fn, op="conv3d")
+    return Tensor(y, parents=(x, w, b), backward_fn=backward_fn, op=op)
+
+
+def conv3d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
+    return _conv_node("conv3d", x, w, b, stride, padding)
 
 
 def conv3d_transpose(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    _check_4d(x, "conv3d_transpose")
-    cin, cout, k = w.data.shape[0], w.data.shape[1], w.data.shape[2]
-    if w.data.shape[2:] != (k, k, k):
-        raise ValueError(f"conv3d_transpose kernel must be cubic, got {w.data.shape}")
-    if cin != x.data.shape[0]:
-        raise ValueError(
-            f"conv3d_transpose channel mismatch: kernel expects {cin}, input has {x.data.shape[0]}"
-        )
-    if b.data.shape != (cout,):
-        raise ValueError(f"conv3d_transpose bias must have shape ({cout},)")
-    out_sp = tuple((n - 1) * stride + k - 2 * padding for n in x.data.shape[1:])
-    if min(out_sp) < 1:
-        raise ValueError(
-            f"conv3d_transpose shape underflow: input {x.data.shape[1:]}, k={k}, s={stride}, p={padding}"
-        )
-    y = _convT_raw(x.data, w.data, stride, padding) + b.data[:, None, None, None]
-
-    def backward_fn(g):
-        if x.requires_grad:
-            _accumulate(x, _conv_raw(g, w.data, stride, padding))
-        if w.requires_grad:
-            _accumulate(w, _weight_grad(x.data, g, k, stride, padding))
-        if b.requires_grad:
-            _accumulate(b, g.sum(axis=(1, 2, 3)))
-
-    return Tensor(y, parents=(x, w, b), backward_fn=backward_fn, op="conv3d_transpose")
+    return _conv_node("conv3d_transpose", x, w, b, stride, padding)
 
 
 def prelu(x: Tensor, slopes: Tensor) -> Tensor:

@@ -95,9 +95,9 @@ def _avoid_kinks(values: np.ndarray, dist: float = 0.05) -> np.ndarray:
 # --- individual ops --------------------------------------------------------
 
 
-def _check_conv(rng, size, name: str, k: int, transpose: bool = False) -> CheckResult:
-    """A k^3 conv (stride 1, size-preserving padding) or a stride-2 transposed conv."""
-    cin, cout, s, p = (3, 2, 2, 0) if transpose else (2, 3, 1, (k - 1) // 2)
+def _check_conv(rng, size, name: str, k: int, stride: int = 1, transpose: bool = False) -> CheckResult:
+    """A k^3 conv with padding (k - 1) // 2 (size-preserving at stride 1), or a stride-2 transposed conv."""
+    cin, cout, s, p = (3, 2, 2, 0) if transpose else (2, 3, stride, (k - 1) // 2)
     x = ad.Tensor(rng.standard_normal((cin, size, size, size)))
     if transpose:
         w = ad.Tensor(rng.standard_normal((cin, cout, k, k, k)) * 0.5)
@@ -321,6 +321,7 @@ def run_all(seed: int = 0, size: int = 5, tol: float | None = None) -> list[Chec
         _check_r2(rng, size),
         _check_full_graph(rng),
         _check_conv(rng, size, "conv3d_k5", k=5),  # the FFT kernel; last, so earlier rows draw as before
+        _check_conv(rng, size, "conv3d_s2", k=3, stride=2),  # the window kernel of enc1 and enc2
     ]
     if tol is not None:
         results = [CheckResult(r.name, r.max_rel_err, tol) for r in results]

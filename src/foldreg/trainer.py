@@ -142,7 +142,8 @@ def _smooth_displacement(rng, dims, row_sum_cap=0.45):
             amp = rng.uniform(0.5, 1.0)
             u[c] += amp * np.cos(2.0 * np.pi * freq * grid[a] / dims[a] + phase)
     D = jacobian_raw(u)
-    worst = np.abs(D).sum(axis=1).max()
+    # row by row, the additions of np.abs(D).sum(axis=1) without its (3, 3, N) copy of D
+    worst = max((np.abs(D[c, 0]) + np.abs(D[c, 1]) + np.abs(D[c, 2])).max() for c in range(3))
     if worst > 0:
         u *= row_sum_cap / worst
     return DisplacementField(u.astype(np.float32))

@@ -142,17 +142,6 @@ def center_crop(v: Volume, target) -> Volume:
     return Volume(v.data[sl].copy(), v.kind)
 
 
-def crop_field(u: DisplacementField, target) -> DisplacementField:
-    """Center-crop a displacement field with the same offset rule as volumes."""
-    target = tuple(int(t) for t in target)
-    dims = u.dims
-    if any(t < 1 or t > n for t, n in zip(target, dims)):
-        raise ValueError(f"crop target {target} exceeds field dims {dims}")
-    off = [(n - t) // 2 for n, t in zip(dims, target)]
-    sl = (slice(None),) + tuple(slice(o, o + t) for o, t in zip(off, target))
-    return DisplacementField(u.data[sl].copy())
-
-
 # ---------------------------------------------------------------------------
 # FRV1 container
 

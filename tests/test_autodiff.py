@@ -1,3 +1,9 @@
+import functools
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -152,6 +158,27 @@ class TestConvTranspose:
         wt = ad.Tensor(rng.standard_normal((2, 1, 2, 2, 2)))
         back = ad.conv3d_transpose(mid, wt, ad.Tensor(np.zeros(1)), stride=2, padding=0)
         assert back.data.shape == x.data.shape
+
+
+class TestAdjoint:
+    """conv3d_transpose is the adjoint of conv3d: <conv3d(x), v> = <x, conv3d_transpose(v)>, on every kernel."""
+
+    # extents with (n + 2p - k) divisible by s, so the transposed convolution's extents reach the input's
+    @pytest.mark.parametrize("k,stride,padding,extent,kernel", [
+        (3, 1, 1, (9, 5, 7), "rows"), (5, 1, 2, (9, 5, 7), "fft"), (7, 1, 3, (9, 5, 7), "fft"),
+        (3, 1, 0, (9, 5, 7), "window"), (3, 2, 1, (9, 5, 7), "window"), (2, 2, 0, (8, 4, 6), "window"),
+        (3, 3, 0, (9, 6, 3), "window"),
+    ])
+    def test_inner_products_agree(self, k, stride, padding, extent, kernel):
+        assert ad.conv_kernel(k, stride, padding) == kernel
+        rng = np.random.default_rng(k * 10 + stride)
+        x = rng.standard_normal((2, *extent))
+        w = ad.Tensor(rng.standard_normal((3, 2, k, k, k)))
+        y = ad.conv3d(ad.Tensor(x), w, ad.Tensor(np.zeros(3)), stride, padding).data
+        v = rng.standard_normal(y.shape)
+        xt = ad.conv3d_transpose(ad.Tensor(v), w, ad.Tensor(np.zeros(2)), stride, padding).data
+        assert xt.shape == x.shape
+        assert np.vdot(y, v) == pytest.approx(np.vdot(x, xt), rel=1e-12, abs=0)
 
 
 class TestPrelu:
@@ -337,7 +364,7 @@ class TestStride1Kernels:
         ad.backward(out, seed=g)
         forward = ad._conv_raw(x_arr, w_arr, 1, p) + b_arr[:, None, None, None]
         assert _rel(out.data, forward) <= 1e-12
-        assert _rel(x.grad, ad._conv_input_grad(g, w_arr, 1, p, extent)) <= 1e-12
+        assert _rel(x.grad, ad._scatter(g, w_arr, 1, p, extent)) <= 1e-12
         assert _rel(w.grad, ad._weight_grad(g, x_arr, k, 1, p)) <= 1e-12
         out32 = ad.conv3d(ad.Tensor(x_arr.astype(np.float32)), ad.Tensor(w_arr.astype(np.float32)),
                           ad.Tensor(b_arr.astype(np.float32)), stride=1, padding=p)
@@ -458,10 +485,30 @@ def _faim_step_digest(dtype) -> str:
     return digest.hexdigest()
 
 
+@functools.cache
+def _pinned_step_digests() -> dict[str, str]:
+    """``_faim_step_digest`` for float32 and float64, computed in a child process under one BLAS thread.
+
+    OpenBLAS splits a float32 GEMM's sums by thread count, so the bytes hold
+    for one thread setting; the variables take effect only if set before numpy
+    is imported, as in ``bench/run.py``.
+    """
+    tests = Path(__file__).resolve().parent
+    src = str(tests.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+               **{var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")})
+    code = (f"import sys; sys.path.insert(0, {str(tests)!r}); import numpy as np, test_autodiff as t; "
+            "print(t._faim_step_digest(np.float32), t._faim_step_digest(np.float64))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    d32, d64 = proc.stdout.split()
+    return {"float32": d32, "float64": d64}
+
+
 # sha256 over (name, float64 gradient bytes) of every parameter after one 8^3
-# FAIM step, default config, float32 parameters; this backward runs in
-# float32, and branch5 and branch7 sum in the order of the in-plane FFT kernel
-FAIM_STEP_GRAD_SHA256 = "f2f3ce2519096f0dac43496c137248f09e9baea8266823513519a8ba1ba6c2a0"
+# FAIM step, default config, float32 parameters, one BLAS thread; this backward
+# runs in float32, and branch5 and branch7 sum in the order of the in-plane FFT kernel
+FAIM_STEP_GRAD_SHA256 = "d569ca25246080ab8f06feb5391e72840d1055fe82f6d4aa0538926f77307ca9"
 # the same for float64 parameters, whose backward runs in float64 throughout
 FAIM64_STEP_GRAD_SHA256 = "a6e426cd9c5f2cc9bca34176ea3b68f3ddb5b6ddf42e0be036ea9aa19b238344"
 
@@ -546,10 +593,10 @@ class TestGradientLifetime:
         assert x.grad.dtype == np.float64 and np.array_equal(x.grad, np.zeros((1, 2, 2, 2)))
 
     def test_faim_step_gradients_pinned(self):
-        assert _faim_step_digest(np.float32) == FAIM_STEP_GRAD_SHA256
+        assert _pinned_step_digests()["float32"] == FAIM_STEP_GRAD_SHA256
 
     def test_float64_faim_step_gradients_pinned(self):
-        assert _faim_step_digest(np.float64) == FAIM64_STEP_GRAD_SHA256
+        assert _pinned_step_digests()["float64"] == FAIM64_STEP_GRAD_SHA256
 
 
 class TestGradientDtype:

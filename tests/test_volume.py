@@ -12,7 +12,6 @@ from foldreg.volume import (
     FormatError,
     Volume,
     center_crop,
-    crop_field,
     load_field,
     load_volume,
     normalize_intensity,
@@ -271,12 +270,3 @@ class TestNifti:
             path.write_bytes(bytes(blob))
         with pytest.raises(FormatError, match="non-negative"):
             load_volume(path, LABEL)
-
-
-class TestCropField:
-    def test_crop_field_matches_volume_rule(self):
-        rng = np.random.default_rng(4)
-        u = DisplacementField(rng.standard_normal((3, 5, 6, 7)).astype(np.float32))
-        out = crop_field(u, (3, 4, 5))
-        assert out.dims == (3, 4, 5)
-        assert np.array_equal(out.data, u.data[:, 1:4, 1:5, 1:6])
