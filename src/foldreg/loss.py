@@ -7,7 +7,8 @@ volume (image term in [0, 2]); "local" is the mean squared windowed
 correlation coefficient with zero-padded window sums (image term in [0, 1]),
 the variant used by comparable registration networks, and the default.
 R1 is the voxel mean of the squared Frobenius norm of Du. All scalar
-reductions accumulate in float64.
+reductions accumulate in float64. Each window sum is three BLAS products,
+one per axis, with a symmetric 0/1 band matrix.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from . import jacobian
 from .volume import DisplacementField, Volume
@@ -71,10 +71,13 @@ def global_cc(a: Volume, b: Volume) -> float:
 
 
 def _box_sum(arr: np.ndarray, w: int) -> np.ndarray:
-    # zero-padded sum over the w^3 neighborhood of every voxel
-    out = ndimage.uniform_filter(arr, size=w, mode="constant", cval=0.0)
-    out *= float(w) ** 3
-    return out
+    # zero-padded sum over the w^3 neighborhood of every voxel, a fresh array:
+    # one product per axis with the symmetric band matrix B[i, j] = |i - j| <= w // 2
+    b0, b1, b2 = ((np.abs(i[:, None] - i) <= w // 2).astype(arr.dtype) for i in map(np.arange, arr.shape))
+    # rebinding out frees each product before the next is allocated
+    out = (b0 @ arr.reshape(len(b0), -1)).reshape(arr.shape)
+    out = np.matmul(b1, out)
+    return out @ b2
 
 
 def _local_cc_with_grad(x: np.ndarray, y: np.ndarray, w: int):

@@ -510,7 +510,7 @@ def _pinned_step_digests() -> dict[str, str]:
 # runs in float32, and branch5 and branch7 sum in the order of the in-plane FFT kernel
 FAIM_STEP_GRAD_SHA256 = "d569ca25246080ab8f06feb5391e72840d1055fe82f6d4aa0538926f77307ca9"
 # the same for float64 parameters, whose backward runs in float64 throughout
-FAIM64_STEP_GRAD_SHA256 = "a6e426cd9c5f2cc9bca34176ea3b68f3ddb5b6ddf42e0be036ea9aa19b238344"
+FAIM64_STEP_GRAD_SHA256 = "b8697e124b612fda4030d50da0f9cb33f8263a6ccd4160dc02ea067b0cbfd7c2"
 
 
 class TestGradientLifetime:

@@ -2,11 +2,13 @@ import hashlib
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from foldreg.loss import (
     EPS,
     GLOBAL,
     LOCAL,
+    _box_sum,
     global_cc,
     local_cc,
     loss_backward,
@@ -111,6 +113,47 @@ class TestLocalCC:
         rng = np.random.default_rng(8)
         a = rand_vol(rng)
         assert 0.0 <= local_cc(a, a) <= 1.0
+
+
+def filter_box_sum(a, w):
+    """The zero-padded w^3 window sum as a separable scipy filter: the oracle for _box_sum."""
+    return ndimage.uniform_filter(a, w, mode="constant", cval=0.0) * w**3
+
+
+def in_bounds_counts(n, w):
+    """Number of in-bounds voxels in the w-window around each index of an n-long axis."""
+    i = np.arange(n)
+    return np.minimum(i + w // 2, n - 1) - np.maximum(i - w // 2, 0) + 1
+
+
+class TestBoxSum:
+    @pytest.mark.parametrize("dims", [(12, 10, 9), (3, 7, 5)])
+    @pytest.mark.parametrize("w", [1, 3, 5, 9])
+    def test_matches_filter_oracle(self, dims, w):
+        a = np.random.default_rng(30).standard_normal(dims)
+        out, ref = _box_sum(a, w), filter_box_sum(a, w)
+        assert np.abs(out - ref).max() <= 1e-12 * np.abs(out).max()
+
+    @pytest.mark.parametrize("dims,w", [((12, 10, 9), 9), ((3, 7, 5), 5), ((3, 7, 5), 9)])
+    def test_ones_give_exact_in_bounds_counts(self, dims, w):
+        counts = [in_bounds_counts(n, w) for n in dims]
+        expected = counts[0][:, None, None] * counts[1][None, :, None] * counts[2][None, None, :]
+        assert np.array_equal(_box_sum(np.ones(dims), w), expected)
+
+    @pytest.mark.parametrize("w", [3, 9])
+    def test_self_adjoint(self, w):
+        rng = np.random.default_rng(31)
+        a, b = rng.standard_normal((2, 12, 10, 9))
+        assert np.vdot(_box_sum(a, w), b) == pytest.approx(np.vdot(a, _box_sum(b, w)), rel=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_fresh_contiguous_array_of_input_dtype(self, dtype):
+        a = np.random.default_rng(32).random((9, 10, 12)).astype(dtype).transpose(2, 1, 0)
+        out = _box_sum(a, 3)
+        assert out.dtype == dtype and out.shape == a.shape and out.flags.c_contiguous
+        assert not np.shares_memory(out, a)
+        tol = 1e-5 if dtype == np.float32 else 1e-12
+        assert np.abs(out - filter_box_sum(a, 3)).max() <= tol * np.abs(out).max()
 
 
 def brute_r1(u):
@@ -264,16 +307,17 @@ def pinned_inputs():
 LOSS_PIN_MODES = {"local9": (LOCAL, 9), "local5": (LOCAL, 5), "global": (GLOBAL, 9)}
 
 # sha256 of the loss breakdown (image, r1, r2, total as float64) and of
-# loss_backward's (grad_s, grad_u), alpha 0.5, beta 0.2; recorded at the
-# commit before the in-place local CC and passing there
+# loss_backward's (grad_s, grad_u), alpha 0.5, beta 0.2; the local digests
+# that the band-matrix box sums move (all but local9's breakdown) were
+# re-recorded with them, within 4e-15 relative of the filter's outputs
 LOSS_SHA256 = {
     "local9": (
         "8e65024030eeedade273225ac9fe972d6559963a4aa17db72674adccfc06875c",
-        "4857877a3b6582a1545cf7f82ac39e273e6a962348a0e293001e3d733fd3c212",
+        "92f493db02f69b2423b3830850b41be2c1babfe4fdc74c452dbe2556da485730",
     ),
     "local5": (
-        "5f1970acfb833162f1df03d6c370b545b8381e39a4d29618f27a694c4d1191d5",
-        "bbafc49b5be4bd0af875df3fc7f110f0b4ed3afa9772c1b5a0f1cbc8ab25226c",
+        "2df8205ff2be99275987dec12003c54d3542d2e0c9115ce9ced84c39de152abc",
+        "3f679695a6a523e7a20e5445da3dcc9843a6012f8705732899065cc2e9b6ab53",
     ),
     "global": (
         "d78ceeaca2f6d40d62fc429f15a7efb6d88b976b4a338b8ceeb0beb5afb7e85c",

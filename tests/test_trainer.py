@@ -29,7 +29,7 @@ from foldreg.warp import warp_image
 
 
 # sha256 of test_run_bytes_pinned's loss rows and fields
-DIRECT_RUN_SHA256 = "1f86ad51e31ec121196a7e830432e822f547176d52746f48d9e4b56934dec276"
+DIRECT_RUN_SHA256 = "14a211439183a9a2293b4f87154507222f08f3bd311cea7f06061ba573d003fe"
 # sha256 of test_bytes_pinned's volumes, labels and fields
 SYNTH_SHA256 = "a404db26bd96a962f093bab9ed99cc52cc244a0cf4362d034d881ec9a990743b"
 
