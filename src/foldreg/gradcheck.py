@@ -219,17 +219,20 @@ def _r2_safe_coords(u, rng, margin=0.02, limit=120):
     return [(c,) + tuple(sites[i]) for i in pick for c in range(3)]
 
 
-def _check_r2(rng, size) -> CheckResult:
+def _folding_field(rng, draw):
+    """A field from draw() that folds, and probe coordinates for it from _r2_safe_coords."""
     for _ in range(32):
-        u = rng.uniform(-1.6, 1.6, size=(3, size, size, size))
-        det = jacobian.det_map(DisplacementField(u)).values
-        if not (det < 0).any():
+        u = draw()
+        if not (jacobian.det_map(DisplacementField(u)).values < 0).any():
             continue
         coords = _r2_safe_coords(u, rng)
         if coords is not None:
-            break
-    else:
-        raise RuntimeError("could not build a folding field for the r2 check")
+            return u, coords
+    raise RuntimeError("could not build a folding field with probes clear of det = 0")
+
+
+def _check_r2(rng, size) -> CheckResult:
+    u, coords = _folding_field(rng, lambda: rng.uniform(-1.6, 1.6, size=(3, size, size, size)))
 
     def f():
         return jacobian.r2_penalty(jacobian.det_map(DisplacementField(u)))
@@ -300,6 +303,33 @@ def _check_full_graph(rng, size=8) -> CheckResult:
     return CheckResult("faim_graph_end_to_end", err, GRAPH_TOL)
 
 
+def _check_direct_loss(rng, size) -> CheckResult:
+    """The direct model's training gradient: warp, local CC, R1 and R2 at once.
+
+    R1 and R2 reach u through one shared Jacobian adjoint, so this row sees
+    a dropped or mis-weighted regularizer cotangent that the per-term rows
+    cannot. Alpha and beta differ from 1 and from each other so that a
+    misplaced weight shows.
+    """
+    alpha, beta, window = 0.3, 0.7, 3
+    src = Volume(rng.random((size, size, size)), INTENSITY)
+    tgt = Volume(rng.random((size, size, size)), INTENSITY)
+    grid = np.indices((size, size, size)).astype(np.float64)
+    # sample points off the trilinear cell faces
+    u, coords = _folding_field(
+        rng, lambda: _avoid_kinks(grid + rng.uniform(-1.6, 1.6, size=(3, size, size, size))) - grid
+    )
+
+    def f():
+        field = DisplacementField(u)
+        return loss.total_loss(warp_image(src, field).warped, tgt, field, alpha, beta, loss.LOCAL, window).total
+
+    cfg = trainer.TrainConfig(alpha=alpha, beta=beta, cc_mode=loss.LOCAL, cc_window=window)
+    _, g = trainer._loss_and_grad(src, tgt, u, cfg)
+    err = _fd_check(f, [u], [g], rng, coords=coords)
+    return CheckResult("direct_loss_end_to_end", err, DEFAULT_TOL)
+
+
 def run_all(seed: int = 0, size: int = 5, tol: float | None = None) -> list[CheckResult]:
     """Run every finite-difference suite; optionally override the per-op tolerance.
 
@@ -322,6 +352,7 @@ def run_all(seed: int = 0, size: int = 5, tol: float | None = None) -> list[Chec
         _check_full_graph(rng),
         _check_conv(rng, size, "conv3d_k5", k=5),  # the FFT kernel; last, so earlier rows draw as before
         _check_conv(rng, size, "conv3d_s2", k=3, stride=2),  # the window kernel of enc1 and enc2
+        _check_direct_loss(rng, size),  # after the conv rows, so they draw as before
     ]
     if tol is not None:
         results = [CheckResult(r.name, r.max_rel_err, tol) for r in results]

@@ -6,6 +6,11 @@ fields. The deformation Jacobian is I + Du, its determinant is expanded per
 voxel with 3x3 cofactors, and the penalty is the voxel mean of
 0.5 * (|det| - det) = max(-det, 0), which vanishes exactly on
 orientation-preserving voxels.
+
+The penalty's gradient is nonzero only at folding voxels: r2_cotangent
+returns its cotangent on Du there alone, and jacobian_adjoint scatters a
+cotangent on Du back onto u. loss_backward adds R2's cotangent into R1's
+and runs that adjoint once for both.
 """
 
 from __future__ import annotations
@@ -110,25 +115,36 @@ def r2_penalty(d: DetMap) -> float:
     return float(np.maximum(-det, 0.0).mean(dtype=np.float64))
 
 
-def r2_backward(u: DisplacementField, upstream: float = 1.0) -> np.ndarray:
-    """Gradient of r2_penalty(det_map(u)) w.r.t. u, shape (3, nx, ny, nz).
+def r2_cotangent(u_arr: np.ndarray, upstream: float = 1.0):
+    """Cotangent of upstream * r2_penalty on Du, at the folding voxels only.
 
-    Chain: d penalty / d det is -1 on folding voxels (subgradient 0 at
-    det = 0), d det / d J is the cofactor matrix, and the difference stencil
-    scatters back onto the two participating voxels of each difference.
+    Returns (idx, values): the flat indices of the voxels with det < 0 and
+    the (3, 3, n_fold) float64 values of upstream * d penalty / d Du there;
+    it is zero at every other voxel. Chain: d penalty / d det is -1 / N on
+    folding voxels (subgradient 0 at det = 0), and d det / d J is the
+    cofactor matrix. J is freed when this returns, so a caller that then
+    allocates its own (3, 3, N) array never holds two.
     """
-    J = _deformation_jacobian(u.data)
+    J = _deformation_jacobian(u_arr)
     det = _det3(J)
     scale = -upstream / det.size
     folding = det < 0.0
     idx = np.flatnonzero(folding)
     active = folding.ravel()[idx] * scale  # (det < 0) * scale on the folding voxels, in its dtype
-    # cofactors only where det < 0; elsewhere cofactor * 0 would be a signed
-    # zero, which the adjoint's +0 accumulators absorb, so plain zeros give
-    # the same bytes
-    grad_J = np.zeros(J.shape, dtype=np.result_type(J.dtype, active.dtype))
-    cof = _cofactors(np.take(J.reshape(3, 3, -1), idx, axis=2))
-    grad_J.reshape(3, 3, -1)[:, :, idx] = cof * active
+    return idx, _cofactors(np.take(J.reshape(3, 3, -1), idx, axis=2)) * active
+
+
+def r2_backward(u: DisplacementField, upstream: float = 1.0) -> np.ndarray:
+    """Gradient of r2_penalty(det_map(u)) w.r.t. u, shape (3, nx, ny, nz).
+
+    The cotangent of r2_cotangent, zero off the folding voxels, scattered
+    back onto u by the difference stencil's adjoint.
+    """
+    idx, values = r2_cotangent(u.data, upstream)
+    # elsewhere cofactor * 0 would be a signed zero, which the adjoint's +0
+    # accumulators absorb, so plain zeros give the same bytes
+    grad_J = np.zeros((3, 3, *u.dims), dtype=values.dtype)
+    grad_J.reshape(3, 3, -1)[:, :, idx] = values
     return jacobian_adjoint(grad_J)
 
 

@@ -70,10 +70,15 @@ def global_cc(a: Volume, b: Volume) -> float:
     return cc
 
 
-def _box_sum(arr: np.ndarray, w: int) -> np.ndarray:
+def _band_matrices(shape, w: int, dtype) -> tuple[np.ndarray, ...]:
+    """The symmetric 0/1 band matrices B[i, j] = |i - j| <= w // 2, one per axis."""
+    return tuple((np.abs(i[:, None] - i) <= w // 2).astype(dtype) for i in map(np.arange, shape))
+
+
+def _box_sum(arr: np.ndarray, bands) -> np.ndarray:
     # zero-padded sum over the w^3 neighborhood of every voxel, a fresh array:
-    # one product per axis with the symmetric band matrix B[i, j] = |i - j| <= w // 2
-    b0, b1, b2 = ((np.abs(i[:, None] - i) <= w // 2).astype(arr.dtype) for i in map(np.arange, arr.shape))
+    # one product per axis with that axis's band matrix from _band_matrices
+    b0, b1, b2 = bands
     # rebinding out frees each product before the next is allocated
     out = (b0 @ arr.reshape(len(b0), -1)).reshape(arr.shape)
     out = np.matmul(b1, out)
@@ -88,12 +93,13 @@ def _local_cc_with_grad(x: np.ndarray, y: np.ndarray, w: int):
     n = x.size
     # sums are zero-padded; means use the true in-bounds count so constant
     # volumes have exactly zero local variance at the boundary too
-    count = _box_sum(np.ones_like(x), w)
-    sx = _box_sum(x, w)
-    sy = _box_sum(y, w)
-    sxx = _box_sum(x * x, w)
-    syy = _box_sum(y * y, w)
-    sxy = _box_sum(x * y, w)
+    bands = _band_matrices(x.shape, w, x.dtype)
+    count = _box_sum(np.ones_like(x), bands)
+    sx = _box_sum(x, bands)
+    sy = _box_sum(y, bands)
+    sxx = _box_sum(x * x, bands)
+    syy = _box_sum(y * y, bands)
+    sxy = _box_sum(x * y, bands)
     # the box sums are fresh arrays, so the arithmetic below overwrites them
     # and its temporaries in place, keeping each operation's operands and order:
     # cross = sxy - sx * sy / count, var_x = sxx - sx * sx / count, likewise var_y
@@ -133,17 +139,17 @@ def _local_cc_with_grad(x: np.ndarray, y: np.ndarray, w: int):
     tmp *= sx
     tmp /= count
     a -= tmp
-    g_sx = _box_sum(a, w)
+    g_sx = _box_sum(a, bands)
     np.multiply(neg_g_cross, sx, out=a)
     a /= count
     np.multiply(2.0, g_var_y, out=tmp)
     tmp *= sy
     tmp /= count
     a -= tmp
-    g_sy = _box_sum(a, w)
-    g_sxy = _box_sum(g_cross, w)
-    g_sxx = _box_sum(g_var_x, w)
-    g_syy = _box_sum(g_var_y, w)
+    g_sy = _box_sum(a, bands)
+    g_sxy = _box_sum(g_cross, bands)
+    g_sxx = _box_sum(g_var_x, bands)
+    g_syy = _box_sum(g_var_y, bands)
     # gx = g_sx + g_sxy * y + 2 g_sxx * x, likewise gy
     gx = g_sx
     gx += np.multiply(g_sxy, y, out=a)
@@ -227,14 +233,22 @@ def loss_backward(
     """Gradients of the total loss w.r.t. the warped image and the field.
 
     Returns (grad_s, grad_u). The image term only touches grad_s; composing
-    with the warp (warp_backward) is the caller's job.
+    with the warp (warp_backward) is the caller's job. R1 and R2 both act
+    through Du, so their cotangents on Du are summed and scattered back onto
+    u by one jacobian_adjoint. R2's is formed first, at the folding voxels
+    only, and its J is freed before D = Du is allocated: besides D, only the
+    folding voxels' 3x3 cotangents are live.
     """
     _check_dims(s_warped, target)
     _, grad_s, _ = _image_term(s_warped.data, target.data, cc_mode, window)
-    grad_u = np.zeros((3, *u.dims), dtype=np.float64)
+    folds = jacobian.r2_cotangent(u.data, beta) if beta != 0.0 else None
     if alpha != 0.0:
-        _, g1 = _r1_with_grad(u.data)
-        grad_u += alpha * g1
-    if beta != 0.0:
-        grad_u += beta * jacobian.r2_backward(u)
-    return grad_s, grad_u
+        # d (alpha * R1) / d Du = 2 alpha Du / N, formed in D itself
+        grad_D = _du(u.data)
+        grad_D *= 2.0 * alpha / u.data[0].size
+    else:
+        grad_D = np.zeros((3, 3, *u.dims))
+    if folds is not None:
+        idx, values = folds
+        grad_D.reshape(3, 3, -1)[:, :, idx] += values
+    return grad_s, jacobian.jacobian_adjoint(grad_D)

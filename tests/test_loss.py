@@ -8,14 +8,18 @@ from foldreg.loss import (
     EPS,
     GLOBAL,
     LOCAL,
+    _band_matrices,
     _box_sum,
+    _r1_with_grad,
     global_cc,
     local_cc,
     loss_backward,
     r1_smoothness,
     total_loss,
 )
+from foldreg.jacobian import det_map, folding_count, r2_backward
 from foldreg.volume import INTENSITY, DisplacementField, Volume
+from test_jacobian import r2_pin_field
 
 
 def vol(arr):
@@ -120,6 +124,11 @@ def filter_box_sum(a, w):
     return ndimage.uniform_filter(a, w, mode="constant", cval=0.0) * w**3
 
 
+def box_sum(a, w):
+    """_box_sum over the w^3 window, with the band matrices _local_cc_with_grad builds."""
+    return _box_sum(a, _band_matrices(a.shape, w, a.dtype))
+
+
 def in_bounds_counts(n, w):
     """Number of in-bounds voxels in the w-window around each index of an n-long axis."""
     i = np.arange(n)
@@ -131,25 +140,25 @@ class TestBoxSum:
     @pytest.mark.parametrize("w", [1, 3, 5, 9])
     def test_matches_filter_oracle(self, dims, w):
         a = np.random.default_rng(30).standard_normal(dims)
-        out, ref = _box_sum(a, w), filter_box_sum(a, w)
+        out, ref = box_sum(a, w), filter_box_sum(a, w)
         assert np.abs(out - ref).max() <= 1e-12 * np.abs(out).max()
 
     @pytest.mark.parametrize("dims,w", [((12, 10, 9), 9), ((3, 7, 5), 5), ((3, 7, 5), 9)])
     def test_ones_give_exact_in_bounds_counts(self, dims, w):
         counts = [in_bounds_counts(n, w) for n in dims]
         expected = counts[0][:, None, None] * counts[1][None, :, None] * counts[2][None, None, :]
-        assert np.array_equal(_box_sum(np.ones(dims), w), expected)
+        assert np.array_equal(box_sum(np.ones(dims), w), expected)
 
     @pytest.mark.parametrize("w", [3, 9])
     def test_self_adjoint(self, w):
         rng = np.random.default_rng(31)
         a, b = rng.standard_normal((2, 12, 10, 9))
-        assert np.vdot(_box_sum(a, w), b) == pytest.approx(np.vdot(a, _box_sum(b, w)), rel=1e-12)
+        assert np.vdot(box_sum(a, w), b) == pytest.approx(np.vdot(a, box_sum(b, w)), rel=1e-12)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_fresh_contiguous_array_of_input_dtype(self, dtype):
         a = np.random.default_rng(32).random((9, 10, 12)).astype(dtype).transpose(2, 1, 0)
-        out = _box_sum(a, 3)
+        out = box_sum(a, 3)
         assert out.dtype == dtype and out.shape == a.shape and out.flags.c_contiguous
         assert not np.shares_memory(out, a)
         tol = 1e-5 if dtype == np.float32 else 1e-12
@@ -309,20 +318,33 @@ LOSS_PIN_MODES = {"local9": (LOCAL, 9), "local5": (LOCAL, 5), "global": (GLOBAL,
 # sha256 of the loss breakdown (image, r1, r2, total as float64) and of
 # loss_backward's (grad_s, grad_u), alpha 0.5, beta 0.2; the local digests
 # that the band-matrix box sums move (all but local9's breakdown) were
-# re-recorded with them, within 4e-15 relative of the filter's outputs
+# re-recorded with them, within 4e-15 relative of the filter's outputs.
+# The three loss_backward digests were re-recorded again when R1 and R2 came
+# to share one Jacobian adjoint: grad_s kept its bytes, and grad_u, which
+# now scales Du by 2 alpha / N before the adjoint instead of alpha after it,
+# moved by 1.4e-16 of its largest entry
 LOSS_SHA256 = {
     "local9": (
         "8e65024030eeedade273225ac9fe972d6559963a4aa17db72674adccfc06875c",
-        "92f493db02f69b2423b3830850b41be2c1babfe4fdc74c452dbe2556da485730",
+        "183d558be5e0b807a8bec6e7b470378e241756ab450d8bc5d658f35019c37e87",
     ),
     "local5": (
         "2df8205ff2be99275987dec12003c54d3542d2e0c9115ce9ced84c39de152abc",
-        "3f679695a6a523e7a20e5445da3dcc9843a6012f8705732899065cc2e9b6ab53",
+        "7885847d6bcd4b7ac4eb0f4fc3d9b20a613a784aceb8c3f19266a34a19c272ec",
     ),
     "global": (
         "d78ceeaca2f6d40d62fc429f15a7efb6d88b976b4a338b8ceeb0beb5afb7e85c",
-        "1828a907dfb3b40a5e6e31f4dfe830be1b97808d6c2d7decb22d4acbefa1584a",
+        "09e8ed47a6518f31389742a62839edc78f6df28c0770f88719f4efef6b59c8c9",
     ),
+}
+
+
+# sha256 of loss_backward's grad_s alone, recorded before R1 and R2 shared
+# one Jacobian adjoint; the regularizers never reach it
+GRAD_S_SHA256 = {
+    "local9": "c082b923063ca0c424993067891f1552a30d898a059b875087e974af154c8814",
+    "local5": "0089cd4c69037283c6e95896d7bc591d0f8242bd4ccf0d3806c6764a0f133332",
+    "global": "ac2996362cc329a3da5ef212a3e0b0a929463e1106ee623378cb09956d367400",
 }
 
 
@@ -335,7 +357,56 @@ class TestLossBytesPinned:
         assert sha256_of(np.array([bd.image, bd.r1, bd.r2, bd.total])) == LOSS_SHA256[mode][0]
 
     @pytest.mark.parametrize("mode", sorted(LOSS_PIN_MODES))
+    def test_loss_backward_grad_s_bytes(self, mode):
+        s, t, u = pinned_inputs()
+        grad_s, _ = loss_backward(s, t, u, 0.5, 0.2, *LOSS_PIN_MODES[mode])
+        assert sha256_of(grad_s) == GRAD_S_SHA256[mode]
+
+    @pytest.mark.parametrize("mode", sorted(LOSS_PIN_MODES))
     def test_loss_backward_bytes(self, mode):
         s, t, u = pinned_inputs()
         grad_s, grad_u = loss_backward(s, t, u, 0.5, 0.2, *LOSS_PIN_MODES[mode])
         assert sha256_of(grad_s, grad_u) == LOSS_SHA256[mode][1]
+
+
+class TestLossBackwardRegularizers:
+    """loss_backward sums the R1 and R2 cotangents on Du and runs one adjoint;
+    the separate R1 and R2 gradients are its oracle."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("alpha,beta", [(0.0, 0.0), (1.0, 0.0), (0.0, 0.01), (0.01, 0.01)])
+    @pytest.mark.parametrize("case", ["none", "some", "all"])
+    def test_matches_separate_gradients(self, dtype, alpha, beta, case):
+        u = DisplacementField(r2_pin_field(case).data.astype(dtype))
+        n_fold, n_vox = folding_count(det_map(u)), u.data[0].size
+        assert {"none": n_fold == 0, "some": 0 < n_fold < n_vox, "all": n_fold == n_vox}[case]
+        rng = np.random.default_rng(62)
+        s, t = rand_vol(rng, u.dims), rand_vol(rng, u.dims)
+        _, grad_u = loss_backward(s, t, u, alpha, beta, GLOBAL)
+        expected = alpha * _r1_with_grad(u.data)[1] + beta * r2_backward(u)
+        assert grad_u.dtype == np.float64 and grad_u.shape == (3, *u.dims)
+        assert np.abs(grad_u - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    def test_peak_memory(self):
+        """tracemalloc peak of one 32^3 loss_backward on a float32 training step's inputs.
+
+        With a separate adjoint for R1 and for R2, each over its own
+        (3, 3, N) float64 cotangent, the peak was 7.0 MB; with R2's cotangent
+        formed at the folding voxels first and one adjoint, local CC sets it,
+        at about 5.3 MB.
+        """
+        import tracemalloc
+
+        rng = np.random.default_rng(63)
+        dims = (32, 32, 32)
+        s = Volume(rng.random(dims).astype(np.float32))
+        t = Volume(rng.random(dims).astype(np.float32))
+        u = DisplacementField((rng.standard_normal((3, *dims)) * 0.3).astype(np.float32))
+        assert folding_count(det_map(u)) > 0
+        tracemalloc.start()
+        try:
+            loss_backward(s, t, u, 1.0, 0.01)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6_000_000
