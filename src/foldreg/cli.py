@@ -143,7 +143,7 @@ def _cmd_jmap(args) -> int:
 
 def _cmd_gradcheck(args) -> int:
     try:
-        results = gradcheck_mod.run_all(seed=args.seed, size=args.size, tol=args.tol)
+        results = gradcheck_mod.run_all(seed=args.seed, size=args.size)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     width = max(len(r.name) for r in results)
@@ -226,7 +226,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("gradcheck", help="finite-difference verification of all gradients")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--size", type=int, default=5)
-    p.add_argument("--tol", type=float, default=None, help="override per-op tolerance")
     p.set_defaults(fn=_cmd_gradcheck)
 
     p = sub.add_parser("describe", help="architecture table and parameter count")

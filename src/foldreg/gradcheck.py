@@ -1,10 +1,16 @@
 """Central finite-difference verification of every analytic gradient.
 
-All checks run in float64. Single operations are checked coordinate by
-coordinate (sampled on large tensors) against (f(x+h) - f(x-h)) / 2h; the
-full network is additionally checked with a directional derivative over all
-parameters at once, which exercises the complete training gradient through
-warp, similarity, and regularization terms.
+All checks run in float64, each at a fixed tolerance. Single operations are
+checked coordinate by coordinate (sampled on large tensors) against
+(f(x+h) - f(x-h)) / 2h; the full network is additionally checked with a
+directional derivative over all parameters at once, which exercises the
+complete training gradient through warp, similarity, and regularization terms.
+
+Rows share three builders: ``_check_tape`` backprops a random probe through
+an autodiff graph (conv, PReLU, add/concat); ``_check_value_and_grad`` checks
+a function returning ``(value, *grads)`` (global and local CC, R1); and
+``_training_loss`` gives both end-to-end rows the training loss of a field,
+with ``trainer._loss_and_grad`` as its analytic gradient.
 """
 
 from __future__ import annotations
@@ -39,10 +45,7 @@ def _rel_err(a: float, b: float) -> float:
 
 def _sample_coords(rng, shape, limit=160):
     total = int(np.prod(shape))
-    if total <= limit:
-        flat = np.arange(total)
-    else:
-        flat = rng.choice(total, size=limit, replace=False)
+    flat = np.arange(total) if total <= limit else rng.choice(total, size=limit, replace=False)
     return [np.unravel_index(int(i), shape) for i in flat]
 
 
@@ -92,6 +95,38 @@ def _avoid_kinks(values: np.ndarray, dist: float = 0.05) -> np.ndarray:
     return np.where((frac < dist) | (frac > 1.0 - dist), values + 2 * dist, values)
 
 
+# --- shared row builders ---------------------------------------------------
+
+
+def _check_tape(rng, name: str, graph, leaves) -> CheckResult:
+    """A tape row: backprop a random probe of graph()'s output, check each leaf's grad."""
+    out = graph()
+    probe = rng.standard_normal(out.data.shape)
+    ad.backward(out, seed=probe)
+    err = _fd_check(
+        lambda: float((graph().data * probe).sum()), [t.data for t in leaves], [t.grad for t in leaves], rng
+    )
+    return CheckResult(name, err, DEFAULT_TOL)
+
+
+def _check_value_and_grad(rng, name: str, fn, arrays) -> CheckResult:
+    """A row for fn(*arrays) -> (value, *grads): each grad against differences of value."""
+    _, *grads = fn(*arrays)
+    err = _fd_check(lambda: fn(*arrays)[0], arrays, grads, rng)
+    return CheckResult(name, err, DEFAULT_TOL)
+
+
+def _training_loss(src, tgt, alpha, beta, window):
+    """The training loss of a field u (local CC), and the gradient training runs for it."""
+    cfg = trainer.TrainConfig(alpha=alpha, beta=beta, cc_mode=loss.LOCAL, cc_window=window)
+
+    def value(u_arr):
+        u = DisplacementField(u_arr)
+        return loss.total_loss(warp_image(src, u).warped, tgt, u, alpha, beta, loss.LOCAL, window).total
+
+    return value, lambda u_arr: trainer._loss_and_grad(src, tgt, u_arr, cfg)[1]
+
+
 # --- individual ops --------------------------------------------------------
 
 
@@ -105,15 +140,7 @@ def _check_conv(rng, size, name: str, k: int, stride: int = 1, transpose: bool =
         w = ad.Tensor(rng.standard_normal((cout, cin, k, k, k)) * 0.5)
     b = ad.Tensor(rng.standard_normal(cout))
     op = ad.conv3d_transpose if transpose else ad.conv3d
-    out = op(x, w, b, stride=s, padding=p)
-    probe = rng.standard_normal(out.data.shape)
-
-    def f():
-        return float((op(x, w, b, stride=s, padding=p).data * probe).sum())
-
-    ad.backward(out, seed=probe)
-    err = _fd_check(f, [x.data, w.data, b.data], [x.grad, w.grad, b.grad], rng)
-    return CheckResult(name, err, DEFAULT_TOL)
+    return _check_tape(rng, name, lambda: op(x, w, b, stride=s, padding=p), [x, w, b])
 
 
 def _check_prelu(rng, size) -> CheckResult:
@@ -121,33 +148,14 @@ def _check_prelu(rng, size) -> CheckResult:
     data = np.where(np.abs(data) < 0.05, data + 0.1, data)  # keep off the kink
     x = ad.Tensor(data)
     a = ad.Tensor(rng.uniform(0.1, 0.5, size=3))
-    probe = rng.standard_normal(x.data.shape)
-
-    def f():
-        return float((ad.prelu(x, a).data * probe).sum())
-
-    out = ad.prelu(x, a)
-    ad.backward(out, seed=probe)
-    err = _fd_check(f, [x.data, a.data], [x.grad, a.grad], rng)
-    return CheckResult("prelu", err, DEFAULT_TOL)
+    return _check_tape(rng, "prelu", lambda: ad.prelu(x, a), [x, a])
 
 
 def _check_add_concat(rng, size) -> CheckResult:
     x = ad.Tensor(rng.standard_normal((2, size, size, size)))
     y = ad.Tensor(rng.standard_normal((2, size, size, size)))
     z = ad.Tensor(rng.standard_normal((3, size, size, size)))
-    probe = rng.standard_normal((7, size, size, size))
-
-    def graph():
-        return ad.concat_channels([ad.add(x, y), z, x])
-
-    def f():
-        return float((graph().data * probe).sum())
-
-    out = graph()
-    ad.backward(out, seed=probe)
-    err = _fd_check(f, [x.data, y.data, z.data], [x.grad, y.grad, z.grad], rng)
-    return CheckResult("add/concat_channels", err, DEFAULT_TOL)
+    return _check_tape(rng, "add/concat_channels", lambda: ad.concat_channels([ad.add(x, y), z, x]), [x, y, z])
 
 
 def _check_warp(rng, size) -> CheckResult:
@@ -156,44 +164,22 @@ def _check_warp(rng, size) -> CheckResult:
     grid = np.indices((size, size, size)).astype(np.float64)
     u_arr = _avoid_kinks(grid + u_arr) - grid
     probe = rng.standard_normal((size, size, size))
-
-    def f():
-        return float((warp_image(src, DisplacementField(u_arr)).warped.data * probe).sum())
-
     g = warp_backward(src, DisplacementField(u_arr), probe)
-    err = _fd_check(f, [u_arr], [g], rng, h=1e-3)
+    err = _fd_check(lambda: float((warp_image(src, DisplacementField(u_arr)).warped.data * probe).sum()),
+                    [u_arr], [g], rng, h=1e-3)
     return CheckResult("trilinear_warp", err, DEFAULT_TOL)
 
 
 def _check_cc(rng, size, mode) -> CheckResult:
     a = rng.random((size, size, size))
     b = rng.random((size, size, size))
-    if mode == loss.GLOBAL:
-        def f():
-            cc, _, _ = loss._global_cc_with_grad(a, b)
-            return cc
-
-        _, ga, gb = loss._global_cc_with_grad(a, b)
-    else:
-        def f():
-            v, _, _ = loss._local_cc_with_grad(a, b, 3)
-            return v
-
-        _, ga, gb = loss._local_cc_with_grad(a, b, 3)
-    err = _fd_check(f, [a, b], [ga, gb], rng)
-    return CheckResult(f"{mode}_cc", err, DEFAULT_TOL)
+    fn = loss._global_cc_with_grad if mode == loss.GLOBAL else lambda a, b: loss._local_cc_with_grad(a, b, 3)
+    return _check_value_and_grad(rng, f"{mode}_cc", fn, [a, b])
 
 
 def _check_r1(rng, size) -> CheckResult:
     u = rng.standard_normal((3, size, size, size))
-
-    def f():
-        v, _ = loss._r1_with_grad(u)
-        return v
-
-    _, g = loss._r1_with_grad(u)
-    err = _fd_check(f, [u], [g], rng)
-    return CheckResult("r1_smoothness", err, DEFAULT_TOL)
+    return _check_value_and_grad(rng, "r1_smoothness", loss._r1_with_grad, [u])
 
 
 def _r2_safe_coords(u, rng, margin=0.02, limit=120):
@@ -233,12 +219,9 @@ def _folding_field(rng, draw):
 
 def _check_r2(rng, size) -> CheckResult:
     u, coords = _folding_field(rng, lambda: rng.uniform(-1.6, 1.6, size=(3, size, size, size)))
-
-    def f():
-        return jacobian.r2_penalty(jacobian.det_map(DisplacementField(u)))
-
     g = jacobian.r2_backward(DisplacementField(u))
-    err = _fd_check(f, [u], [g], rng, h=1e-6, coords=coords)
+    err = _fd_check(lambda: jacobian.r2_penalty(jacobian.det_map(DisplacementField(u))), [u], [g], rng,
+                    h=1e-6, coords=coords)
     return CheckResult("r2_through_det", err, DEFAULT_TOL)
 
 
@@ -253,15 +236,10 @@ def _check_full_graph(rng, size=8) -> CheckResult:
     src = Volume(rng.random((size, size, size)), INTENSITY)
     tgt = Volume(rng.random((size, size, size)), INTENSITY)
     x = model.faim_input(params, src, tgt)
-    alpha, beta, window = 1.0, 1e-2, 5
+    value, grad = _training_loss(src, tgt, alpha=1.0, beta=1e-2, window=5)
 
     def f():
-        u_arr = model.faim_apply(params, x).data
-        u = DisplacementField(u_arr)
-        bd = loss.total_loss(
-            warp_image(src, u).warped, tgt, u, alpha, beta, loss.LOCAL, window
-        )
-        return bd.total
+        return value(model.faim_apply(params, x).data)
 
     u_node = model.faim_apply(params, x)
     coords = np.indices((size, size, size)) + u_node.data
@@ -269,10 +247,7 @@ def _check_full_graph(rng, size=8) -> CheckResult:
     face_dist = np.abs(coords - np.round(coords))[inside]
     if face_dist.size and face_dist.min() < 0.02:
         raise RuntimeError("graph check setup left a sample point near a cell face")
-    # the analytic side is the gradient training runs
-    cfg = trainer.TrainConfig(alpha=alpha, beta=beta, cc_mode=loss.LOCAL, cc_window=window)
-    _, grad_u = trainer._loss_and_grad(src, tgt, u_node.data, cfg)
-    ad.backward(u_node, seed=grad_u)
+    ad.backward(u_node, seed=grad(u_node.data))
     arrays = [t.data for t in params.tensors.values()]
     grads = [t.grad for t in params.tensors.values()]
 
@@ -291,14 +266,9 @@ def _check_full_graph(rng, size=8) -> CheckResult:
 
     dir_seed = int(rng.integers(2**31))
     coord_seed = int(rng.integers(2**31))
-    err = best_over_steps(
-        lambda h, k: _directional_check(f, arrays, grads, np.random.default_rng(dir_seed + k), h=h)
-    )
     err = max(
-        err,
-        best_over_steps(
-            lambda h, k: _fd_check(f, arrays, grads, np.random.default_rng(coord_seed), h=h, limit=4)
-        ),
+        best_over_steps(lambda h, k: _directional_check(f, arrays, grads, np.random.default_rng(dir_seed + k), h=h)),
+        best_over_steps(lambda h, k: _fd_check(f, arrays, grads, np.random.default_rng(coord_seed), h=h, limit=4)),
     )
     return CheckResult("faim_graph_end_to_end", err, GRAPH_TOL)
 
@@ -311,7 +281,6 @@ def _check_direct_loss(rng, size) -> CheckResult:
     cannot. Alpha and beta differ from 1 and from each other so that a
     misplaced weight shows.
     """
-    alpha, beta, window = 0.3, 0.7, 3
     src = Volume(rng.random((size, size, size)), INTENSITY)
     tgt = Volume(rng.random((size, size, size)), INTENSITY)
     grid = np.indices((size, size, size)).astype(np.float64)
@@ -320,18 +289,13 @@ def _check_direct_loss(rng, size) -> CheckResult:
         rng, lambda: _avoid_kinks(grid + rng.uniform(-1.6, 1.6, size=(3, size, size, size))) - grid
     )
 
-    def f():
-        field = DisplacementField(u)
-        return loss.total_loss(warp_image(src, field).warped, tgt, field, alpha, beta, loss.LOCAL, window).total
-
-    cfg = trainer.TrainConfig(alpha=alpha, beta=beta, cc_mode=loss.LOCAL, cc_window=window)
-    _, g = trainer._loss_and_grad(src, tgt, u, cfg)
-    err = _fd_check(f, [u], [g], rng, coords=coords)
+    value, grad = _training_loss(src, tgt, alpha=0.3, beta=0.7, window=3)
+    err = _fd_check(lambda: value(u), [u], [grad(u)], rng, coords=coords)
     return CheckResult("direct_loss_end_to_end", err, DEFAULT_TOL)
 
 
-def run_all(seed: int = 0, size: int = 5, tol: float | None = None) -> list[CheckResult]:
-    """Run every finite-difference suite; optionally override the per-op tolerance.
+def run_all(seed: int = 0, size: int = 5) -> list[CheckResult]:
+    """Run every finite-difference suite at its fixed tolerance.
 
     ``size`` is the cube extent of the random inputs. It must be at least 4:
     below that, the R2 check finds no folding field to differentiate.
@@ -339,7 +303,7 @@ def run_all(seed: int = 0, size: int = 5, tol: float | None = None) -> list[Chec
     if size < 4:
         raise ValueError(f"gradcheck size must be >= 4, got {size}")
     rng = np.random.default_rng(seed)
-    results = [
+    return [
         _check_conv(rng, size, "conv3d", k=3),
         _check_conv(rng, size, "conv3d_transpose", k=2, transpose=True),
         _check_prelu(rng, size),
@@ -354,6 +318,3 @@ def run_all(seed: int = 0, size: int = 5, tol: float | None = None) -> list[Chec
         _check_conv(rng, size, "conv3d_s2", k=3, stride=2),  # the window kernel of enc1 and enc2
         _check_direct_loss(rng, size),  # after the conv rows, so they draw as before
     ]
-    if tol is not None:
-        results = [CheckResult(r.name, r.max_rel_err, tol) for r in results]
-    return results

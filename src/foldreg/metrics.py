@@ -81,24 +81,21 @@ def identity_predictor(src_id, tgt_id, src: Volume, tgt: Volume) -> Displacement
 
 
 def checkpoint_predictor(meta: dict, arrays: dict):
-    """Build a predictor closure from loaded checkpoint contents."""
-    kind = meta.get("kind")
-    if kind == "faim":
-        params = params_from_checkpoint(meta, arrays)
-
+    """Build a predictor closure from loaded checkpoint contents; malformed ones raise ``FormatError``."""
+    params = params_from_checkpoint(meta, arrays)
+    if params.kind == "faim":
         def predict(src_id, tgt_id, src, tgt):
             return faim_forward(params, src, tgt)
 
         return predict
-    if kind == "direct":
-        def predict(src_id, tgt_id, src, tgt):
-            key = f"field:{src_id}:{tgt_id}"
-            if key not in arrays:
-                raise ValueError(f"checkpoint has no trained field for pair {src_id}->{tgt_id}")
-            return DisplacementField(arrays[key])
 
-        return predict
-    raise ValueError(f"unknown model kind {kind!r} in checkpoint")
+    def predict(src_id, tgt_id, src, tgt):
+        key = f"field:{src_id}:{tgt_id}"
+        if key not in params.tensors:
+            raise ValueError(f"checkpoint has no trained field for pair {src_id}->{tgt_id}")
+        return DisplacementField(params.tensors[key].data)
+
+    return predict
 
 
 def evaluate(

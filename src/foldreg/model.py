@@ -175,7 +175,7 @@ def faim_forward(params: ModelParams, source: Volume, target: Volume) -> Displac
     return DisplacementField(faim_apply(view, faim_input(view, source, target)).data)
 
 
-def direct_field_model(dims, seed: int = 0, dtype=np.float32) -> ModelParams:
+def direct_field_model(dims, dtype=np.float32) -> ModelParams:
     """A model whose only parameter is the displacement field, zero-initialized."""
     dims = tuple(int(n) for n in dims)
     if len(dims) != 3 or min(dims) < 1:

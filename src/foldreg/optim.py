@@ -65,7 +65,11 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray], state
 
 
 def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
-    """Scale all gradients in place so their joint L2 norm is <= max_norm."""
+    """Rescale the gradients so their joint L2 norm is <= max_norm; returns the norm before.
+
+    Each entry of ``grads`` is replaced by a new scaled array; the arrays it
+    held (a leaf's ``.grad``, say) are left unscaled.
+    """
     total = 0.0
     for g in grads.values():
         total += float(np.sum(np.asarray(g, dtype=np.float64) ** 2))

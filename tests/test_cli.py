@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from test_volume import build_nifti
 
+from foldreg import autodiff as ad
 from foldreg import metrics
 from foldreg.cli import main
 from foldreg.model import FaimConfig, build_faim, load_checkpoint, save_checkpoint
@@ -205,6 +206,23 @@ class TestEvaluate:
         assert "checkpoint metadata" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["evaluate", "register"])
+def test_malformed_direct_field_exit_2(synth_dir, direct_ckpt, tmp_path, capsys, command):
+    meta, arrays = load_checkpoint(direct_ckpt)
+    arrays["field:s00:s01"] = np.zeros((3, 4, 4, 4), dtype=np.float32)
+    bad = tmp_path / "bad.fck"
+    save_checkpoint(bad, meta, arrays)
+    if command == "evaluate":
+        outputs = ["--data", str(synth_dir), "--report", str(tmp_path / "r.csv")]
+    else:
+        outputs = ["--source", str(synth_dir / "volumes" / "s00.frv"),
+                   "--target", str(synth_dir / "volumes" / "s01.frv"),
+                   "--out-field", str(tmp_path / "u.frv"), "--out-warped", str(tmp_path / "w.frv")]
+    assert run([command, "--checkpoint", str(bad), *outputs]) == 2
+    err = capsys.readouterr().err
+    assert "checkpoint tensor field:s00:s01 has shape (3, 4, 4, 4), expected (3, 8, 8, 8)" in err
+
+
 class TestJmap:
     def test_zero_field(self, tmp_path, capsys):
         u = DisplacementField(np.zeros((3, 4, 4, 4), dtype=np.float32))
@@ -250,9 +268,25 @@ class TestGradcheckCmd:
         assert "conv3d" in out
         assert "FAIL" not in out
 
-    def test_impossible_tolerance_fails(self, capsys):
-        assert run(["gradcheck", "--seed", "0", "--size", "4", "--tol", "1e-12"]) == 2
-        assert "FAIL" in capsys.readouterr().out
+    # a 1% error in one kernel's weight gradient fails that kernel's rows and the
+    # whole-network row, and no other; the forward pass is left exact, since the
+    # row and FFT kernels derive their input gradient from it
+    @pytest.mark.parametrize("kernel,rows", [
+        ("_rows_weight_grad", {"conv3d"}),
+        ("_plane_weight_grad", {"conv3d_k5"}),
+        ("_weight_grad", {"conv3d_transpose", "conv3d_s2"}),
+    ], ids=["rows", "fft", "window"])
+    def test_wrong_weight_gradient_fails(self, monkeypatch, capsys, kernel, rows):
+        exact = getattr(ad, kernel)
+        monkeypatch.setattr(ad, kernel, lambda *args: 1.01 * exact(*args))
+        assert run(["gradcheck", "--seed", "0", "--size", "4"]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert {line.split()[0] for line in lines if line.endswith("FAIL")} == rows | {"faim_graph_end_to_end"}
+
+    def test_no_tolerance_override(self):
+        with pytest.raises(SystemExit) as exc:
+            run(["gradcheck", "--tol", "1e-12"])
+        assert exc.value.code == 1
 
     @pytest.mark.parametrize("size", [0, 1, 2, 3])
     def test_size_below_4_is_usage_error(self, capsys, size):

@@ -208,13 +208,13 @@ class TestTapeFreeForward:
 
 class TestDirectModel:
     def test_zero_init(self):
-        params = direct_field_model((8, 8, 8), seed=0)
+        params = direct_field_model((8, 8, 8))
         field = params.tensors["field"].data
         assert field.shape == (3, 8, 8, 8)
         assert not field.any()
 
     def test_param_count(self):
-        params = direct_field_model((16, 16, 16), seed=0)
+        params = direct_field_model((16, 16, 16))
         assert param_count(params) == 3 * 16**3
 
     def test_one_adam_step_descends(self):
@@ -225,7 +225,7 @@ class TestDirectModel:
         src = Volume(rng.random((8, 8, 8), dtype=np.float32))
         tgt = Volume(rng.random((8, 8, 8), dtype=np.float32))
         cfg = TrainConfig(lr=1e-3, alpha=0.1, beta=0.0, cc_mode="global")
-        params = direct_field_model((8, 8, 8), seed=0)
+        params = direct_field_model((8, 8, 8))
         field = params.tensors["field"].data
         state = optim.adam_init({"field": field}, lr=cfg.lr)
         bd0, g = _loss_and_grad(src, tgt, field, cfg)
@@ -276,7 +276,7 @@ class TestDescribe:
         assert total == param_count(params) == hand_counted_params(cfg)
 
     def test_direct_model_parameter_total(self):
-        text = describe(direct_field_model((16, 16, 16), seed=0))
+        text = describe(direct_field_model((16, 16, 16)))
         assert str(3 * 16**3) in text
 
 
