@@ -1,9 +1,9 @@
 """Time FAIM or direct training steps, or one evaluated pair, at one volume size and report the peak RSS.
 
-    PYTHONPATH=src python scripts/measure_step.py --dims 64
-    PYTHONPATH=src python scripts/measure_step.py --dims 64 --evaluate
-    PYTHONPATH=src python scripts/measure_step.py --dims 96 --direct
-    PYTHONPATH=src python scripts/measure_step.py --dims 144,180,144 --evaluate
+    python3 scripts/measure_step.py --dims 64
+    python3 scripts/measure_step.py --dims 64 --evaluate
+    python3 scripts/measure_step.py --dims 96 --direct
+    python3 scripts/measure_step.py --dims 144,180,144 --evaluate
 
 Synthesizes two subjects. By default it trains the default FAIM network for
 one epoch (two steps, one per ordered pair; local CC, beta 0.01). With
@@ -15,8 +15,10 @@ untrained network, loaded through ``metrics.checkpoint_predictor`` as
 ``foldreg evaluate`` does. It prints the wall time of that call and the peak
 resident set size of the process, so run each phase in its own process to get
 its own peak. BLAS is pinned to one thread before numpy is imported, as in
-the benchmark. The test suite runs each mode at 8^3, and the FAIM modes also
-at 8x12x16, and no larger: at 64^3 it takes seconds and hundreds of MiB, at
+the benchmark. The package is imported from the ``src`` directory of the
+checkout that holds this script, so it runs with no install and no
+PYTHONPATH. The test suite runs each mode at 8^3, and the FAIM modes also at
+8x12x16, and no larger: at 64^3 it takes seconds and hundreds of MiB, at
 144x180x144 a minute and several GiB.
 """
 
@@ -25,7 +27,11 @@ from __future__ import annotations
 import argparse
 import os
 import resource
+import sys
 import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _dims(text: str) -> tuple[int, int, int]:
@@ -57,6 +63,7 @@ def main() -> None:
     args = ap.parse_args()
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"
+    sys.path.insert(0, str(ROOT / "src"))
 
     from foldreg import metrics, model, trainer
 

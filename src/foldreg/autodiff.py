@@ -41,20 +41,24 @@ convolution runs, fixed in code:
   the k shifts of the flattened, padded input, then one matmul per (i, j) tap
   pair on a flat-offset view of it, several pairs per matmul when the output
   has few channels (k = 1 is a single matmul with no copy);
-* a strided or size-changing convolution runs on an im2col sliding window.
+* a strided or size-changing convolution runs as one GEMM on a column matrix
+  (im2col): one copy of the padded input's window view, Cin * k^3 rows.
 
 Each kernel gives three functions: a layer's forward pass, its input gradient
 and its weight gradient. The input gradient of a stride-1 same convolution is
 the same convolution of the upstream gradient with the flipped,
-channel-swapped kernel; that of the window kernel is a scatter: one channel
-matmul per kernel tap, added into the strided positions of that tap on the
-padded domain, with no zero-dilated copy of the upstream gradient.
+channel-swapped kernel; that of the window kernel is col2im: one batched
+matmul gives every tap's column block, added in tap order into its strided
+positions on the padded domain, with no zero-dilated upstream gradient.
 
 A transposed convolution is the adjoint of the convolution with the same
 kernel, stride and padding, and one node builder wires both from the same
 three functions: the transposed convolution's forward pass is the
 convolution's input gradient, its input gradient is the convolution's forward
 pass, and its weight gradient is the convolution's with the operands swapped.
+
+PReLU is min(x, 0) * a + max(x, 0), with no select on the sign; its backward
+pass recomputes the sign from the input it keeps anyway and holds no mask.
 
 Dtypes: a forward pass returns the common dtype of its operands, so a
 float32 network stays float32. The GEMM kernels compute in that dtype; the
@@ -111,42 +115,38 @@ def _pad_spatial(x: np.ndarray, p: int) -> np.ndarray:
     return xp
 
 
-def _windows(xp: np.ndarray, k: int, stride: int) -> np.ndarray:
-    win = sliding_window_view(xp, (k, k, k), axis=(1, 2, 3))
-    if stride > 1:
-        win = win[:, ::stride, ::stride, ::stride]
-    return win
+def _columns(x: np.ndarray, k: int, stride: int, padding: int) -> np.ndarray:
+    """The C-contiguous im2col array (Cin, k, k, k, *out): [c, i, j, l, r] = pad(x)[c, r * stride + (i, j, l)]."""
+    win = sliding_window_view(_pad_spatial(x, padding), (k, k, k), axis=(1, 2, 3))[:, ::stride, ::stride, ::stride]
+    return np.ascontiguousarray(win.transpose(0, 4, 5, 6, 1, 2, 3))
 
 
 def _conv_raw(x: np.ndarray, w: np.ndarray, stride: int, padding: int) -> np.ndarray:
-    """Cross-correlation: x (Cin, ...) with w (Cout, Cin, k, k, k)."""
-    k = w.shape[2]
-    win = _windows(_pad_spatial(x, padding), k, stride)
-    return np.tensordot(w, win, axes=([1, 2, 3, 4], [0, 4, 5, 6]))
+    """Cross-correlation: x (Cin, ...) with w (Cout, Cin, k, k, k), one GEMM on the column matrix."""
+    return np.tensordot(w, _columns(x, w.shape[2], stride, padding), axes=4)
 
 
 def _scatter(g: np.ndarray, w: np.ndarray, stride: int, padding: int, out_sp) -> np.ndarray:
     """Adjoint of _conv_raw: g (A, ...) with w (A, B, k, k, k) onto the B-channel extents ``out_sp``.
 
-    Each tap (i, j, l) adds one channel matmul ``w[:, :, i, j, l].T @ g`` into
-    the padded-domain positions ``r * stride + (i, j, l)``; the result is read
-    from ``padding`` on, and the positions that no tap reached are zero. When
-    k equals the stride the taps tile the domain, each position written by
-    exactly one tap, so there is no zero fill: each tap is added to 0.0 on its
-    way into place, which gives the bytes of a sum into zeros. Without padding,
-    a domain of the extents ``out_sp`` is returned as it is.
+    One batched matmul of the per-tap matrices ``w[:, :, i, j, l].T`` with g
+    gives every tap's column block; col2im adds them in tap order into the
+    padded-domain positions ``r * stride + (i, j, l)``, read from ``padding``
+    on; positions that no tap reached are zero. When k equals the stride the
+    taps tile the domain, each position written by exactly one tap, so there
+    is no zero fill: each tap is added to 0.0 on its way into place, which
+    gives the bytes of a sum into zeros.
     """
     a, b, k = w.shape[0], w.shape[1], w.shape[2]
     sp = g.shape[1:]
     tiled = k == stride
     shape = (b,) + tuple((n - 1) * stride + k for n in sp)
     y = (np.empty if tiled else np.zeros)(shape, dtype=np.result_type(g, w))
-    gf = g.reshape(a, -1)
+    cols = np.matmul(w.transpose(2, 3, 4, 1, 0), g.reshape(a, -1)).reshape(k, k, k, b, *sp)
     span = [(n - 1) * stride + 1 for n in sp]
     for i, j, l in itertools.product(range(k), repeat=3):
-        tap = (w[:, :, i, j, l].T @ gf).reshape(b, *sp)
         out = y[:, i:i + span[0]:stride, j:j + span[1]:stride, l:l + span[2]:stride]
-        np.add(0.0 if tiled else out, tap, out=out)
+        np.add(0.0 if tiled else out, cols[i, j, l], out=out)
     if padding == 0 and shape[1:] == tuple(out_sp):
         return y
     out = np.zeros((b, *out_sp), dtype=y.dtype)
@@ -157,8 +157,8 @@ def _scatter(g: np.ndarray, w: np.ndarray, stride: int, padding: int, out_sp) ->
 
 def _weight_grad(top: np.ndarray, bottom: np.ndarray, k: int, stride: int, padding: int) -> np.ndarray:
     """grad[i, j, taps] = sum_t top[i, t] * pad(bottom)[j, t*stride + taps]."""
-    win = _windows(_pad_spatial(bottom, padding), k, stride)
-    return np.tensordot(top, win, axes=([1, 2, 3], [1, 2, 3]))
+    cols = _columns(bottom, k, stride, padding)
+    return (top.reshape(len(top), -1) @ cols.reshape(-1, top[0].size).T).reshape(len(top), *cols.shape[:4])
 
 
 def conv_kernel(k: int, stride: int, padding: int) -> str:
@@ -400,14 +400,14 @@ def prelu(x: Tensor, slopes: Tensor) -> Tensor:
     if slopes.data.shape != (c,):
         raise ValueError(f"prelu slopes must have shape ({c},), got {slopes.data.shape}")
     a = slopes.data[:, None, None, None]
-    pos = x.data > 0
-    y = np.where(pos, x.data, x.data * a)
+    y = np.minimum(x.data, 0) * a  # no select on the data-dependent sign (module docstring)
+    y += np.maximum(x.data, 0)
 
     def backward_fn(g):
         if x.requires_grad:
-            _accumulate(x, g * np.where(pos, 1.0, a))
+            _accumulate(x, g * ((x.data <= 0) * a + (x.data > 0)))
         if slopes.requires_grad:
-            _accumulate(slopes, (g * np.where(pos, 0.0, x.data)).sum(axis=(1, 2, 3)))
+            _accumulate(slopes, (g * np.minimum(x.data, 0)).sum(axis=(1, 2, 3)))
 
     return Tensor(y, parents=(x, slopes), backward_fn=backward_fn, op="prelu")
 

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import os
 import subprocess
 import sys
@@ -6,6 +7,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 import foldreg.autodiff as ad
 from foldreg.model import FaimConfig, faim_layers
@@ -58,6 +62,51 @@ def brute_conv3d_transpose(x, w, b, stride, padding):
     for bch in range(cout):
         out[bch] += b[bch]
     return out
+
+
+def oracle_prelu(x, a, g):
+    """PReLU as a select on the sign: the output, and the input and slope gradients for upstream g."""
+    a = a[:, None, None, None]
+    pos = x > 0
+    return np.where(pos, x, x * a), g * np.where(pos, 1.0, a), (g * np.where(pos, 0.0, x)).sum(axis=(1, 2, 3))
+
+
+def _oracle_windows(xp, k, stride):
+    win = sliding_window_view(xp, (k, k, k), axis=(1, 2, 3))
+    return win[:, ::stride, ::stride, ::stride] if stride > 1 else win
+
+
+def oracle_conv_raw(x, w, stride, padding):
+    """The window kernel's forward pass as a tensordot over the strided window view."""
+    win = _oracle_windows(ad._pad_spatial(x, padding), w.shape[2], stride)
+    return np.tensordot(w, win, axes=([1, 2, 3, 4], [0, 4, 5, 6]))
+
+
+def oracle_scatter(g, w, stride, padding, out_sp):
+    """The window kernel's input gradient as one channel matmul per tap, added into that tap's strided positions."""
+    a, b, k = w.shape[0], w.shape[1], w.shape[2]
+    sp = g.shape[1:]
+    tiled = k == stride
+    shape = (b,) + tuple((n - 1) * stride + k for n in sp)
+    y = (np.empty if tiled else np.zeros)(shape, dtype=np.result_type(g, w))
+    gf = g.reshape(a, -1)
+    span = [(n - 1) * stride + 1 for n in sp]
+    for i, j, l in itertools.product(range(k), repeat=3):
+        tap = (w[:, :, i, j, l].T @ gf).reshape(b, *sp)
+        out = y[:, i:i + span[0]:stride, j:j + span[1]:stride, l:l + span[2]:stride]
+        np.add(0.0 if tiled else out, tap, out=out)
+    if padding == 0 and shape[1:] == tuple(out_sp):
+        return y
+    out = np.zeros((b, *out_sp), dtype=y.dtype)
+    hi = [min(m, padding + n) for m, n in zip(shape[1:], out_sp)]
+    out[(slice(None), *(slice(0, h - padding) for h in hi))] = y[(slice(None), *(slice(padding, h) for h in hi))]
+    return out
+
+
+def oracle_weight_grad(top, bottom, k, stride, padding):
+    """The window kernel's weight gradient as a tensordot over the strided window view."""
+    win = _oracle_windows(ad._pad_spatial(bottom, padding), k, stride)
+    return np.tensordot(top, win, axes=([1, 2, 3], [1, 2, 3]))
 
 
 class TestConv3d:
@@ -205,6 +254,30 @@ class TestPrelu:
         out = ad.prelu(x, a)
         ad.backward(ad.sum_all(out))
         assert a.grad[0] == pytest.approx(x_arr.sum())
+
+    # float32, float64, and float32 inputs with float64 slopes, whose output is float64
+    @given(shape=st.tuples(st.integers(1, 4), st.integers(1, 5), st.integers(1, 5), st.integers(1, 5)),
+           dtypes=st.sampled_from([(np.float32, np.float32), (np.float64, np.float64), (np.float32, np.float64)]),
+           data=st.data(), seed=st.integers(0, 2**31 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_select_oracle(self, shape, dtypes, data, seed):
+        slopes = data.draw(st.lists(st.sampled_from([-0.5, 0.0, 0.25, 1.0, 1.5]), min_size=shape[0], max_size=shape[0]))
+        a_arr = np.array(slopes, dtype=dtypes[1])
+        rng = np.random.default_rng(seed)
+        x_arr = rng.standard_normal(shape)
+        x_arr[rng.random(shape) < 0.2] = 0.0
+        x_arr[rng.random(shape) < 0.1] = -0.0
+        x_arr = x_arr.astype(dtypes[0])
+        g = rng.standard_normal(shape).astype(np.result_type(x_arr, a_arr))
+        x, a = ad.Tensor(x_arr), ad.Tensor(a_arr)
+        out = ad.prelu(x, a)
+        ad.backward(out, seed=g)
+        y_ref, x_grad, a_grad = oracle_prelu(x_arr, a_arr, g)
+        assert out.data.dtype == y_ref.dtype == np.result_type(x_arr, a_arr)
+        # array_equal takes -0.0 == 0.0: only the sign of an exact zero may differ
+        assert np.array_equal(out.data, y_ref)
+        assert np.array_equal(x.grad, x_grad.astype(np.float64))
+        assert np.array_equal(a.grad, a_grad.astype(np.float64))
 
 
 class TestAddConcat:
@@ -382,6 +455,64 @@ class TestStride1Kernels:
             return out.data.tobytes(), x.grad.tobytes(), w.grad.tobytes()
 
         assert run() == run()
+
+
+def _window_layers(extent=16):
+    """The FAIM layers that run the window kernel, with the extent of their input in a network fed extent^3."""
+    rows = []
+    for name, op, _, cin, cout, k, stride, _, _ in faim_layers(FaimConfig()):
+        if stride == 2:
+            rows.append((name, op, cin, cout, k, extent))
+            extent = extent * 2 if op == "convT" else extent // 2
+    return rows
+
+
+class TestWindowKernel:
+    """The column-matrix kernel against the tensordot/window-view and per-tap-scatter oracle."""
+
+    def test_window_layers(self):
+        assert [row[0] for row in _window_layers()] == ["enc1", "enc2", "up2", "up1"]
+
+    # at 4^3, enc2's upstream gradient and up2's input are one voxel, where numpy's per-tap
+    # matmul runs without BLAS; a single GEMM over all taps rounds differently there
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+    @pytest.mark.parametrize("name,op,cin,cout,k,extent", _window_layers(16) + _window_layers(4))
+    def test_faim_layer_bytes(self, name, op, cin, cout, k, extent, dtype):
+        rng = np.random.default_rng(cin + 10 * k)
+        p = (k - 1) // 2
+        x_arr = rng.standard_normal((cin, extent, extent, extent)).astype(dtype)
+        w_arr = rng.standard_normal((cin, cout, k, k, k) if op == "convT" else (cout, cin, k, k, k)).astype(dtype)
+        b_arr = rng.standard_normal(cout).astype(dtype)
+        x, w, b = ad.Tensor(x_arr), ad.Tensor(w_arr), ad.Tensor(b_arr)
+        out = (ad.conv3d_transpose if op == "convT" else ad.conv3d)(x, w, b, stride=2, padding=p)
+        g = rng.standard_normal(out.data.shape).astype(dtype)
+        ad.backward(out, seed=g)
+        if op == "convT":  # the adjoint: forward pass and input gradient swap, and the weight gradient's operands
+            ref = (oracle_scatter(x_arr, w_arr, 2, p, out.data.shape[1:]), oracle_conv_raw(g, w_arr, 2, p),
+                   oracle_weight_grad(x_arr, g, k, 2, p))
+        else:
+            ref = (oracle_conv_raw(x_arr, w_arr, 2, p), oracle_scatter(g, w_arr, 2, p, x_arr.shape[1:]),
+                   oracle_weight_grad(g, x_arr, k, 2, p))
+        y_ref = ref[0] + b_arr[:, None, None, None]
+        assert out.data.dtype == y_ref.dtype == dtype
+        assert out.data.tobytes() == y_ref.tobytes()
+        assert x.grad.tobytes() == ref[1].astype(np.float64).tobytes()
+        assert w.grad.tobytes() == ref[2].astype(np.float64).tobytes()
+
+    @pytest.mark.parametrize("extent", [(10, 7, 9), (6, 4, 8)])
+    @pytest.mark.parametrize("k,stride,padding", list(itertools.product((2, 3), (1, 2, 3), (0, 1))))
+    def test_odd_extents(self, k, stride, padding, extent):
+        rng = np.random.default_rng(100 * k + 10 * stride + padding)
+        x = rng.standard_normal((3, *extent))
+        w = rng.standard_normal((4, 3, k, k, k))
+        y = ad._conv_raw(x, w, stride, padding)
+        g = rng.standard_normal(y.shape)
+        pairs = [(y, oracle_conv_raw(x, w, stride, padding)),
+                 (ad._scatter(g, w, stride, padding, extent), oracle_scatter(g, w, stride, padding, extent)),
+                 (ad._weight_grad(g, x, k, stride, padding), oracle_weight_grad(g, x, k, stride, padding))]
+        for got, want in pairs:
+            assert got.shape == want.shape
+            assert _rel(got, want) <= 1e-12
 
 
 def _through_each_op(x):

@@ -1,7 +1,8 @@
 """Smoke test of scripts/measure_step.py, the script behind the README's step times and peaks.
 
-Each mode runs at 8^3 in its own process, as the script's docstring asks; the
-FAIM modes also run at 8 x 12 x 16, so the convolution kernels see D != H != W.
+Each mode runs at 8^3 in its own process, as the script's docstring asks, with
+PYTHONPATH unset; the FAIM modes also run at 8 x 12 x 16, so the convolution
+kernels see D != H != W.
 """
 
 import os
@@ -16,7 +17,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def _run(dims, mode):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    # PYTHONPATH unset: the script imports the package from its own checkout
+    env = {var: value for var, value in os.environ.items() if var != "PYTHONPATH"}
     proc = subprocess.run([sys.executable, "scripts/measure_step.py", "--dims", dims, *mode], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stdout + proc.stderr
