@@ -442,19 +442,80 @@ class TestStride1Kernels:
         out32 = ad.conv3d(ad.Tensor(x_arr.astype(np.float32)), ad.Tensor(w_arr.astype(np.float32)),
                           ad.Tensor(b_arr.astype(np.float32)), stride=1, padding=p)
         assert out32.data.dtype == np.float32
-        assert _rel(out32.data, forward) <= 1e-5
+        assert _rel(out32.data, forward) <= 1e-6
+
+    @pytest.mark.parametrize("extent", [(16, 16, 16), (9, 6, 7), (32, 32, 32)])
+    @pytest.mark.parametrize("cin,cout,k", [(2, 8, 5), (2, 8, 7), (8, 8, 5)], ids=["branch5", "branch7", "8to8-k5"])
+    def test_float32_within_float64(self, cin, cout, k, extent):
+        # the float32 FFT (complex64) and shifted-row kernels against the float64 FFT kernel on the
+        # same rounded inputs, relative to the largest output; measured at most 3.4e-7 and 4.7e-7
+        rng = np.random.default_rng(k * 100 + cin)
+        x, w, g = (rng.standard_normal(shape).astype(np.float32)
+                   for shape in ((cin, *extent), (cout, cin, k, k, k), (cout, *extent)))
+        x64, w64, g64 = (a.astype(np.float64) for a in (x, w, g))
+        ref = (ad._plane_conv(x64, w64), ad._plane_conv(g64, ad._flip(w64)), ad._plane_weight_grad(g64, x64, k))
+        for conv, corr in ((ad._plane_conv, ad._plane_weight_grad), (ad._rows_conv, ad._rows_weight_grad)):
+            got = (conv(x, w), conv(g, ad._flip(w)), corr(g, x, k))
+            for a, want in zip(got, ref):
+                assert a.dtype == np.float32
+                assert _rel(a, want) <= 1e-6
+
+    def test_fft_precision_follows_operands(self, monkeypatch):
+        # complex64 spectra only when both operands are float32
+        seen = []
+        depth_block = ad._depth_block
+
+        def spy(*args):
+            block = depth_block(*args)
+            seen.append(block.dtype)
+            return block
+
+        monkeypatch.setattr(ad, "_depth_block", spy)
+        rng = np.random.default_rng(18)
+        x, w, g = (rng.standard_normal(shape) for shape in ((2, 6, 5, 7), (3, 2, 5, 5, 5), (3, 6, 5, 7)))
+        f32, f64 = np.float32, np.float64
+        for dx, dw, spectra in [(f32, f32, np.complex64), (f64, f64, np.complex128),
+                                (f32, f64, np.complex128), (f64, f32, np.complex128)]:
+            seen.clear()
+            ad._plane_conv(x.astype(dx), w.astype(dw))
+            ad._plane_weight_grad(g.astype(dw), x.astype(dx), 5)
+            assert seen == [np.dtype(spectra)] * 2
 
     def test_fft_kernel_deterministic(self):
-        def run():
+        def run(dtype):
             rng = np.random.default_rng(13)
-            x = ad.Tensor(rng.standard_normal((2, 12, 10, 9)).astype(np.float32))
-            w = ad.Tensor(rng.standard_normal((8, 2, 7, 7, 7)).astype(np.float32))
-            b = ad.Tensor(np.zeros(8, dtype=np.float32))
+            x = ad.Tensor(rng.standard_normal((2, 12, 10, 9)).astype(dtype))
+            w = ad.Tensor(rng.standard_normal((8, 2, 7, 7, 7)).astype(dtype))
+            b = ad.Tensor(np.zeros(8, dtype=dtype))
             out = ad.conv3d(x, w, b, stride=1, padding=3)
             ad.backward(out, seed=rng.standard_normal(out.data.shape))
             return out.data.tobytes(), x.grad.tobytes(), w.grad.tobytes()
 
-        assert run() == run()
+        for dtype in (np.float32, np.float64):
+            assert run(dtype) == run(dtype)
+
+    def test_float32_branch7_peak_memory(self):
+        """tracemalloc peak of a float32 branch7 conv at 32^3, forward pass and backward, its input frozen as in FAIM.
+
+        With float64 transforms and complex128 spectra the peak was 12.2 MiB;
+        transforming in complex64 takes it to 6.6 MiB, set by the weight
+        gradient.
+        """
+        import tracemalloc
+
+        rng = np.random.default_rng(19)
+        x = ad.Tensor(rng.standard_normal((2, 32, 32, 32)).astype(np.float32), requires_grad=False)
+        w = ad.Tensor(rng.standard_normal((8, 2, 7, 7, 7)).astype(np.float32))
+        b = ad.Tensor(np.zeros(8, dtype=np.float32))
+        seed = rng.standard_normal((8, 32, 32, 32)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            ad.backward(ad.conv3d(x, w, b, stride=1, padding=3), seed=seed)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert w.grad.shape == w.data.shape
+        assert peak < 7_200_000
 
 
 def _window_layers(extent=16):
@@ -638,8 +699,9 @@ def _pinned_step_digests() -> dict[str, str]:
 
 # sha256 over (name, float64 gradient bytes) of every parameter after one 8^3
 # FAIM step, default config, float32 parameters, one BLAS thread; this backward
-# runs in float32, and branch5 and branch7 sum in the order of the in-plane FFT kernel
-FAIM_STEP_GRAD_SHA256 = "d569ca25246080ab8f06feb5391e72840d1055fe82f6d4aa0538926f77307ca9"
+# runs in float32, and branch5 and branch7 sum in the order of the in-plane FFT
+# kernel and transform in complex64 (re-recorded when they stopped promoting to complex128)
+FAIM_STEP_GRAD_SHA256 = "a746d9d8d003f99e93118fecbb28751410350898e4234dbbad2d5db98c5ab1f7"
 # the same for float64 parameters, whose backward runs in float64 throughout
 FAIM64_STEP_GRAD_SHA256 = "b8697e124b612fda4030d50da0f9cb33f8263a6ccd4160dc02ea067b0cbfd7c2"
 
