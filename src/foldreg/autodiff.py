@@ -19,9 +19,12 @@ records no tape, and each activation is freed once its last reader is done.
 Gradient lifetime: ``backward`` allocates no buffer up front. A node's first
 gradient contribution becomes its ``.grad``, always a C-contiguous array in
 the node's gradient dtype (see Dtypes): a fresh closure result of that dtype
-is adopted as it is, and any other contribution, such as one that aliases
-another buffer (``add`` hands the same gradient to both operands,
-``concat_channels`` hands out slices, ``sum_all`` broadcasts), is copied.
+is adopted as it is, and so is the gradient that ``add`` hands over to its
+last operand that needs one, since the add node drops it next. Any other
+first contribution, such as one that aliases another buffer (``add``'s to its
+first operand, ``concat_channels``'s slices, ``sum_all``'s broadcast), is
+copied. ``backward`` hands an interior root the caller's seed read-only, so
+no operand adopts it and nothing writes it.
 Later contributions are added into it. An interior node's gradient is
 dropped (set to None) as soon as its own closure has run; leaves keep theirs.
 
@@ -56,6 +59,8 @@ kernel, stride and padding, and one node builder wires both from the same
 three functions: the transposed convolution's forward pass is the
 convolution's input gradient, its input gradient is the convolution's forward
 pass, and its weight gradient is the convolution's with the operands swapped.
+Both of its gradients then read the windows of the upstream gradient, and the
+window kernel builds that column matrix once for the two.
 
 PReLU is min(x, 0) * a + max(x, 0), with no select on the sign; its backward
 pass recomputes the sign from the input it keeps anyway and holds no mask.
@@ -124,9 +129,9 @@ def _columns(x: np.ndarray, k: int, stride: int, padding: int) -> np.ndarray:
     return np.ascontiguousarray(win.transpose(0, 4, 5, 6, 1, 2, 3))
 
 
-def _conv_raw(x: np.ndarray, w: np.ndarray, stride: int, padding: int) -> np.ndarray:
-    """Cross-correlation: x (Cin, ...) with w (Cout, Cin, k, k, k), one GEMM on the column matrix."""
-    return np.tensordot(w, _columns(x, w.shape[2], stride, padding), axes=4)
+def _conv_raw(cols: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Cross-correlation with w (Cout, Cin, k, k, k) of the input whose ``_columns`` are ``cols``: one GEMM."""
+    return np.tensordot(w, cols, axes=4)
 
 
 def _scatter(g: np.ndarray, w: np.ndarray, stride: int, padding: int, out_sp) -> np.ndarray:
@@ -158,9 +163,8 @@ def _scatter(g: np.ndarray, w: np.ndarray, stride: int, padding: int, out_sp) ->
     return out
 
 
-def _weight_grad(top: np.ndarray, bottom: np.ndarray, k: int, stride: int, padding: int) -> np.ndarray:
-    """grad[i, j, taps] = sum_t top[i, t] * pad(bottom)[j, t*stride + taps]."""
-    cols = _columns(bottom, k, stride, padding)
+def _weight_grad(top: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """grad[i, j, taps] = sum_t top[i, t] * pad(bottom)[j, t*stride + taps], ``cols`` being bottom's ``_columns``."""
     return (top.reshape(len(top), -1) @ cols.reshape(-1, top[0].size).T).reshape(len(top), *cols.shape[:4])
 
 
@@ -319,14 +323,19 @@ def _rows_weight_grad(g: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
 
 
 def _kernel(k: int, stride: int, padding: int):
-    """(forward(x, w), input_grad(g, w, in_sp), weight_grad(g, x)) of the kernel ``conv_kernel`` names."""
+    """(windows, forward, input_grad, weight_grad) of the kernel ``conv_kernel`` names.
+
+    They are called as forward(windows(x), w), input_grad(g, w, in_sp) and
+    weight_grad(g, windows(x)). ``windows`` is what the forward pass and the
+    weight gradient read of their windowed operand: the window kernel's
+    column matrix, the array itself for the others.
+    """
     name = conv_kernel(k, stride, padding)
     if name == "window":
-        return (lambda x, w: _conv_raw(x, w, stride, padding),
-                lambda g, w, in_sp: _scatter(g, w, stride, padding, in_sp),
-                lambda g, x: _weight_grad(g, x, k, stride, padding))
+        return (lambda x: _columns(x, k, stride, padding), _conv_raw,
+                lambda g, w, in_sp: _scatter(g, w, stride, padding, in_sp), _weight_grad)
     conv, corr = {"fft": (_plane_conv, _plane_weight_grad), "rows": (_rows_conv, _rows_weight_grad)}[name]
-    return conv, lambda g, w, in_sp: conv(g, _flip(w)), lambda g, x: corr(g, x, k)
+    return (lambda x: x), conv, lambda g, w, in_sp: conv(g, _flip(w)), lambda g, x: corr(g, x, k)
 
 
 def _grad_dtype(t: Tensor):
@@ -337,8 +346,9 @@ def _grad_dtype(t: Tensor):
 def _accumulate(t: Tensor, g: np.ndarray, fresh: bool = True) -> None:
     """Add one gradient contribution into ``t.grad``; the first one becomes it.
 
-    ``fresh`` says that the closure made ``g`` and nothing else holds it: then
-    a C-contiguous ``g`` of the node's gradient dtype is adopted as it is. Any
+    ``fresh`` says that nothing else will read or write ``g``: the closure
+    made it, or hands over its node's own gradient. Then a writeable,
+    C-contiguous ``g`` of the node's gradient dtype is adopted as it is. Any
     other first contribution is copied into a new C-contiguous buffer of that
     dtype.
     """
@@ -346,7 +356,7 @@ def _accumulate(t: Tensor, g: np.ndarray, fresh: bool = True) -> None:
         t.grad += g
         return
     dt = _grad_dtype(t)
-    if fresh and g.dtype == dt and g.flags.c_contiguous:
+    if fresh and g.dtype == dt and g.flags.c_contiguous and g.flags.writeable:
         t.grad = g
     else:
         t.grad = np.array(g, dtype=dt, order="C")
@@ -376,20 +386,18 @@ def _conv_node(op: str, x: Tensor, w: Tensor, b: Tensor, stride: int, padding: i
         out_sp = tuple((n + 2 * padding - k) // stride + 1 for n in in_sp)
     if min(out_sp) < 1:
         raise ValueError(f"{op} shape underflow: input {in_sp}, k={k}, s={stride}, p={padding}")
-    forward, input_grad, weight_grad = _kernel(k, stride, padding)
-    if transpose:  # forward pass and input gradient swap, and so do the weight gradient's operands
-        y = input_grad(x.data, w.data, out_sp)
-        x_grad, w_grad = (lambda g: forward(g, w.data)), (lambda g: weight_grad(x.data, g))
-    else:
-        y = forward(x.data, w.data)
-        x_grad, w_grad = (lambda g: input_grad(g, w.data, in_sp)), (lambda g: weight_grad(g, x.data))
+    windows, forward, input_grad, weight_grad = _kernel(k, stride, padding)
+    # a transposed convolution swaps the forward pass and the input gradient, and the weight
+    # gradient's operands; then both of its gradients read the windows of g, built once
+    y = input_grad(x.data, w.data, out_sp) if transpose else forward(windows(x.data), w.data)
     y = y + b.data[:, None, None, None]
 
     def backward_fn(g):
+        g_win = windows(g) if transpose and (x.requires_grad or w.requires_grad) else None
         if x.requires_grad:
-            _accumulate(x, x_grad(g))
+            _accumulate(x, forward(g_win, w.data) if transpose else input_grad(g, w.data, in_sp))
         if w.requires_grad:
-            _accumulate(w, w_grad(g))
+            _accumulate(w, weight_grad(x.data, g_win) if transpose else weight_grad(g, windows(x.data)))
         if b.requires_grad:
             _accumulate(b, g.sum(axis=(1, 2, 3)))
 
@@ -427,9 +435,10 @@ def add(x: Tensor, y: Tensor) -> Tensor:
         raise ValueError(f"add shape mismatch: {x.data.shape} vs {y.data.shape}")
 
     def backward_fn(g):
-        for t in (x, y):
-            if t.requires_grad:
-                _accumulate(t, g, fresh=False)
+        # the node drops g once this returns, so the last operand that needs it takes it over
+        needs = [t for t in (x, y) if t.requires_grad]
+        for n, t in enumerate(needs):
+            _accumulate(t, g, fresh=n == len(needs) - 1)
 
     return Tensor(x.data + y.data, parents=(x, y), backward_fn=backward_fn, op="add")
 
@@ -499,8 +508,9 @@ def backward(root: Tensor, seed=None) -> None:
     root's gradient dtype (module docstring): float64 for a leaf, the dtype of
     its data for an interior root. A C-contiguous seed of that dtype is not
     copied: it becomes the root's gradient, so a root that is a leaf ends with
-    ``root.grad`` aliasing the caller's float64 seed; any other seed is
-    converted first. Nodes with ``requires_grad`` False get no gradient and
+    ``root.grad`` aliasing the caller's float64 seed, and an interior root's
+    closure reads it through a read-only view; any other seed is converted
+    first. Nodes with ``requires_grad`` False get no gradient and
     propagate nothing; a root that needs none is a no-op.
 
     Gradients live as the module docstring says. Every visited node starts
@@ -515,9 +525,12 @@ def backward(root: Tensor, seed=None) -> None:
             raise ValueError("backward on a non-scalar root requires an explicit seed gradient")
         seed = np.ones_like(root.data, dtype=dt)
     else:
-        seed = np.asarray(seed, dtype=dt, order="C")
+        given, seed = seed, np.asarray(seed, dtype=dt, order="C")
         if seed.shape != root.data.shape:
             raise ValueError(f"seed shape {seed.shape} does not match root shape {root.data.shape}")
+        if seed is given and root.parents:  # the caller's array: its closure may read it, never adopt it
+            seed = seed.view()
+            seed.flags.writeable = False
     if not root.requires_grad:
         return
     order = _topo_order(root)

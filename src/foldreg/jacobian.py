@@ -69,11 +69,12 @@ def displacement_jacobian(u: DisplacementField) -> np.ndarray:
     return jacobian_raw(u.data)
 
 
-def _det3(J: np.ndarray) -> np.ndarray:
+def _det3(J) -> np.ndarray:
+    """det per voxel of J, a (3, 3, ...) array or a 3 x 3 nested sequence of arrays."""
     return (
-        J[0, 0] * (J[1, 1] * J[2, 2] - J[1, 2] * J[2, 1])
-        - J[0, 1] * (J[1, 0] * J[2, 2] - J[1, 2] * J[2, 0])
-        + J[0, 2] * (J[1, 0] * J[2, 1] - J[1, 1] * J[2, 0])
+        J[0][0] * (J[1][1] * J[2][2] - J[1][2] * J[2][1])
+        - J[0][1] * (J[1][0] * J[2][2] - J[1][2] * J[2][0])
+        + J[0][2] * (J[1][0] * J[2][1] - J[1][1] * J[2][0])
     )
 
 
@@ -102,6 +103,14 @@ def _deformation_jacobian(u_arr: np.ndarray) -> np.ndarray:
 def det_map(u: DisplacementField) -> DetMap:
     """det(I + Du) at every voxel."""
     return DetMap(_det3(_deformation_jacobian(u.data)))
+
+
+def deformation_det(D: np.ndarray) -> DetMap:
+    """det(I + D) of a Du from jacobian_raw, leaving D as it is: det_map's values.
+
+    Only the diagonal entries 1 + D[c, c] are new arrays, in D's dtype.
+    """
+    return DetMap(_det3([[D[c, a] + 1.0 if a == c else D[c, a] for a in range(3)] for c in range(3)]))
 
 
 def folding_count(d: DetMap) -> int:

@@ -9,6 +9,11 @@ the variant used by comparable registration networks, and the default.
 R1 is the voxel mean of the squared Frobenius norm of Du. All scalar
 reductions accumulate in float64. Each window sum is three BLAS products,
 one per axis, with a symmetric 0/1 band matrix.
+
+Training takes the breakdown from ``total_loss`` and the gradients from
+``loss_backward``. Evaluation takes ``loss_value``: the breakdown with no
+gradient, from the CC's forward half and one Du, with the determinant map
+of that Du.
 """
 
 from __future__ import annotations
@@ -42,17 +47,26 @@ def _check_dims(a: Volume, b: Volume) -> None:
         raise ValueError(f"dims mismatch: {a.dims} vs {b.dims}")
 
 
-def _global_cc_with_grad(x: np.ndarray, y: np.ndarray):
+def _global_cc_terms(x: np.ndarray, y: np.ndarray):
+    """The forward half of the global CC: (cc, zx, zy, sx, sy, denom), x and y taken in float64."""
     x = x.astype(np.float64, copy=False)
     y = y.astype(np.float64, copy=False)
-    n = x.size
     zx = x - x.mean()
     zy = y - y.mean()
     sx = np.sqrt((zx * zx).mean())
     sy = np.sqrt((zy * zy).mean())
     cov = (zx * zy).mean()
     denom = (sx + EPS) * (sy + EPS)
-    cc = cov / denom
+    return cov / denom, zx, zy, sx, sy, denom
+
+
+def _global_cc(x: np.ndarray, y: np.ndarray) -> float:
+    return float(_global_cc_terms(x, y)[0])
+
+
+def _global_cc_with_grad(x: np.ndarray, y: np.ndarray):
+    cc, zx, zy, sx, sy, denom = _global_cc_terms(x, y)
+    n = zx.size
     # d cov / dx_i = zy_i / n; d sx / dx_i = zx_i / (n * sx)
     gx = zy / (n * denom)
     if sx > 0.0:
@@ -66,8 +80,7 @@ def _global_cc_with_grad(x: np.ndarray, y: np.ndarray):
 def global_cc(a: Volume, b: Volume) -> float:
     """Pearson correlation over all voxels, epsilon-stabilized."""
     _check_dims(a, b)
-    cc, _, _ = _global_cc_with_grad(a.data, b.data)
-    return cc
+    return _global_cc(a.data, b.data)
 
 
 def _band_matrices(shape, w: int, dtype) -> tuple[np.ndarray, ...]:
@@ -85,12 +98,14 @@ def _box_sum(arr: np.ndarray, bands) -> np.ndarray:
     return out @ b2
 
 
-def _local_cc_with_grad(x: np.ndarray, y: np.ndarray, w: int):
+def _local_cc_terms(x: np.ndarray, y: np.ndarray, w: int):
+    """The forward half of the local CC, x and y in float64: six box sums, then cc^2 per voxel.
+
+    Returns (bands, count, sx, sy, cross, var_x, var_y, denom, cc2); the
+    value is the voxel mean of cc2.
+    """
     if w < 1 or w % 2 == 0:
         raise ValueError(f"window size must be odd, got {w}")
-    x = x.astype(np.float64, copy=False)
-    y = y.astype(np.float64, copy=False)
-    n = x.size
     # sums are zero-padded; means use the true in-bounds count so constant
     # volumes have exactly zero local variance at the boundary too
     bands = _band_matrices(x.shape, w, x.dtype)
@@ -119,7 +134,22 @@ def _local_cc_with_grad(x: np.ndarray, y: np.ndarray, w: int):
     denom += EPS
     cc2 = cross * cross
     cc2 /= denom
+    return bands, count, sx, sy, cross, var_x, var_y, denom, cc2
+
+
+def _local_cc(x: np.ndarray, y: np.ndarray, w: int) -> float:
+    x = x.astype(np.float64, copy=False)
+    y = y.astype(np.float64, copy=False)
+    return float(_local_cc_terms(x, y, w)[-1].mean(dtype=np.float64))
+
+
+def _local_cc_with_grad(x: np.ndarray, y: np.ndarray, w: int):
+    x = x.astype(np.float64, copy=False)
+    y = y.astype(np.float64, copy=False)
+    n = x.size
+    bands, count, sx, sy, cross, var_x, var_y, denom, cc2 = _local_cc_terms(x, y, w)
     value = float(cc2.mean(dtype=np.float64))
+    tmp = np.empty_like(count)
 
     # g_cross = 2 cross / (denom n), g_var_x = -cc2 var_y / (denom n), likewise g_var_y
     denom_n = np.multiply(denom, n, out=denom)
@@ -167,8 +197,7 @@ def _local_cc_with_grad(x: np.ndarray, y: np.ndarray, w: int):
 def local_cc(a: Volume, b: Volume, w: int = DEFAULT_WINDOW) -> float:
     """Mean squared local correlation over w^3 windows, in [0, 1]."""
     _check_dims(a, b)
-    value, _, _ = _local_cc_with_grad(a.data, b.data, w)
-    return value
+    return _local_cc(a.data, b.data, w)
 
 
 def _du(u_arr: np.ndarray) -> np.ndarray:
@@ -202,6 +231,23 @@ def _image_term(s_arr: np.ndarray, t_arr: np.ndarray, cc_mode: str, window: int)
     return 1.0 - cc, -gs, -gt
 
 
+def _image_value(s_arr: np.ndarray, t_arr: np.ndarray, cc_mode: str, window: int) -> float:
+    """_image_term's value alone: the CC's forward half, no gradient."""
+    if cc_mode == GLOBAL:
+        cc = _global_cc(s_arr, t_arr)
+    elif cc_mode == LOCAL:
+        cc = _local_cc(s_arr, t_arr, window)
+    else:
+        raise ValueError(f"unknown cc mode {cc_mode!r}")
+    return 1.0 - cc
+
+
+def _check_pair(s_warped: Volume, target: Volume, u: DisplacementField) -> None:
+    _check_dims(s_warped, target)
+    if s_warped.dims != u.dims:
+        raise ValueError(f"dims mismatch: image {s_warped.dims} vs field {u.dims}")
+
+
 def total_loss(
     s_warped: Volume,
     target: Volume,
@@ -211,14 +257,39 @@ def total_loss(
     cc_mode: str = LOCAL,
     window: int = DEFAULT_WINDOW,
 ) -> LossBreakdown:
-    _check_dims(s_warped, target)
-    if s_warped.dims != u.dims:
-        raise ValueError(f"dims mismatch: image {s_warped.dims} vs field {u.dims}")
+    _check_pair(s_warped, target, u)
     image, _, _ = _image_term(s_warped.data, target.data, cc_mode, window)
     r1 = _r1(_du(u.data))
     r2 = jacobian.r2_penalty(jacobian.det_map(u))
     total = image + alpha * r1 + beta * r2
     return LossBreakdown(image=image, r1=r1, r2=r2, total=total, alpha=alpha, beta=beta)
+
+
+def loss_value(
+    s_warped: Volume,
+    target: Volume,
+    u: DisplacementField,
+    alpha: float,
+    beta: float,
+    cc_mode: str = LOCAL,
+    window: int = DEFAULT_WINDOW,
+) -> tuple[LossBreakdown, jacobian.DetMap]:
+    """total_loss's breakdown without any gradient, and det_map(u), from one Du.
+
+    The image term runs the CC's forward half alone: six box sums for the
+    local CC, no gx or gy for the global one. Du is differenced once; det(I +
+    Du) is taken from it in u's dtype, then R1 from its float64 copy (for a
+    float64 field, Du itself, squared in place). Every value has the bytes of
+    total_loss and det_map.
+    """
+    _check_pair(s_warped, target, u)
+    image = _image_value(s_warped.data, target.data, cc_mode, window)
+    D = jacobian.jacobian_raw(u.data)
+    det = jacobian.deformation_det(D)
+    r1 = _r1(D.astype(np.float64, copy=False))
+    r2 = jacobian.r2_penalty(det)
+    total = image + alpha * r1 + beta * r2
+    return LossBreakdown(image=image, r1=r1, r2=r2, total=total, alpha=alpha, beta=beta), det
 
 
 def loss_backward(

@@ -1,9 +1,16 @@
 """Registration accuracy (Dice) and deformation quality (folding count).
 
-For every ordered test pair the model predicts u, the source labels are
-warped with nearest-neighbor sampling, mean Dice over the nonzero labels is
-compared against the target labels, and the folding count N is taken from the
-determinant map of u. Per-pair rows aggregate to unweighted means.
+For every ordered test pair the model predicts u, and ``evaluate`` computes
+each quantity once:
+- the source labels are warped with nearest-neighbor sampling, and mean Dice
+  over the nonzero labels against the target labels comes from one label
+  histogram: every id counted in the warped labels, in the target, and where
+  the two agree;
+- the source image is warped, and ``loss.loss_value`` gives the loss
+  breakdown without any gradient and det(I + Du) from one Du;
+- the folding count N is the number of negative determinants in that map.
+
+Per-pair rows aggregate to unweighted means.
 """
 
 from __future__ import annotations
@@ -13,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import loss as loss_mod
-from .jacobian import det_map, folding_count
+# det_map is not called here; bench/spans.py patches it by name, so it stays importable
+from .jacobian import det_map, folding_count  # noqa: F401
 from .model import faim_forward, params_from_checkpoint
 from .trainer import TrainConfig
 from .volume import LABEL, DisplacementField, Volume, zero_field
@@ -34,20 +42,45 @@ def dice(x: np.ndarray, y: np.ndarray) -> float:
     return 2.0 * inter / (nx + ny)
 
 
+def _label_counts(x: np.ndarray, y: np.ndarray):
+    """(ids, |x == id|, |y == id|, |x == id == y|) over the sorted ids present in either array.
+
+    One bincount each, of the ids less the smallest one, so signed ids work;
+    ids spread wider than the volume has voxels are first ranked by np.unique.
+    """
+    x, y = x.ravel(), y.ravel()
+    lo = min(int(x.min()), int(y.min()))
+    span = max(int(x.max()), int(y.max())) - lo + 1
+    if span <= x.size:
+        ids = np.arange(lo, lo + span)
+        kx, ky = x.astype(np.intp), y.astype(np.intp)
+        kx -= lo
+        ky -= lo
+    else:
+        ids, rank = np.unique(np.concatenate([x, y]), return_inverse=True)
+        span, kx, ky = len(ids), rank[:x.size], rank[x.size:]
+    counts = (np.bincount(k, minlength=span) for k in (kx, ky, kx[x == y]))
+    return ids, *counts
+
+
 def mean_dice(warped: Volume, target: Volume):
     """Unweighted mean Dice over the union of nonzero labels; background excluded.
 
-    Returns (mean, per_label dict).
+    Returns (mean, per_label dict). Each label's Dice is ``dice`` of its two
+    masks, taken from the counts of one histogram (module docstring).
     """
     if warped.kind != LABEL or target.kind != LABEL:
         raise ValueError("mean_dice expects label volumes")
     if warped.dims != target.dims:
         raise ValueError(f"dims mismatch: {warped.dims} vs {target.dims}")
-    ids = np.union1d(np.unique(warped.data), np.unique(target.data))
-    ids = [int(i) for i in ids if i != 0]
-    if not ids:
+    ids, nx, ny, inter = _label_counts(warped.data, target.data)
+    present = (nx + ny > 0) & (ids != 0)
+    per_label = {
+        i: 2.0 * n_xy / (n_x + n_y)
+        for i, n_x, n_y, n_xy in zip(*(a[present].tolist() for a in (ids, nx, ny, inter)))
+    }
+    if not per_label:
         raise ValueError("no labels: both volumes contain only background")
-    per_label = {i: dice(warped.data == i, target.data == i) for i in ids}
     mean = float(np.mean(list(per_label.values()), dtype=np.float64))
     return mean, per_label
 
@@ -124,12 +157,9 @@ def evaluate(
             raise ValueError(
                 f"predicted field dims {u.dims} do not match volume dims {src.dims}"
             )
-        warped_labels = warp_labels(labels[src_id], u)
-        md, per_label = mean_dice(warped_labels, labels[tgt_id])
-        n_fold = folding_count(det_map(u))
-        bd = loss_mod.total_loss(
-            warp_image(src, u).warped, tgt, u, alpha, beta, cc_mode, window
-        )
+        md, per_label = mean_dice(warp_labels(labels[src_id], u), labels[tgt_id])
+        bd, det = loss_mod.loss_value(warp_image(src, u).warped, tgt, u, alpha, beta, cc_mode, window)
+        n_fold = folding_count(det)
         reports.append(
             PairReport(
                 source=src_id,

@@ -435,10 +435,10 @@ class TestStride1Kernels:
         x, w, b = ad.Tensor(x_arr), ad.Tensor(w_arr), ad.Tensor(b_arr)
         out = ad.conv3d(x, w, b, stride=1, padding=p)
         ad.backward(out, seed=g)
-        forward = ad._conv_raw(x_arr, w_arr, 1, p) + b_arr[:, None, None, None]
+        forward = ad._conv_raw(ad._columns(x_arr, k, 1, p), w_arr) + b_arr[:, None, None, None]
         assert _rel(out.data, forward) <= 1e-12
         assert _rel(x.grad, ad._scatter(g, w_arr, 1, p, extent)) <= 1e-12
-        assert _rel(w.grad, ad._weight_grad(g, x_arr, k, 1, p)) <= 1e-12
+        assert _rel(w.grad, ad._weight_grad(g, ad._columns(x_arr, k, 1, p))) <= 1e-12
         out32 = ad.conv3d(ad.Tensor(x_arr.astype(np.float32)), ad.Tensor(w_arr.astype(np.float32)),
                           ad.Tensor(b_arr.astype(np.float32)), stride=1, padding=p)
         assert out32.data.dtype == np.float32
@@ -566,14 +566,36 @@ class TestWindowKernel:
         rng = np.random.default_rng(100 * k + 10 * stride + padding)
         x = rng.standard_normal((3, *extent))
         w = rng.standard_normal((4, 3, k, k, k))
-        y = ad._conv_raw(x, w, stride, padding)
+        y = ad._conv_raw(ad._columns(x, k, stride, padding), w)
         g = rng.standard_normal(y.shape)
         pairs = [(y, oracle_conv_raw(x, w, stride, padding)),
                  (ad._scatter(g, w, stride, padding, extent), oracle_scatter(g, w, stride, padding, extent)),
-                 (ad._weight_grad(g, x, k, stride, padding), oracle_weight_grad(g, x, k, stride, padding))]
+                 (ad._weight_grad(g, ad._columns(x, k, stride, padding)), oracle_weight_grad(g, x, k, stride, padding))]
         for got, want in pairs:
             assert got.shape == want.shape
             assert _rel(got, want) <= 1e-12
+
+
+class TestConvTransposeColumns:
+    """A transposed convolution's input and weight gradients read one column matrix of g."""
+
+    @pytest.mark.parametrize("x_grad,w_grad,built", [(True, True, 1), (False, True, 1), (True, False, 1),
+                                                      (False, False, 0)])
+    def test_one_column_matrix_per_backward(self, monkeypatch, x_grad, w_grad, built):
+        rng = np.random.default_rng(20)
+        x = ad.Tensor(rng.standard_normal((4, 5, 4, 6)), requires_grad=x_grad)
+        w = ad.Tensor(rng.standard_normal((4, 3, 2, 2, 2)), requires_grad=w_grad)
+        out = ad.conv3d_transpose(x, w, ad.Tensor(np.zeros(3)), stride=2)
+        calls = []
+        columns = ad._columns
+        monkeypatch.setattr(ad, "_columns", lambda *args: calls.append(args[1:]) or columns(*args))
+        ad.backward(out, seed=rng.standard_normal(out.shape))
+        assert calls == [(2, 2, 0)] * built
+        g = rng.standard_normal(out.shape)
+        if x_grad and w_grad:
+            ad.backward(out, seed=g)
+            assert _rel(x.grad, oracle_conv_raw(g, w.data, 2, 0)) <= 1e-12
+            assert _rel(w.grad, oracle_weight_grad(x.data, g, 2, 2, 0)) <= 1e-12
 
 
 def _through_each_op(x):
@@ -784,6 +806,62 @@ class TestGradientLifetime:
         ad.backward(ad.sum_all(cut))
         assert cut.grad is None
         assert x.grad.dtype == np.float64 and np.array_equal(x.grad, np.zeros((1, 2, 2, 2)))
+
+    def test_add_hands_its_gradient_to_its_last_operand(self):
+        rng = np.random.default_rng(17)
+        w, b = ad.Tensor(rng.standard_normal((2, 2, 1, 1, 1))), ad.Tensor(np.zeros(2))
+        x, y = (ad.conv3d(ad.Tensor(rng.standard_normal((2, 3, 3, 3))), w, b) for _ in range(2))
+        s = ad.add(x, y)
+        root = ad.conv3d(s, w, b)
+        seen = {}
+        for node in (s, x, y):
+            def wrapped(g, node=node, fn=node.backward_fn):
+                seen[id(node)] = g
+                fn(g)
+            node.backward_fn = wrapped
+        ad.backward(root, seed=rng.standard_normal(root.shape))
+        assert seen[id(y)] is seen[id(s)] and not np.shares_memory(seen[id(x)], seen[id(s)])
+        assert np.array_equal(seen[id(x)], seen[id(y)])
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("root_op", ["add", "add_chain", "concat", "prelu", "conv"])
+    def test_caller_seed_never_written(self, dtype, root_op):
+        rng = np.random.default_rng(18)
+        a, b, c = (ad.Tensor(rng.standard_normal((2, 3, 3, 3)).astype(dtype)) for _ in range(3))
+        w, slopes = ad.Tensor(rng.standard_normal((2, 2, 3, 3, 3)).astype(dtype)), ad.Tensor(np.ones(2, dtype))
+        root = {"add": lambda: ad.add(a, b), "add_chain": lambda: ad.add(c, ad.add(a, ad.add(b, c))),
+                "concat": lambda: ad.concat_channels([a, ad.add(b, c)]), "prelu": lambda: ad.prelu(ad.add(a, b), slopes),
+                "conv": lambda: ad.conv3d(ad.add(a, b), w, ad.Tensor(np.zeros(2, dtype)), 1, 1)}[root_op]()
+        seed = rng.standard_normal(root.shape).astype(dtype)
+        kept = seed.copy()
+        ad.backward(root, seed=seed)
+        for leaf in (a, b, c, w, slopes):
+            if leaf.grad is not None:
+                assert not np.shares_memory(leaf.grad, seed)
+                leaf.grad += 1.0
+        assert seed.flags.writeable and seed.tobytes() == kept.tobytes()
+
+    def test_faim_backward_peak_memory(self):
+        """tracemalloc peak of the backward pass of one 32^3 float32 FAIM training step, default config, seed 0.
+
+        Measured at 15.05 MB, over the tape that the forward pass holds.
+        """
+        import tracemalloc
+
+        from foldreg import model, trainer
+
+        ds = trainer.synth_dataset(seed=0, n=2, dims=(32, 32, 32))
+        params = model.build_faim(model.FaimConfig(), seed=0)
+        src, tgt = ds.volumes["s00"], ds.volumes["s01"]
+        u = model.predict(params, src, tgt)
+        _, grad_u = trainer._loss_and_grad(src, tgt, u.data, trainer.TrainConfig())
+        tracemalloc.start()
+        try:
+            ad.backward(u, seed=grad_u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 15_100_000
 
     def test_faim_step_gradients_pinned(self):
         assert _pinned_step_digests()["float32"] == FAIM_STEP_GRAD_SHA256

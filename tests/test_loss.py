@@ -10,10 +10,13 @@ from foldreg.loss import (
     LOCAL,
     _band_matrices,
     _box_sum,
+    _global_cc_with_grad,
+    _local_cc_with_grad,
     _r1_with_grad,
     global_cc,
     local_cc,
     loss_backward,
+    loss_value,
     r1_smoothness,
     total_loss,
 )
@@ -357,6 +360,13 @@ class TestLossBytesPinned:
         assert sha256_of(np.array([bd.image, bd.r1, bd.r2, bd.total])) == LOSS_SHA256[mode][0]
 
     @pytest.mark.parametrize("mode", sorted(LOSS_PIN_MODES))
+    def test_loss_value_bytes(self, mode):
+        s, t, u = pinned_inputs()
+        bd, det = loss_value(s, t, u, 0.5, 0.2, *LOSS_PIN_MODES[mode])
+        assert sha256_of(np.array([bd.image, bd.r1, bd.r2, bd.total])) == LOSS_SHA256[mode][0]
+        assert det.values.tobytes() == det_map(u).values.tobytes()
+
+    @pytest.mark.parametrize("mode", sorted(LOSS_PIN_MODES))
     def test_loss_backward_grad_s_bytes(self, mode):
         s, t, u = pinned_inputs()
         grad_s, _ = loss_backward(s, t, u, 0.5, 0.2, *LOSS_PIN_MODES[mode])
@@ -367,6 +377,35 @@ class TestLossBytesPinned:
         s, t, u = pinned_inputs()
         grad_s, grad_u = loss_backward(s, t, u, 0.5, 0.2, *LOSS_PIN_MODES[mode])
         assert sha256_of(grad_s, grad_u) == LOSS_SHA256[mode][1]
+
+
+class TestLossValue:
+    """loss_value is total_loss and det_map from one Du, with no gradient."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("mode", sorted(LOSS_PIN_MODES))
+    def test_matches_total_loss_and_det_map(self, dtype, mode):
+        s, t, u = pinned_inputs()
+        u = DisplacementField(u.data.astype(dtype))
+        u_before = u.data.copy()
+        bd, det = loss_value(s, t, u, 0.5, 0.2, *LOSS_PIN_MODES[mode])
+        assert bd == total_loss(s, t, u, 0.5, 0.2, *LOSS_PIN_MODES[mode])
+        assert det.values.dtype == dtype and det.values.tobytes() == det_map(u).values.tobytes()
+        assert folding_count(det) > 0 and np.array_equal(u.data, u_before)
+
+    def test_cc_values_match_gradient_paths(self):
+        rng = np.random.default_rng(64)
+        a, b = rand_vol(rng, (7, 6, 5)), rand_vol(rng, (7, 6, 5))
+        assert global_cc(a, b) == _global_cc_with_grad(a.data, b.data)[0]
+        for w in (3, 5):
+            assert local_cc(a, b, w) == _local_cc_with_grad(a.data, b.data, w)[0]
+
+    def test_unknown_mode_and_dims(self):
+        s, t, u = pinned_inputs()
+        with pytest.raises(ValueError, match="unknown cc mode"):
+            loss_value(s, t, u, 1.0, 0.0, "ncc")
+        with pytest.raises(ValueError, match="dims mismatch"):
+            loss_value(s, t, DisplacementField(np.zeros((3, 4, 4, 4), dtype=np.float32)), 1.0, 0.0)
 
 
 class TestLossBackwardRegularizers:

@@ -6,7 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from foldreg import trainer
+from foldreg.jacobian import det_map, folding_count
+from foldreg.loss import GLOBAL, LOCAL, total_loss
 from foldreg.metrics import (
+    EvalResult,
+    PairReport,
+    _label_counts,
     checkpoint_predictor,
     dice,
     evaluate,
@@ -16,7 +21,8 @@ from foldreg.metrics import (
     report_csv,
 )
 from foldreg.model import FaimConfig, build_faim
-from foldreg.volume import LABEL, Volume
+from foldreg.volume import LABEL, DisplacementField, Volume
+from foldreg.warp import warp_image, warp_labels
 
 
 def brute_dice(x, y):
@@ -113,6 +119,113 @@ class TestMeanDice:
         for i, v in expected.items():
             assert per[i] == pytest.approx(v)
         assert md == pytest.approx(np.mean(list(expected.values())))
+
+
+def mask_mean_dice(warped, target):
+    """mean_dice from two boolean masks per label: the oracle of the histogram counts."""
+    ids = [int(i) for i in np.union1d(np.unique(warped.data), np.unique(target.data)) if i != 0]
+    if not ids:
+        raise ValueError("no labels: both volumes contain only background")
+    per_label = {i: dice(warped.data == i, target.data == i) for i in ids}
+    return float(np.mean(list(per_label.values()), dtype=np.float64)), per_label
+
+
+def oracle_evaluate(predictor, volumes, labels, pairs, alpha, beta, cc_mode, window):
+    """evaluate as the composition of total_loss, det_map, folding_count and per-label masks."""
+    reports = []
+    for src_id, tgt_id in pairs:
+        src, tgt = volumes[src_id], volumes[tgt_id]
+        u = predictor(src_id, tgt_id, src, tgt)
+        md, per_label = mask_mean_dice(warp_labels(labels[src_id], u), labels[tgt_id])
+        n_fold = folding_count(det_map(u))
+        bd = total_loss(warp_image(src, u).warped, tgt, u, alpha, beta, cc_mode, window)
+        reports.append(PairReport(src_id, tgt_id, md, per_label, n_fold, bd.image, bd.r1, bd.r2, bd.total))
+
+    def agg(attr):
+        return float(np.mean([getattr(r, attr) for r in reports], dtype=np.float64))
+
+    return EvalResult(reports, *(agg(a) for a in ("mean_dice", "n_fold", "image", "r1", "r2", "total")))
+
+
+class TestMeanDiceHistogram:
+    """mean_dice counts one histogram; two masks per label are its oracle."""
+
+    def assert_matches_masks(self, a, b):
+        got = mean_dice(Volume(a, LABEL), Volume(b, LABEL))
+        want = mask_mean_dice(Volume(a, LABEL), Volume(b, LABEL))
+        assert repr(got) == repr(want)
+        assert all(type(i) is int and type(d) is float for i, d in got[1].items())
+
+    def test_uint8(self):
+        rng = np.random.default_rng(30)
+        self.assert_matches_masks(*(rng.integers(0, 7, size=(6, 5, 4)).astype(np.uint8) for _ in range(2)))
+
+    @pytest.mark.parametrize("ids", [[-300, -2, 0, 5, 9], [0, 1, 20_000, -32_768, 32_767]], ids=["dense", "spread"])
+    def test_int16_negative_ids(self, ids):
+        # label volumes hold int32 ids >= 0; the counts take any integer array
+        rng = np.random.default_rng(31)
+        ids = np.array(ids, dtype=np.int16)
+        a, b = (ids[rng.integers(0, 5, size=(6, 5, 4))] for _ in range(2))
+        got, nx, ny, inter = _label_counts(a, b)
+        want = np.union1d(a, b)
+        assert got[(nx + ny) > 0].tolist() == want.tolist()
+        for i, n_x, n_y, n_xy in zip(got, nx, ny, inter):
+            assert (n_x, n_y, n_xy) == ((a == i).sum(), (b == i).sum(), ((a == i) & (b == i)).sum())
+
+    def test_ids_spread_wider_than_the_volume(self):
+        rng = np.random.default_rng(32)
+        ids = np.array([0, 1, 40_000, 2_000_000_000], dtype=np.int32)
+        a, b = (ids[rng.integers(0, 4, size=(4, 4, 4))] for _ in range(2))
+        self.assert_matches_masks(a, b)
+
+    def test_label_in_one_volume_only(self):
+        a = np.zeros((3, 3, 3), dtype=np.int32)
+        b = np.zeros((3, 3, 3), dtype=np.int32)
+        a[0], b[0] = 1, 1
+        a[1, 1], b[2, 2] = 4, 7
+        self.assert_matches_masks(a, b)
+        _, per = mean_dice(Volume(a, LABEL), Volume(b, LABEL))
+        assert per == {1: 1.0, 4: 0.0, 7: 0.0}
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.int32])
+    def test_all_background_raises(self, dtype):
+        z = Volume(np.zeros((2, 3, 2), dtype=dtype), LABEL)
+        with pytest.raises(ValueError, match="no labels: both volumes contain only background"):
+            mean_dice(z, z)
+
+
+def folding_field(rng, dims, dtype, scale):
+    return DisplacementField((rng.standard_normal((3, *dims)) * scale).astype(dtype))
+
+
+class TestEvaluateValuePass:
+    """evaluate's reports are byte-identical to the oracle composition's."""
+
+    @pytest.mark.parametrize("cc_mode,window,dtype,scale,alpha,beta", [
+        (LOCAL, 9, np.float32, 0.8, 1.0, 0.1),
+        (LOCAL, 5, np.float32, 0.8, 1.0, 0.1),
+        (GLOBAL, 9, np.float32, 0.8, 1.0, 0.1),
+        (LOCAL, 9, np.float64, 0.8, 0.5, 0.2),
+        (GLOBAL, 5, np.float64, 0.8, 0.5, 0.2),
+        (LOCAL, 9, np.float32, 0.8, 0.0, 0.1),
+        (LOCAL, 5, np.float64, 0.8, 1.0, 0.0),
+        (LOCAL, 9, np.float32, 0.05, 1.0, 0.1),
+    ], ids=["local9-f32", "local5-f32", "global-f32", "local9-f64", "global-f64",
+            "alpha0", "beta0", "no-folds"])
+    def test_reports_match_oracle(self, cc_mode, window, dtype, scale, alpha, beta):
+        ds = trainer.synth_dataset(seed=9, n=3, dims=(12, 8, 8), n_labels=5)
+        pairs = trainer.make_pairs(ds.ids)
+        rng = np.random.default_rng(33)
+        fields = {p: folding_field(rng, (12, 8, 8), dtype, scale) for p in pairs}
+
+        def predict(src_id, tgt_id, src, tgt):
+            return fields[src_id, tgt_id]
+
+        args = (predict, ds.volumes, ds.labels, pairs, alpha, beta, cc_mode, window)
+        got, want = evaluate(*args), oracle_evaluate(*args)
+        assert report_csv(got) == report_csv(want)
+        assert per_label_csv(got) == per_label_csv(want)
+        assert (got.mean_fold > 0) == (scale > 0.1)
 
 
 class TestEvaluate:
