@@ -33,6 +33,6 @@ from .volume import (
     save_field,
     save_volume,
 )
-from .warp import WarpResult, trilinear_sample, warp_backward, warp_image, warp_labels
+from .warp import trilinear_sample, warp_backward, warp_image, warp_labels
 
 __version__ = "0.1.0"

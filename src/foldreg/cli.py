@@ -102,7 +102,7 @@ def _cmd_register(args) -> int:
     src_id = Path(args.source).stem
     tgt_id = Path(args.target).stem
     u = predict(src_id, tgt_id, source, target)
-    warped = warp_image(source, u).warped
+    warped = warp_image(source, u)
     save_field(u, args.out_field)
     save_volume(warped, args.out_warped)
     print(f"field={args.out_field}")

@@ -122,7 +122,7 @@ def _training_loss(src, tgt, alpha, beta, window):
 
     def value(u_arr):
         u = DisplacementField(u_arr)
-        return loss.total_loss(warp_image(src, u).warped, tgt, u, alpha, beta, loss.LOCAL, window).total
+        return loss.total_loss(warp_image(src, u), tgt, u, alpha, beta, loss.LOCAL, window).total
 
     return value, lambda u_arr: trainer._loss_and_grad(src, tgt, u_arr, cfg)[1]
 
@@ -165,7 +165,7 @@ def _check_warp(rng, size) -> CheckResult:
     u_arr = _avoid_kinks(grid + u_arr) - grid
     probe = rng.standard_normal((size, size, size))
     g = warp_backward(src, DisplacementField(u_arr), probe)
-    err = _fd_check(lambda: float((warp_image(src, DisplacementField(u_arr)).warped.data * probe).sum()),
+    err = _fd_check(lambda: float((warp_image(src, DisplacementField(u_arr)).data * probe).sum()),
                     [u_arr], [g], rng, h=1e-3)
     return CheckResult("trilinear_warp", err, DEFAULT_TOL)
 

@@ -158,7 +158,7 @@ def evaluate(
                 f"predicted field dims {u.dims} do not match volume dims {src.dims}"
             )
         md, per_label = mean_dice(warp_labels(labels[src_id], u), labels[tgt_id])
-        bd, det = loss_mod.loss_value(warp_image(src, u).warped, tgt, u, alpha, beta, cc_mode, window)
+        bd, det = loss_mod.loss_value(warp_image(src, u), tgt, u, alpha, beta, cc_mode, window)
         n_fold = folding_count(det)
         reports.append(
             PairReport(

@@ -276,9 +276,12 @@ def load_checkpoint(path):
 
 
 def params_from_checkpoint(meta: dict, arrays: dict[str, np.ndarray]) -> ModelParams:
-    """Rebuild a model from checkpoint contents (optimizer state is skipped).
+    """Rebuild a model from checkpoint contents.
 
     Missing, unparsable or invalid model metadata raises ``FormatError``.
+    Checkpoints written by earlier versions also carry Adam moments, as
+    ``adam.m:<name>`` and ``adam.v:<name>`` tensors with ``adam_t`` in the
+    metadata; such files still load, and those entries are skipped.
     """
     kind = meta.get("kind")
     if kind not in ("faim", "direct"):

@@ -1,8 +1,9 @@
 """Adam over named parameter arrays.
 
-Standard update with bias correction; moments are kept in float64 regardless
-of the parameter dtype so the recurrence is exact in verification runs, and
-the computed update is cast back into the parameter array in place.
+Standard update with bias correction and the constants of Kingma & Ba
+(arXiv 1412.6980): BETA1, BETA2 and EPS below. Moments are kept in float64
+regardless of the parameter dtype so the recurrence is exact in verification
+runs, and the computed update is cast back into the parameter array in place.
 """
 
 from __future__ import annotations
@@ -10,6 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
 
 
 class DivergenceError(RuntimeError):
@@ -19,16 +24,13 @@ class DivergenceError(RuntimeError):
 @dataclass
 class AdamState:
     lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     t: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
 
 
-def adam_init(params: dict[str, np.ndarray], lr: float = 1e-4, **kwargs) -> AdamState:
-    state = AdamState(lr=lr, **kwargs)
+def adam_init(params: dict[str, np.ndarray], lr: float = 1e-4) -> AdamState:
+    state = AdamState(lr=lr)
     for name, p in params.items():
         state.m[name] = np.zeros(p.shape, dtype=np.float64)
         state.v[name] = np.zeros(p.shape, dtype=np.float64)
@@ -49,17 +51,17 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray], state
         if not np.all(np.isfinite(g)):
             raise DivergenceError(f"diverged gradient in {name!r}")
     state.t += 1
-    bc1 = 1.0 - state.beta1 ** state.t
-    bc2 = 1.0 - state.beta2 ** state.t
+    bc1 = 1.0 - BETA1 ** state.t
+    bc2 = 1.0 - BETA2 ** state.t
     for name, p in params.items():
         g = np.asarray(grads[name], dtype=np.float64)
         m = state.m[name]
         v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        update = state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * (g * g)
+        update = state.lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
         np.subtract(p, update, out=p, casting="unsafe")
     return state
 

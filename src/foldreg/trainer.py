@@ -9,9 +9,10 @@ set is trained across shuffled pairs for ``epochs`` epochs; for the
 ``direct`` kind each pair gets its own zero-initialized field optimized for
 ``steps`` iterations (classical per-pair registration).
 
-A NaN/Inf loss or gradient aborts the run with ``TrainingDiverged`` and keeps
-the last good checkpoint: the parameters (and Adam state) from before the
-update that led to the non-finite value.
+A checkpoint holds the trained parameters only: Adam's moments and step
+count end with the run. A NaN/Inf loss or gradient aborts the run with
+``TrainingDiverged`` and keeps the last good checkpoint: the parameters from
+before the update that led to the non-finite value.
 """
 
 from __future__ import annotations
@@ -179,7 +180,7 @@ def synth_dataset(seed: int, n: int, dims, n_labels: int = 3) -> Dataset:
     for i in range(n):
         sid = f"s{i:02d}"
         u = _smooth_displacement(rng, dims)
-        vol = normalize_intensity(warp_image(base_vol, u).warped)
+        vol = normalize_intensity(warp_image(base_vol, u))
         ds.ids.append(sid)
         ds.volumes[sid] = Volume(vol.data.astype(np.float32), INTENSITY)
         ds.labels[sid] = warp_labels(base_lab, u)
@@ -280,12 +281,10 @@ def _loss_and_grad(src: Volume, tgt: Volume, u_arr: np.ndarray, cfg: TrainConfig
         return None, None
     u = DisplacementField(u_arr)
     warped = warp_image(src, u)
-    bd = loss_mod.total_loss(warped.warped, tgt, u, cfg.alpha, cfg.beta, cfg.cc_mode, cfg.cc_window)
+    bd = loss_mod.total_loss(warped, tgt, u, cfg.alpha, cfg.beta, cfg.cc_mode, cfg.cc_window)
     if not np.isfinite(bd.total):
         return None, None
-    grad_s, grad_u = loss_mod.loss_backward(
-        warped.warped, tgt, u, cfg.alpha, cfg.beta, cfg.cc_mode, cfg.cc_window
-    )
+    grad_s, grad_u = loss_mod.loss_backward(warped, tgt, u, cfg.alpha, cfg.beta, cfg.cc_mode, cfg.cc_window)
     grad_u += warp_backward(src, u, grad_s)
     return bd, grad_u
 
@@ -330,14 +329,11 @@ def train(
         if kind == "faim":
             params = model_mod.build_faim(faim_config or model_mod.FaimConfig(), seed=cfg.seed)
             meta.update(params.config.to_meta())
-            state = optim.adam_init(params.arrays(), lr=cfg.lr)
+            result.arrays = params.arrays()  # _fit updates, and on divergence restores, these in place
+            state = optim.adam_init(result.arrays, lr=cfg.lr)
             rng = np.random.default_rng(cfg.seed)
             schedule = ((epoch, pairs[i]) for epoch in range(cfg.epochs) for i in rng.permutation(len(pairs)))
-            try:
-                _fit(params, state, schedule, vols, cfg, result.log_rows)
-            finally:  # a diverged run keeps its restored state too
-                meta["adam_t"] = str(state.t)
-                result.arrays = _with_adam(params.arrays(), state)
+            _fit(params, state, schedule, vols, cfg, result.log_rows)
         else:
             for src_id, tgt_id in pairs:
                 params = model_mod.direct_field_model(dims)
@@ -360,23 +356,17 @@ def _fit(params, state, schedule, vols, cfg, rows) -> None:
     A step predicts the field, takes the loss and its gradient, backprops it
     into the parameters, clips, and updates them with Adam; it appends one log
     row to ``rows``, whose length numbers the steps. A non-finite loss or
-    gradient sets the parameters and ``state`` back to the last good ones,
-    those from before the update that led to it, and raises
-    ``TrainingDiverged``. Only a network's Adam moments are snapshotted: a
-    direct checkpoint stores none, and a direct model's state ends with its
-    pair.
+    gradient sets the parameters back to the last good ones, those from before
+    the update that led to it, and raises ``TrainingDiverged``. Only the
+    parameters are snapshotted: ``state`` ends with the run, and no checkpoint
+    stores it.
     """
     arrays = params.arrays()
-    live = list(arrays.values())
-    if params.kind == "faim":
-        live += [*state.m.values(), *state.v.values()]
-    good = [a.copy() for a in live]
-    good_t = state.t
+    good = {name: a.copy() for name, a in arrays.items()}
 
     def diverged(reason):
-        for a, g in zip(live, good):
-            np.copyto(a, g)
-        state.t = good_t
+        for name, a in arrays.items():
+            np.copyto(a, good[name])
         return TrainingDiverged(f"{reason} at step {len(rows)} (pair {src_id}->{tgt_id})")
 
     for epoch, (src_id, tgt_id) in schedule:
@@ -390,19 +380,10 @@ def _fit(params, state, schedule, vols, cfg, rows) -> None:
         grads = {name: t.grad for name, t in params.tensors.items()}
         if cfg.clip_norm:
             optim.clip_global_norm(grads, cfg.clip_norm)
-        for a, g in zip(live, good):
-            np.copyto(g, a)
-        good_t = state.t
+        for name, a in arrays.items():
+            np.copyto(good[name], a)
         try:
             optim.adam_step(arrays, grads, state)
         except optim.DivergenceError as exc:
             raise diverged(exc) from exc
         rows.append((len(rows), epoch, src_id, tgt_id, bd))
-
-
-def _with_adam(arrays: dict[str, np.ndarray], state: optim.AdamState) -> dict[str, np.ndarray]:
-    out = dict(arrays)
-    for name in arrays:
-        out[f"adam.m:{name}"] = state.m[name].astype(np.float32)
-        out[f"adam.v:{name}"] = state.v[name].astype(np.float32)
-    return out

@@ -33,6 +33,7 @@ _KIND_DISPLACEMENT = 2
 _ELEM_F32 = 0
 _ELEM_I32 = 1
 _HEADER = struct.Struct("<4sIIIIII")  # 28 bytes
+_LABEL_MAX = int(np.iinfo(np.int32).max)
 
 _NIFTI_DTYPES = {
     2: np.dtype("<u1"),
@@ -58,7 +59,8 @@ class Volume:
     """A single-channel 3D scalar field, either intensities or a label mask.
 
     Intensity data is float32 (float64 is accepted for verification work);
-    label data is int32 with non-negative values. Instances are immutable.
+    label data is int32 with non-negative values (a wider integer array is
+    accepted when every id fits). Instances are immutable.
     """
 
     data: np.ndarray
@@ -71,9 +73,10 @@ class Volume:
         if self.kind == LABEL:
             if not np.issubdtype(arr.dtype, np.integer):
                 raise ValueError("label volumes require an integer dtype")
+            # checked before the cast, which would wrap an id outside int32
+            if arr.size and (arr.min() < 0 or arr.max() > _LABEL_MAX):
+                raise ValueError(f"label ids must lie in [0, {_LABEL_MAX}], got {arr.min()}..{arr.max()}")
             arr = arr.astype(np.int32, copy=False)
-            if arr.size and arr.min() < 0:
-                raise ValueError("label volumes must be non-negative")
         elif self.kind == INTENSITY:
             if arr.dtype not in (np.float32, np.float64):
                 arr = arr.astype(np.float32)

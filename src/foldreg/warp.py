@@ -14,17 +14,9 @@ axis strides, with offset 0 (and frac 0) on an axis of length 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .volume import INTENSITY, LABEL, DisplacementField, Volume
-
-
-@dataclass(frozen=True)
-class WarpResult:
-    warped: Volume
-    sample_coords: np.ndarray  # (3, nx, ny, nz), identity grid + u
 
 
 def identity_grid(dims, dtype=np.float64) -> np.ndarray:
@@ -126,15 +118,14 @@ def trilinear_sample(src: Volume, p) -> float:
     return float(sample_grid(src.data, p)[0])
 
 
-def warp_image(src: Volume, u: DisplacementField) -> WarpResult:
+def warp_image(src: Volume, u: DisplacementField) -> Volume:
     """Produce the warped image: warped(x) = src(x + u(x))."""
     if src.kind != INTENSITY:
         raise ValueError("warp_image expects an intensity volume")
     if src.dims != u.dims:
         raise ValueError(f"dims mismatch: source {src.dims} vs field {u.dims}")
     coords = identity_grid(src.dims, dtype=u.data.dtype) + u.data
-    warped = sample_grid(src.data, coords)
-    return WarpResult(Volume(warped, INTENSITY), coords)
+    return Volume(sample_grid(src.data, coords), INTENSITY)
 
 
 def warp_labels(lab: Volume, u: DisplacementField) -> Volume:

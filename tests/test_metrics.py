@@ -138,7 +138,7 @@ def oracle_evaluate(predictor, volumes, labels, pairs, alpha, beta, cc_mode, win
         u = predictor(src_id, tgt_id, src, tgt)
         md, per_label = mask_mean_dice(warp_labels(labels[src_id], u), labels[tgt_id])
         n_fold = folding_count(det_map(u))
-        bd = total_loss(warp_image(src, u).warped, tgt, u, alpha, beta, cc_mode, window)
+        bd = total_loss(warp_image(src, u), tgt, u, alpha, beta, cc_mode, window)
         reports.append(PairReport(src_id, tgt_id, md, per_label, n_fold, bd.image, bd.r1, bd.r2, bd.total))
 
     def agg(attr):

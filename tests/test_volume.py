@@ -40,6 +40,25 @@ class TestVolumeType:
         with pytest.raises(ValueError):
             Volume(np.full((2, 2, 2), -1, dtype=np.int32), LABEL)
 
+    # ids that a cast to int32 would wrap: 2^32 + 1 to 1, 2^31 + 5 and 2^31 to
+    # negatives, -2^32 + 7 to 7
+    @pytest.mark.parametrize("dtype,label_id", [
+        (np.int64, 2**31), (np.uint64, 2**31), (np.int64, 2**31 + 5), (np.uint64, 2**31 + 5),
+        (np.int64, 2**32 + 1), (np.uint64, 2**32 + 1), (np.int64, -(2**32) + 7),
+    ])
+    def test_label_rejects_ids_beyond_int32(self, dtype, label_id):
+        data = np.zeros((2, 2, 2), dtype=dtype)
+        data[1, 0, 1] = label_id
+        with pytest.raises(ValueError, match=r"\[0, 2147483647\]"):
+            Volume(data, LABEL)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint64])
+    def test_label_in_range_wide_ids_load_as_int32(self, dtype):
+        data = np.array([0, 1, 7, 2**31 - 1, 3, 0, 2**16, 5], dtype=dtype).reshape(2, 2, 2)
+        v = Volume(data, LABEL)
+        assert v.data.dtype == np.int32
+        assert np.array_equal(v.data.astype(np.int64), data.astype(np.int64))
+
     def test_data_is_readonly(self):
         v = Volume(np.zeros((2, 2, 2), dtype=np.float32))
         with pytest.raises(ValueError):
