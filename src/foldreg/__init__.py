@@ -7,7 +7,7 @@ negative determinants of the deformation Jacobian, which directly suppresses
 physically impossible "foldings".
 """
 
-from .jacobian import DetMap, det_map, displacement_jacobian, folding_count, r2_backward, r2_penalty
+from .jacobian import det_map, folding_count, r2_backward, r2_penalty
 from .loss import LossBreakdown, global_cc, local_cc, loss_backward, r1_smoothness, total_loss
 from .metrics import EvalResult, PairReport, dice, evaluate, mean_dice
 from .model import (

@@ -64,6 +64,8 @@ def _cmd_synth(args) -> int:
     dims = _parse_dims(args.dims)
     if args.n < 1 or args.labels < 1:
         raise UsageError("--n and --labels must be >= 1")
+    if args.seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {args.seed}")
     ds = trainer.synth_dataset(args.seed, args.n, dims, args.labels)
     manifest = trainer.save_dataset(ds, args.out)
     print(manifest)

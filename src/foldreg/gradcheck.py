@@ -189,7 +189,7 @@ def _r2_safe_coords(u, rng, margin=0.02, limit=120):
     through the difference stencil; restrict the probe to coordinates whose
     whole neighborhood is clear of det = 0, where max(-det, 0) is smooth.
     """
-    det = jacobian.det_map(DisplacementField(u)).values
+    det = jacobian.det_map(DisplacementField(u))
     ok = np.abs(det) > margin
     clear = ok.copy()
     for a in range(3):
@@ -209,7 +209,7 @@ def _folding_field(rng, draw):
     """A field from draw() that folds, and probe coordinates for it from _r2_safe_coords."""
     for _ in range(32):
         u = draw()
-        if not (jacobian.det_map(DisplacementField(u)).values < 0).any():
+        if not (jacobian.det_map(DisplacementField(u)) < 0).any():
             continue
         coords = _r2_safe_coords(u, rng)
         if coords is not None:
@@ -302,6 +302,8 @@ def run_all(seed: int = 0, size: int = 5) -> list[CheckResult]:
     """
     if size < 4:
         raise ValueError(f"gradcheck size must be >= 4, got {size}")
+    if seed < 0:
+        raise ValueError(f"gradcheck seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     return [
         _check_conv(rng, size, "conv3d", k=3),

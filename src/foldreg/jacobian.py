@@ -15,22 +15,9 @@ and runs that adjoint once for both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .volume import INTENSITY, DisplacementField, Volume
-
-
-@dataclass(frozen=True)
-class DetMap:
-    """Per-voxel determinant of the deformation Jacobian."""
-
-    values: np.ndarray
-
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        return tuple(int(n) for n in self.values.shape)
 
 
 def _check_extents(dims) -> None:
@@ -64,20 +51,6 @@ def jacobian_adjoint(grad: np.ndarray) -> np.ndarray:
     return out
 
 
-def displacement_jacobian(u: DisplacementField) -> np.ndarray:
-    """Per-voxel 3x3 matrix field Du, shape (3, 3, nx, ny, nz)."""
-    return jacobian_raw(u.data)
-
-
-def _det3(J) -> np.ndarray:
-    """det per voxel of J, a (3, 3, ...) array or a 3 x 3 nested sequence of arrays."""
-    return (
-        J[0][0] * (J[1][1] * J[2][2] - J[1][2] * J[2][1])
-        - J[0][1] * (J[1][0] * J[2][2] - J[1][2] * J[2][0])
-        + J[0][2] * (J[1][0] * J[2][1] - J[1][1] * J[2][0])
-    )
-
-
 def _cofactors(J: np.ndarray) -> np.ndarray:
     """C with C[c, a] = d det(J) / d J[c, a]."""
     C = np.empty_like(J)
@@ -93,34 +66,32 @@ def _cofactors(J: np.ndarray) -> np.ndarray:
     return C
 
 
-def _deformation_jacobian(u_arr: np.ndarray) -> np.ndarray:
-    J = jacobian_raw(u_arr)
-    for d in range(3):
-        J[d, d] += 1.0
-    return J
+def deformation_det(D: np.ndarray) -> np.ndarray:
+    """det(I + D) per voxel of a Du from jacobian_raw, in D's dtype, leaving D as it is.
 
-
-def det_map(u: DisplacementField) -> DetMap:
-    """det(I + Du) at every voxel."""
-    return DetMap(_det3(_deformation_jacobian(u.data)))
-
-
-def deformation_det(D: np.ndarray) -> DetMap:
-    """det(I + D) of a Du from jacobian_raw, leaving D as it is: det_map's values.
-
-    Only the diagonal entries 1 + D[c, c] are new arrays, in D's dtype.
+    The one place det(I + Du) is formed, by cofactor expansion along the first
+    row. Only the diagonal entries 1 + D[c, c] are new arrays.
     """
-    return DetMap(_det3([[D[c, a] + 1.0 if a == c else D[c, a] for a in range(3)] for c in range(3)]))
+    J = [[D[c, a] + 1.0 if a == c else D[c, a] for a in range(3)] for c in range(3)]
+    return (
+        J[0][0] * (J[1][1] * J[2][2] - J[1][2] * J[2][1])
+        - J[0][1] * (J[1][0] * J[2][2] - J[1][2] * J[2][0])
+        + J[0][2] * (J[1][0] * J[2][1] - J[1][1] * J[2][0])
+    )
 
 
-def folding_count(d: DetMap) -> int:
+def det_map(u: DisplacementField) -> np.ndarray:
+    """det(I + Du) at every voxel, shape (nx, ny, nz)."""
+    return deformation_det(jacobian_raw(u.data))
+
+
+def folding_count(det: np.ndarray) -> int:
     """Number of voxels with strictly negative determinant."""
-    return int(np.count_nonzero(d.values < 0))
+    return int(np.count_nonzero(det < 0))
 
 
-def r2_penalty(d: DetMap) -> float:
+def r2_penalty(det: np.ndarray) -> float:
     """Voxel mean of 0.5 * (|det| - det); zero iff no negative determinants."""
-    det = d.values
     return float(np.maximum(-det, 0.0).mean(dtype=np.float64))
 
 
@@ -131,16 +102,20 @@ def r2_cotangent(u_arr: np.ndarray, upstream: float = 1.0):
     the (3, 3, n_fold) float64 values of upstream * d penalty / d Du there;
     it is zero at every other voxel. Chain: d penalty / d det is -1 / N on
     folding voxels (subgradient 0 at det = 0), and d det / d J is the
-    cofactor matrix. J is freed when this returns, so a caller that then
-    allocates its own (3, 3, N) array never holds two.
+    cofactor matrix, of J = I + Du formed at the folding voxels alone. Du is
+    freed when this returns, so a caller that then allocates its own
+    (3, 3, N) array never holds two.
     """
-    J = _deformation_jacobian(u_arr)
-    det = _det3(J)
+    D = jacobian_raw(u_arr)
+    det = deformation_det(D)
     scale = -upstream / det.size
     folding = det < 0.0
     idx = np.flatnonzero(folding)
     active = folding.ravel()[idx] * scale  # (det < 0) * scale on the folding voxels, in its dtype
-    return idx, _cofactors(np.take(J.reshape(3, 3, -1), idx, axis=2)) * active
+    J = np.take(D.reshape(3, 3, -1), idx, axis=2)
+    for c in range(3):
+        J[c, c] += 1.0
+    return idx, _cofactors(J) * active
 
 
 def r2_backward(u: DisplacementField, upstream: float = 1.0) -> np.ndarray:
@@ -157,11 +132,11 @@ def r2_backward(u: DisplacementField, upstream: float = 1.0) -> np.ndarray:
     return jacobian_adjoint(grad_J)
 
 
-def det_volume(d: DetMap) -> Volume:
+def det_volume(det: np.ndarray) -> Volume:
     """Determinant map as an intensity volume for export."""
-    return Volume(d.values.astype(np.float32), INTENSITY)
+    return Volume(det.astype(np.float32), INTENSITY)
 
 
-def folding_mask(d: DetMap) -> Volume:
+def folding_mask(det: np.ndarray) -> Volume:
     """Binary mask of folding voxels (1.0 where det < 0)."""
-    return Volume((d.values < 0.0).astype(np.float32), INTENSITY)
+    return Volume((det < 0.0).astype(np.float32), INTENSITY)

@@ -273,7 +273,7 @@ def loss_value(
     beta: float,
     cc_mode: str = LOCAL,
     window: int = DEFAULT_WINDOW,
-) -> tuple[LossBreakdown, jacobian.DetMap]:
+) -> tuple[LossBreakdown, np.ndarray]:
     """total_loss's breakdown without any gradient, and det_map(u), from one Du.
 
     The image term runs the CC's forward half alone: six box sums for the
@@ -307,8 +307,8 @@ def loss_backward(
     with the warp (warp_backward) is the caller's job. R1 and R2 both act
     through Du, so their cotangents on Du are summed and scattered back onto
     u by one jacobian_adjoint. R2's is formed first, at the folding voxels
-    only, and its J is freed before D = Du is allocated: besides D, only the
-    folding voxels' 3x3 cotangents are live.
+    only, and its own Du is freed before R1's D = Du is allocated: besides D,
+    only the folding voxels' 3x3 cotangents are live.
     """
     _check_dims(s_warped, target)
     _, grad_s, _ = _image_term(s_warped.data, target.data, cc_mode, window)

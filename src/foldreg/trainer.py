@@ -68,6 +68,8 @@ class TrainConfig(Settings):
             raise ValueError(f"clip norm must be positive, got {self.clip_norm!r}")
         if not (0 <= self.alpha < np.inf and 0 <= self.beta < np.inf):
             raise ValueError(f"alpha and beta must be non-negative and finite, got {self.alpha!r}, {self.beta!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed!r}")
         if self.epochs < 1 or self.steps < 1:
             raise ValueError("epochs and steps must be >= 1")
         if self.cc_window < 1 or self.cc_window % 2 == 0:
@@ -182,7 +184,7 @@ def synth_dataset(seed: int, n: int, dims, n_labels: int = 3) -> Dataset:
         u = _smooth_displacement(rng, dims)
         vol = normalize_intensity(warp_image(base_vol, u))
         ds.ids.append(sid)
-        ds.volumes[sid] = Volume(vol.data.astype(np.float32), INTENSITY)
+        ds.volumes[sid] = vol
         ds.labels[sid] = warp_labels(base_lab, u)
         ds.fields[sid] = u
     return ds

@@ -177,11 +177,11 @@ def save_field(u: DisplacementField, path) -> None:
 
 
 def _parse_frv(buf: bytes, path):
+    if buf[:4] != _MAGIC:
+        raise FormatError(f"{path}: bad magic (not an FRV1 file)")
     if len(buf) < _HEADER.size:
         raise FormatError(f"{path}: truncated FRV1 header")
-    magic, kind_code, nx, ny, nz, channels, elem_code = _HEADER.unpack_from(buf)
-    if magic != _MAGIC:
-        raise FormatError(f"{path}: bad magic")
+    _, kind_code, nx, ny, nz, channels, elem_code = _HEADER.unpack_from(buf)
     if min(nx, ny, nz) < 1:
         raise FormatError(f"{path}: non-positive dims {(nx, ny, nz)}")
     if elem_code not in (_ELEM_F32, _ELEM_I32):
@@ -224,15 +224,15 @@ def _label_volume(data: np.ndarray, path) -> Volume:
 
 
 def load_field(path) -> DisplacementField:
-    buf = Path(path).read_bytes()
-    if buf[:4] != _MAGIC:
-        raise FormatError(f"{path}: bad magic (not an FRV1 file)")
-    kind_code, dims, channels, flat = _parse_frv(buf, path)
+    kind_code, dims, channels, flat = _parse_frv(Path(path).read_bytes(), path)
     if kind_code != _KIND_DISPLACEMENT or channels != 3:
         raise FormatError(f"{path}: not a displacement field")
     per = dims[0] * dims[1] * dims[2]
     chans = [flat[c * per:(c + 1) * per].reshape(dims, order="F") for c in range(3)]
-    return DisplacementField(np.stack(chans).astype(np.float32))
+    try:
+        return DisplacementField(np.stack(chans))
+    except ValueError as exc:  # NaN or Inf components
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -264,9 +264,10 @@ def _load_nifti(buf: bytes, path, kind: str) -> Volume:
     if datatype not in _NIFTI_DTYPES:
         raise FormatError(f"{path}: unsupported element kind (datatype={datatype})")
     dtype = _NIFTI_DTYPES[datatype]
-    vox_offset = int(struct.unpack_from("<f", buf, 108)[0])
-    if vox_offset < 348:
+    vox_offset = struct.unpack_from("<f", buf, 108)[0]
+    if not 348 <= vox_offset < np.inf:  # NaN fails both comparisons
         raise FormatError(f"{path}: bad magic/header (vox_offset={vox_offset})")
+    vox_offset = int(vox_offset)
     count = shape[0] * shape[1] * shape[2]
     if len(buf) < vox_offset + count * dtype.itemsize:
         raise FormatError(f"{path}: payload size mismatch")

@@ -1,9 +1,11 @@
+import struct
+
 import numpy as np
 import pytest
 from test_volume import build_nifti
 
 from foldreg import autodiff as ad
-from foldreg import metrics
+from foldreg import metrics, trainer
 from foldreg.cli import main
 from foldreg.model import FaimConfig, build_faim, load_checkpoint, save_checkpoint
 from foldreg.trainer import load_dataset, make_pairs
@@ -58,6 +60,18 @@ class TestSynth:
         assert exc.value.code == 1
 
 
+@pytest.mark.parametrize("command", ["synth", "train", "gradcheck"])
+def test_negative_seed_usage_error(synth_dir, tmp_path, capsys, command):
+    argv = {
+        "synth": ["synth", "--n", "2", "--dims", "8", "--out", str(tmp_path / "x")],
+        "train": ["train", "--data", str(synth_dir), "--out", str(tmp_path / "x")],
+        "gradcheck": ["gradcheck", "--size", "4"],
+    }[command]
+    assert run(argv + ["--seed", "-1"]) == 1
+    assert "seed must be" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 class TestTrain:
     def test_train_direct_outputs(self, direct_ckpt):
         assert direct_ckpt.is_file()
@@ -96,6 +110,31 @@ class TestTrain:
         assert run(["train", "--data", str(synth_dir), flag, value, "--out", str(tmp_path / "x")]) == 1
         assert not (tmp_path / "x").exists()
 
+    def test_divergence_exit_2_keeps_last_good(self, synth_dir, tmp_path, monkeypatch, capsys):
+        real = trainer._loss_and_grad
+        fields = []  # the field of every loss evaluation, as it was then
+
+        def poisoned(src, tgt, u_arr, cfg):
+            fields.append(u_arr.copy())
+            return (None, None) if len(fields) == 3 else real(src, tgt, u_arr, cfg)
+
+        monkeypatch.setattr(trainer, "_loss_and_grad", poisoned)
+        out = tmp_path / "run"
+        code = run(["train", "--data", str(synth_dir), "--model", "direct", "--steps", "5",
+                    "--lr", "0.05", "--cc", "global", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "foldreg: training diverged: loss diverged at step 2 (pair s00->s01)",
+            f"foldreg: last good checkpoint kept at {out / 'checkpoint.fck'}",
+        ]
+        # the field the second loss was computed with: the third loss failed,
+        # so the update between them is undone
+        _, arrays = load_checkpoint(out / "checkpoint.fck")
+        assert list(arrays) == ["field:s00:s01"]
+        assert not np.array_equal(fields[1], fields[2])
+        assert arrays["field:s00:s01"].dtype == fields[1].dtype
+        assert arrays["field:s00:s01"].tobytes() == fields[1].tobytes()
+
     def test_nonexistent_data_runtime_error(self, tmp_path):
         code = run(["train", "--data", str(tmp_path / "missing"), "--out", str(tmp_path / "x")])
         assert code == 2
@@ -121,6 +160,20 @@ class TestRegister:
         # with the target than the unwarped source does
         source, target = load_volume(src), load_volume(tgt)
         assert global_cc(warped, target) > global_cc(source, target)
+
+    @pytest.mark.parametrize("vox_offset", [np.inf, np.nan])
+    def test_non_finite_vox_offset_exit_2(self, synth_dir, direct_ckpt, tmp_path, capsys, vox_offset):
+        blob = bytearray(build_nifti(np.zeros((8, 8, 8), dtype="<f4"), datatype=16))
+        struct.pack_into("<f", blob, 108, vox_offset)
+        bad = tmp_path / "bad.nii"
+        bad.write_bytes(bytes(blob))
+        code = run(["register", "--checkpoint", str(direct_ckpt), "--source", str(bad),
+                    "--target", str(synth_dir / "volumes" / "s01.frv"),
+                    "--out-field", str(tmp_path / "u.frv"), "--out-warped", str(tmp_path / "w.frv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{bad}: bad magic/header (vox_offset={vox_offset})" in err
+        assert "Traceback" not in err
 
     def test_corrupt_checkpoint_exit_2(self, synth_dir, tmp_path):
         bad = tmp_path / "bad.fck"

@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from foldreg.jacobian import (
-    DetMap,
     det_map,
-    displacement_jacobian,
     folding_count,
     folding_mask,
     jacobian_adjoint,
@@ -47,12 +45,12 @@ def brute_force_jacobian(u):
 class TestDisplacementJacobian:
     def test_constant_field(self):
         u = DisplacementField(np.full((3, 3, 3, 3), 2.5, dtype=np.float32))
-        assert np.allclose(displacement_jacobian(u), 0.0, atol=0)
+        assert np.allclose(jacobian_raw(u.data), 0.0, atol=0)
 
     def test_exact_on_linear_fields(self):
         A = np.array([[0.2, -0.1, 0.05], [0.0, 0.3, -0.2], [0.1, 0.1, -0.1]])
         u = affine_field(A, (1.0, -2.0, 0.5), (4, 5, 6))
-        D = displacement_jacobian(u)
+        D = jacobian_raw(u.data)
         for c in range(3):
             for a in range(3):
                 assert np.allclose(D[c, a], A[c, a], atol=1e-12)
@@ -72,75 +70,74 @@ class TestDisplacementJacobian:
 
     def test_extent_one_rejected(self):
         with pytest.raises(ValueError):
-            displacement_jacobian(DisplacementField(np.zeros((3, 1, 3, 3), dtype=np.float32)))
+            jacobian_raw(DisplacementField(np.zeros((3, 1, 3, 3), dtype=np.float32)).data)
 
 
 class TestDetMap:
     def test_zero_field(self):
         u = DisplacementField(np.zeros((3, 3, 3, 3), dtype=np.float32))
-        assert np.allclose(det_map(u).values, 1.0, atol=0)
+        assert np.allclose(det_map(u), 1.0, atol=0)
 
     def test_diagonal_expansion(self):
         A = np.diag([0.1, 0.0, 0.0])
         u = affine_field(A, (0, 0, 0), (4, 4, 4))
-        assert np.allclose(det_map(u).values, 1.1, atol=1e-12)
+        assert np.allclose(det_map(u), 1.1, atol=1e-12)
 
     def test_folding_field(self):
         A = np.diag([-2.0, 0.0, 0.0])
         u = affine_field(A, (0, 0, 0), (4, 4, 4))
-        assert np.allclose(det_map(u).values, -1.0, atol=1e-12)
+        assert np.allclose(det_map(u), -1.0, atol=1e-12)
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(1)
         u_arr = rng.standard_normal((3, 5, 5, 5))
         d1 = det_map(DisplacementField(u_arr))
         d2 = det_map(DisplacementField(u_arr + np.array([3.0, -1.0, 0.5])[:, None, None, None]))
-        assert np.allclose(d1.values, d2.values, atol=1e-12)
+        assert np.allclose(d1, d2, atol=1e-12)
 
     def test_affine_exactness(self):
         rng = np.random.default_rng(2)
         A = rng.uniform(-0.4, 0.4, size=(3, 3))
         u = affine_field(A, rng.uniform(-1, 1, size=3), (12, 12, 12))
         expected = np.linalg.det(np.eye(3) + A)
-        assert np.abs(det_map(u).values - expected).max() < 1e-6
+        assert np.abs(det_map(u) - expected).max() < 1e-6
 
 
 class TestFoldingCount:
     def test_definition(self):
-        d = DetMap(np.array([1.0, -1.0, 0.5]).reshape(1, 1, 3))
+        d = np.array([1.0, -1.0, 0.5]).reshape(1, 1, 3)
         assert folding_count(d) == 1
 
     def test_all_positive(self):
-        assert folding_count(DetMap(np.ones((2, 2, 2)))) == 0
+        assert folding_count(np.ones((2, 2, 2))) == 0
 
     def test_zero_not_counted(self):
-        d = DetMap(np.array([0.0, 0.0, -0.1]).reshape(1, 1, 3))
+        d = np.array([0.0, 0.0, -0.1]).reshape(1, 1, 3)
         assert folding_count(d) == 1
 
     def test_mask_export(self):
-        d = DetMap(np.array([1.0, -1.0, 0.5]).reshape(1, 1, 3))
+        d = np.array([1.0, -1.0, 0.5]).reshape(1, 1, 3)
         m = folding_mask(d)
         assert np.array_equal(m.data.ravel(), np.array([0.0, 1.0, 0.0], dtype=np.float32))
 
 
 class TestR2Penalty:
     def test_non_negative_dets_unpenalized(self):
-        d = DetMap(np.array([0.0, 0.3, 2.0]).reshape(1, 1, 3))
+        d = np.array([0.0, 0.3, 2.0]).reshape(1, 1, 3)
         assert r2_penalty(d) == 0.0
 
     def test_direct_evaluation(self):
-        d = DetMap(np.array([1.0, -1.0, 0.5]).reshape(1, 1, 3))
+        d = np.array([1.0, -1.0, 0.5]).reshape(1, 1, 3)
         assert r2_penalty(d) == pytest.approx(1.0 / 3.0, abs=1e-15)
 
     def test_constant_negative(self):
-        d = DetMap(np.full((2, 2, 2), -2.0))
+        d = np.full((2, 2, 2), -2.0)
         assert r2_penalty(d) == pytest.approx(2.0, abs=0)
 
     def test_links_to_folding_count(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
-            vals = rng.standard_normal((3, 3, 3))
-            d = DetMap(vals)
+            d = rng.standard_normal((3, 3, 3))
             if r2_penalty(d) > 0:
                 assert folding_count(d) > 0
             if folding_count(d) > 0:
@@ -171,7 +168,7 @@ class TestR2Backward:
         rng = np.random.default_rng(11)
         for _ in range(64):
             u_arr = rng.uniform(-1.6, 1.6, size=(3, 5, 5, 5))
-            det = det_map(DisplacementField(u_arr)).values
+            det = det_map(DisplacementField(u_arr))
             if (det < 0).any() and (np.abs(det) > margin).all():
                 return u_arr
         raise AssertionError("no suitable field found")

@@ -364,7 +364,7 @@ class TestLossBytesPinned:
         s, t, u = pinned_inputs()
         bd, det = loss_value(s, t, u, 0.5, 0.2, *LOSS_PIN_MODES[mode])
         assert sha256_of(np.array([bd.image, bd.r1, bd.r2, bd.total])) == LOSS_SHA256[mode][0]
-        assert det.values.tobytes() == det_map(u).values.tobytes()
+        assert det.tobytes() == det_map(u).tobytes()
 
     @pytest.mark.parametrize("mode", sorted(LOSS_PIN_MODES))
     def test_loss_backward_grad_s_bytes(self, mode):
@@ -390,7 +390,7 @@ class TestLossValue:
         u_before = u.data.copy()
         bd, det = loss_value(s, t, u, 0.5, 0.2, *LOSS_PIN_MODES[mode])
         assert bd == total_loss(s, t, u, 0.5, 0.2, *LOSS_PIN_MODES[mode])
-        assert det.values.dtype == dtype and det.values.tobytes() == det_map(u).values.tobytes()
+        assert det.dtype == dtype and det.tobytes() == det_map(u).tobytes()
         assert folding_count(det) > 0 and np.array_equal(u.data, u_before)
 
     def test_cc_values_match_gradient_paths(self):

@@ -308,6 +308,28 @@ class TestCheckpoint:
         with pytest.raises(FormatError):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("defect,message", [
+        ("trailing_bytes", "payload size mismatch"),
+        ("missing_tensor", "checkpoint tensors do not match the model config"),
+        ("extra_tensor", "checkpoint tensors do not match the model config"),
+        ("wrong_shape", r"checkpoint tensor head\.w has shape \(1, 2, 3\)"),
+    ])
+    def test_malformed_tensors(self, tmp_path, defect, message):
+        params = build_faim(FaimConfig(), seed=3)
+        arrays = params.arrays()
+        if defect == "missing_tensor":
+            arrays.pop(next(iter(arrays)))
+        elif defect == "extra_tensor":
+            arrays["stray.w"] = np.zeros(2, np.float32)
+        elif defect == "wrong_shape":
+            arrays["head.w"] = np.zeros((1, 2, 3), np.float32)
+        path = tmp_path / "m.fck"
+        save_checkpoint(path, {"kind": "faim", **params.config.to_meta()}, arrays)
+        if defect == "trailing_bytes":
+            path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(FormatError, match=message):
+            params_from_checkpoint(*load_checkpoint(path))
+
     @pytest.mark.parametrize("kind,drop,override", [
         ("faim", "head_kernel", {}),
         ("direct", "dims", {}),

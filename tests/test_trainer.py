@@ -366,6 +366,17 @@ class TestDivergence:
         assert load_config(tmp_path / "config.txt") == cfg
         return ds, cfg, err.value, calls
 
+    def test_non_finite_total_forms_no_gradient(self, monkeypatch):
+        # a finite field but a NaN voxel in the target: the total is NaN, and
+        # _loss_and_grad returns before loss_backward
+        ds = tiny_dataset()
+        tgt = ds.volumes["s01"].data.copy()
+        tgt[2, 3, 4] = np.nan
+        monkeypatch.setattr(trainer.loss_mod, "loss_backward", lambda *args: pytest.fail("gradient formed"))
+        u_arr = np.zeros((3, *tgt.shape), dtype=np.float32)
+        cfg = TrainConfig(cc_mode="global")
+        assert trainer._loss_and_grad(ds.volumes["s00"], Volume(tgt), u_arr, cfg) == (None, None)
+
     @pytest.mark.parametrize("kind", ["faim", "direct"])
     def test_loss_path_keeps_last_good(self, tmp_path, monkeypatch, kind):
         # non-finite loss on the third step: the kept state is the one the

@@ -195,6 +195,29 @@ class TestFrv:
         with pytest.raises(OSError):
             save_volume(v, target)
 
+    @pytest.mark.parametrize("loader", [load_volume, load_field])
+    @pytest.mark.parametrize("blob,message", [
+        (b"FRV1" + b"\x00" * 20, "truncated FRV1 header"),
+        (b"NOPE" + b"\x00" * 40, "bad magic"),
+        (struct.pack("<4sIIIIII", b"FRV1", 2, 2, 0, 2, 3, 0), r"non-positive dims \(2, 0, 2\)"),
+        (struct.pack("<4sIIIIII", b"FRV1", 2, 1, 1, 1, 3, 7) + b"\x00" * 12, "unsupported element kind 7"),
+    ], ids=["truncated_header", "bad_magic", "non_positive_dims", "element_kind"])
+    def test_malformed_header(self, tmp_path, loader, blob, message):
+        path = tmp_path / "x.frv"
+        path.write_bytes(blob)
+        with pytest.raises(FormatError, match=message):
+            loader(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_field_file(self, tmp_path, bad):
+        path = tmp_path / "u.frv"
+        save_field(DisplacementField(np.zeros((3, 2, 2, 2), dtype=np.float32)), path)
+        blob = bytearray(path.read_bytes())
+        struct.pack_into("<f", blob, 28 + 4 * 13, bad)  # channel 1, a voxel inside the payload
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match=f"{path}: displacement field contains NaN or Inf"):
+            load_field(path)
+
 
 def build_nifti(data: np.ndarray, datatype: int, vox_offset: int = 352, sizeof_hdr: int = 348,
                 magic: bytes = b"n+1\x00") -> bytes:
@@ -246,6 +269,25 @@ class TestNifti:
         path = tmp_path / "v.nii"
         path.write_bytes(build_nifti(data, datatype=16)[:-5])
         with pytest.raises(FormatError, match="payload size mismatch"):
+            load_volume(path)
+
+    @pytest.mark.parametrize("offset,fmt,values,message", [
+        (0, "<i", (1543569408,), "big-endian NIfTI is unsupported"),
+        (344, "<4s", (b"nx1\x00",), r"bad magic/header \(magic="),
+        (40, "<h", (0,), r"bad magic/header \(dim\[0\]=0\)"),
+        (40, "<h", (8,), r"bad magic/header \(dim\[0\]=8\)"),
+        (40, "<5h", (4, 2, 2, 2, 3), "only scalar 3D volumes"),
+        (108, "<f", (344.0,), r"bad magic/header \(vox_offset=344"),
+        (108, "<f", (np.inf,), r"bad magic/header \(vox_offset=inf\)"),
+        (108, "<f", (np.nan,), r"bad magic/header \(vox_offset=nan\)"),
+    ], ids=["big_endian", "bad_magic", "ndim_0", "ndim_8", "non_scalar", "vox_offset_low",
+            "vox_offset_inf", "vox_offset_nan"])
+    def test_malformed_header(self, tmp_path, offset, fmt, values, message):
+        blob = bytearray(build_nifti(np.zeros((2, 2, 2), dtype="<f4"), datatype=16))
+        struct.pack_into(fmt, blob, offset, *values)
+        path = tmp_path / "v.nii"
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match=message):
             load_volume(path)
 
     def test_two_file_magic_rejected(self, tmp_path):
