@@ -43,7 +43,10 @@ convolution runs, fixed in code:
 * any other stride-1 same convolution runs as shifted-row GEMMs: one copy of
   the k shifts of the flattened, padded input, then one matmul per (i, j) tap
   pair on a flat-offset view of it, several pairs per matmul when the output
-  has few channels (k = 1 is a single matmul with no copy);
+  has few channels (k = 1 is a single matmul with no copy). When one tap's
+  output has more rows than the shifted rows (Cin * k < Cout), the output is
+  computed in column tiles whose tap outputs, accumulator and row slice fit a
+  fixed cache budget, the taps added in the same order;
 * a strided or size-changing convolution runs as one GEMM on a column matrix
   (im2col): one copy of the padded input's window view, Cin * k^3 rows.
 
@@ -64,6 +67,16 @@ window kernel builds that column matrix once for the two.
 
 PReLU is min(x, 0) * a + max(x, 0), with no select on the sign; its backward
 pass recomputes the sign from the input it keeps anyway and holds no mask.
+
+A layer-table row (``model.faim_layers``) is one node: ``conv3d`` and
+``conv3d_transpose`` take the row's PReLU ``slopes`` and ``skip``, which joins
+before the activation of a transposed convolution and after that of a
+convolution. The bias, the skip and the PReLU run in place on the fresh
+convolution result, as max(z, 0) + min(z, 0) * a, which gives the bytes of
+``prelu`` since IEEE addition commutes. A row whose output needs a gradient
+keeps its pre-activation z, and its closure takes the chain's backward steps
+in the chain's order, with the same bytes; ``prelu`` and ``add`` remain as the
+oracle of that chain.
 
 Dtypes: a forward pass returns the common dtype of its operands, so a
 float32 network stays float32. Every kernel computes in that precision. The
@@ -261,6 +274,9 @@ def _shifted_rows(x: np.ndarray, k: int, dtype):
     return rows.reshape(-1, n), xp.shape[1:]
 
 
+_TILE_BYTES = 1 << 20  # working set of one column tile of a thin shifted-row convolution
+
+
 def _row_taps(sp, padded, k: int, cin: int, cout: int):
     """The flat offsets of the k^2 (i, j) taps, the number q of output columns, and the tap groups.
 
@@ -288,22 +304,34 @@ def _rows_conv(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     offs, q, groups = _row_taps(sp, padded, k, cin, cout)
     wt = w.transpose(2, 3, 0, 1, 4).reshape(k * k * cout, cin * k).astype(dt, copy=False)  # row (i * k + j) * Cout + o
     y = np.empty((cout, sp[0] * padded[1] * padded[2]), dtype=dt)  # columns from q on are cropped unread
-    acc = y[:, :q]
-    for taps in groups:
-        lo = offs[taps[0]]
-        z = wt[taps.start * cout:taps.stop * cout] @ rows[:, lo:offs[taps[-1]] + q]
-        for n, t in enumerate(taps):
-            part = z[n * cout:(n + 1) * cout, offs[t] - lo:offs[t] - lo + q]
-            if t:
-                acc += part
-            else:
-                acc[...] = part
+    # a thin input (one tap's output taller than the rows) runs in power-of-two column tiles
+    # whose tap output, accumulator and row slice stay in cache, the last taking the rest, so
+    # none is narrow (a 1-column product runs as a GEMV): the taps add in the same order and
+    # float32 gives one tile's bytes. In float64 OpenBLAS's small-matrix kernel may round the
+    # last few columns of a 16- or 32-row tile product apart from the one-tile product
+    width = q if cin * k >= cout else max(1, _TILE_BYTES // ((2 * cout + cin * k) * dt.itemsize))
+    width = 1 << (width.bit_length() - 1)
+    starts = range(0, max(q - width, 0) + 1, width)
+    for c0 in starts:
+        c1 = q if c0 == starts[-1] else c0 + width
+        acc = y[:, c0:c1]
+        for taps in groups:
+            lo = offs[taps[0]]
+            z = wt[taps.start * cout:taps.stop * cout] @ rows[:, lo + c0:offs[taps[-1]] + c1]
+            for n, t in enumerate(taps):
+                part = z[n * cout:(n + 1) * cout, offs[t] - lo:offs[t] - lo + c1 - c0]
+                if t:
+                    acc += part
+                else:
+                    acc[...] = part
     return y.reshape(cout, sp[0], padded[1], padded[2])[:, :, :sp[1], :sp[2]]
 
 
 def _rows_weight_grad(g: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
     """grad[o, c, i, j, :] = g laid out on the padded flat grid @ the (i, j) view of x's shifted rows."""
     cout, cin, sp = g.shape[0], x.shape[0], x.shape[1:]
+    if k == 1:
+        return (g.reshape(cout, -1) @ x.reshape(cin, -1).T).reshape(cout, cin, 1, 1, 1)
     dt = np.result_type(g, x)
     rows, padded = _shifted_rows(x, k, dt)
     offs, q, groups = _row_taps(sp, padded, k, cin, cout)
@@ -367,8 +395,17 @@ def _check_4d(x: Tensor, who: str) -> None:
         raise ValueError(f"{who} expects a (C, D, H, W) tensor, got shape {x.data.shape}")
 
 
-def _conv_node(op: str, x: Tensor, w: Tensor, b: Tensor, stride: int, padding: int) -> Tensor:
-    """A convolution, or for op "conv3d_transpose" its adjoint: the same kernel, stride and padding."""
+def _into(op, y: np.ndarray, z, own: bool = True) -> np.ndarray:
+    """op(y, z), written into y when the caller owns it and it is writeable, C-contiguous and of the result's dtype."""
+    own = own and y.flags.writeable and y.flags.c_contiguous and y.dtype == np.result_type(y, z)
+    return op(y, z, out=y if own else None)
+
+
+def _conv_node(op: str, x: Tensor, w: Tensor, b: Tensor, stride: int, padding: int, slopes, skip) -> Tensor:
+    """A convolution, or for op "conv3d_transpose" its adjoint, with the same kernel, stride and padding.
+
+    With ``slopes`` (PReLU) and ``skip`` it is a whole layer-table row (module docstring).
+    """
     _check_4d(x, op)
     transpose = op == "conv3d_transpose"
     cout, cin, k = w.data.shape[0], w.data.shape[1], w.data.shape[2]
@@ -379,6 +416,8 @@ def _conv_node(op: str, x: Tensor, w: Tensor, b: Tensor, stride: int, padding: i
         raise ValueError(f"{op} channel mismatch: kernel expects {cin}, input has {x.data.shape[0]}")
     if b.data.shape != (cout,):
         raise ValueError(f"{op} bias must have shape ({cout},)")
+    if slopes is not None and slopes.data.shape != (cout,):
+        raise ValueError(f"{op} slopes must have shape ({cout},), got {slopes.data.shape}")
     in_sp = x.data.shape[1:]
     if transpose:
         out_sp = tuple((n - 1) * stride + k - 2 * padding for n in in_sp)
@@ -386,13 +425,40 @@ def _conv_node(op: str, x: Tensor, w: Tensor, b: Tensor, stride: int, padding: i
         out_sp = tuple((n + 2 * padding - k) // stride + 1 for n in in_sp)
     if min(out_sp) < 1:
         raise ValueError(f"{op} shape underflow: input {in_sp}, k={k}, s={stride}, p={padding}")
+    if skip is not None and skip.data.shape != (cout, *out_sp):
+        raise ValueError(f"{op} skip shape mismatch: {skip.data.shape} vs {(cout, *out_sp)}")
+    parents = tuple(t for t in (x, w, b, slopes, skip) if t is not None)
+    keep = any(t.requires_grad for t in parents)
     windows, forward, input_grad, weight_grad = _kernel(k, stride, padding)
     # a transposed convolution swaps the forward pass and the input gradient, and the weight
     # gradient's operands; then both of its gradients read the windows of g, built once
     y = input_grad(x.data, w.data, out_sp) if transpose else forward(windows(x.data), w.data)
-    y = y + b.data[:, None, None, None]
+    z = _into(np.add, y, b.data[:, None, None, None])  # a cropped kernel result is copied here
+    if skip is not None and transpose:
+        z = _into(np.add, z, skip.data)
+    h = z
+    if slopes is not None:
+        a = slopes.data[:, None, None, None]
+        neg = _into(np.multiply, np.minimum(z, 0), a)
+        # max(z, 0) + min(z, 0) * a: prelu's bytes, as IEEE addition commutes; z is kept for backward
+        h = _into(np.add, np.maximum(z, 0, out=None if keep else z), neg)
+    if skip is not None and not transpose:
+        h = _into(np.add, h, skip.data)
 
     def backward_fn(g):
+        conv_grad = x.requires_grad or w.requires_grad or b.requires_grad
+        shared = skip is not None and not transpose and skip.requires_grad
+        if shared:
+            # skip takes g over, as add did; only x's input gradient could write it, after PReLU has
+            # read g, so skip gets a copy only when it is x and no PReLU comes first
+            _accumulate(skip, g, fresh=slopes is not None or skip is not x)
+        if slopes is not None:
+            if slopes.requires_grad:
+                _accumulate(slopes, (g * np.minimum(z, 0)).sum(axis=(1, 2, 3)))
+            if conv_grad:  # into g, the node's own and dropped after this, unless skip took it over
+                g = _into(np.multiply, g, (z <= 0) * a + (z > 0), own=not shared)
+        if skip is not None and transpose and skip.requires_grad:
+            _accumulate(skip, g, fresh=skip is not x)
         g_win = windows(g) if transpose and (x.requires_grad or w.requires_grad) else None
         if x.requires_grad:
             _accumulate(x, forward(g_win, w.data) if transpose else input_grad(g, w.data, in_sp))
@@ -401,15 +467,16 @@ def _conv_node(op: str, x: Tensor, w: Tensor, b: Tensor, stride: int, padding: i
         if b.requires_grad:
             _accumulate(b, g.sum(axis=(1, 2, 3)))
 
-    return Tensor(y, parents=(x, w, b), backward_fn=backward_fn, op=op)
+    return Tensor(h, parents=parents, backward_fn=backward_fn, op=op)
 
 
-def conv3d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    return _conv_node("conv3d", x, w, b, stride, padding)
+def conv3d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0, slopes=None, skip=None) -> Tensor:
+    return _conv_node("conv3d", x, w, b, stride, padding, slopes, skip)
 
 
-def conv3d_transpose(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    return _conv_node("conv3d_transpose", x, w, b, stride, padding)
+def conv3d_transpose(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0, slopes=None,
+                     skip=None) -> Tensor:
+    return _conv_node("conv3d_transpose", x, w, b, stride, padding, slopes, skip)
 
 
 def prelu(x: Tensor, slopes: Tensor) -> Tensor:

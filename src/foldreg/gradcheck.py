@@ -7,10 +7,11 @@ directional derivative over all parameters at once, which exercises the
 complete training gradient through warp, similarity, and regularization terms.
 
 Rows share three builders: ``_check_tape`` backprops a random probe through
-an autodiff graph (conv, PReLU, add/concat); ``_check_value_and_grad`` checks
-a function returning ``(value, *grads)`` (global and local CC, R1); and
-``_training_loss`` gives both end-to-end rows the training loss of a field,
-with ``trainer._loss_and_grad`` as its analytic gradient.
+an autodiff graph (conv, PReLU, add/concat, a whole layer row);
+``_check_value_and_grad`` checks a function returning ``(value, *grads)``
+(global and local CC, R1); and ``_training_loss`` gives both end-to-end rows
+the training loss of a field, with ``trainer._loss_and_grad`` as its
+analytic gradient.
 """
 
 from __future__ import annotations
@@ -156,6 +157,30 @@ def _check_add_concat(rng, size) -> CheckResult:
     y = ad.Tensor(rng.standard_normal((2, size, size, size)))
     z = ad.Tensor(rng.standard_normal((3, size, size, size)))
     return _check_tape(rng, "add/concat_channels", lambda: ad.concat_channels([ad.add(x, y), z, x]), [x, y, z])
+
+
+def _check_row(rng, size, name: str, transpose: bool) -> CheckResult:
+    """A layer-table row as one node: conv k3, PReLU, then the skip; or convT k2 s2, the skip, then PReLU.
+
+    Inputs are redrawn until every pre-activation is at least 1e-3 from the
+    PReLU kink, further than a probe step can move it; the cube extent is
+    at most 5, so that a few draws suffice.
+    """
+    cin, cout, k, s = (3, 2, 2, 2) if transpose else (2, 3, 3, 1)
+    op = ad.conv3d_transpose if transpose else ad.conv3d
+    n = min(size, 5)
+    for _ in range(32):
+        x = ad.Tensor(rng.standard_normal((cin, n, n, n)))
+        w = ad.Tensor(rng.standard_normal((cin, cout, k, k, k) if transpose else (cout, cin, k, k, k)) * 0.5)
+        b, skip = ad.Tensor(rng.standard_normal(cout)), ad.Tensor(rng.standard_normal((cout,) + (n * s,) * 3))
+        pre = op(x, w, b, stride=s, padding=(k - 1) // 2, skip=skip if transpose else None)
+        if np.abs(pre.data).min() >= 1e-3:
+            break
+    else:
+        raise RuntimeError(f"{name}: could not draw pre-activations clear of the PReLU kink")
+    a = ad.Tensor(rng.uniform(0.1, 0.5, size=cout))
+    return _check_tape(rng, name, lambda: op(x, w, b, stride=s, padding=(k - 1) // 2, slopes=a, skip=skip),
+                       [x, w, b, a, skip])
 
 
 def _check_warp(rng, size) -> CheckResult:
@@ -319,4 +344,6 @@ def run_all(seed: int = 0, size: int = 5) -> list[CheckResult]:
         _check_conv(rng, size, "conv3d_k5", k=5),  # the FFT kernel; last, so earlier rows draw as before
         _check_conv(rng, size, "conv3d_s2", k=3, stride=2),  # the window kernel of enc1 and enc2
         _check_direct_loss(rng, size),  # after the conv rows, so they draw as before
+        _check_row(rng, size, "row_conv_prelu_skip", transpose=False),  # the row nodes; last, as above
+        _check_row(rng, size, "row_convT_skip_prelu", transpose=True),
     ]

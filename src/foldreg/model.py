@@ -134,13 +134,9 @@ def faim_apply(params: ModelParams, x: Tensor) -> Tensor:
     for i, (name, op, src, _, _, k, stride, act, skip) in enumerate(rows):
         h = ad.concat_channels([out[s] for s in src]) if isinstance(src, tuple) else out[src]
         conv = ad.conv3d_transpose if op == "convT" else ad.conv3d
-        h = conv(h, t[f"{name}.w"], t[f"{name}.b"], stride=stride, padding=(k - 1) // 2)
-        if skip and op == "convT":
-            h = ad.add(h, out[skip])
-        if act == "PReLU":
-            h = ad.prelu(h, t[f"{name}.a"])
-        if skip and op == "conv":
-            h = ad.add(h, out[skip])
+        # one node per row: the op adds the skip before a convT's PReLU and after a conv's
+        h = conv(h, t[f"{name}.w"], t[f"{name}.b"], stride=stride, padding=(k - 1) // 2,
+                 slopes=t[f"{name}.a"] if act == "PReLU" else None, skip=out[skip] if skip else None)
         out[name] = h
         for s, j in last_reader.items():
             if j == i:

@@ -7,9 +7,11 @@ derivative takes the lower-cell one-sided value (i0 = ceil(p) - 1, clipped to
 [0, n-2]), a fixed subgradient choice at those measure-zero points.
 
 Corners are gathered through one flat index per point, that of its lower
-cell corner in the C-ordered source. The other seven corners are ``take``s at
-the same index from the source shifted by a constant offset: a sum of the
-axis strides, with offset 0 (and frac 0) on an axis of length 1.
+cell corner in the source's own memory order (C or Fortran, as the loaders
+return it; any other layout is copied C-ordered first). The other seven
+corners are ``take``s at the same index from the source shifted by a constant
+offset: a sum of the axis strides, with offset 0 (and frac 0) on an axis of
+length 1.
 """
 
 from __future__ import annotations
@@ -23,12 +25,14 @@ def identity_grid(dims, dtype=np.float64) -> np.ndarray:
     return np.indices(dims, dtype=dtype)
 
 
-def _strides(dims):
-    """Flat-index step of each axis of a C-ordered array of these dims."""
-    return dims[1] * dims[2], dims[2], 1
+def _flat(vol: np.ndarray):
+    """vol's elements in memory order, a view when it is C- or F-contiguous, and each axis's flat-index step."""
+    if not (vol.flags.c_contiguous or vol.flags.f_contiguous):
+        vol = np.ascontiguousarray(vol)
+    return vol.ravel(order="K"), tuple(s // vol.itemsize for s in vol.strides)
 
 
-def _cells(coords, dims):
+def _cells(coords, dims, strides):
     """Clamp coordinates and pick interpolation cells (lower-cell at faces).
 
     Returns the flat index of each point's lower corner, the flat offset of
@@ -36,7 +40,7 @@ def _cells(coords, dims):
     """
     flat = np.zeros(coords.shape[1:], dtype=np.intp)
     offsets, fracs = [], []
-    for axis, (n, stride) in enumerate(zip(dims, _strides(dims))):
+    for axis, (n, stride) in enumerate(zip(dims, strides)):
         if n == 1:
             offsets.append(0)
             fracs.append(np.zeros_like(coords[axis]))
@@ -51,9 +55,8 @@ def _cells(coords, dims):
     return flat, offsets, fracs
 
 
-def _gather_corners(vol: np.ndarray, flat, offsets):
-    """The cell corners c000, c100, c010, c110, c001, c101, c011, c111 of every point."""
-    v = vol.ravel()
+def _gather_corners(v: np.ndarray, flat, offsets):
+    """The cell corners c000, c100, c010, c110, c001, c101, c011, c111 of every point, from ``_flat``'s v."""
     ox, oy, oz = offsets
     return tuple(
         np.take(v[a * ox + b * oy + c * oz:], flat)
@@ -63,8 +66,9 @@ def _gather_corners(vol: np.ndarray, flat, offsets):
 
 def sample_grid(vol: np.ndarray, coords: np.ndarray) -> np.ndarray:
     """Trilinear interpolation of a 3D array at coords of shape (3, ...)."""
-    flat, offsets, (fx, fy, fz) = _cells(coords, vol.shape)
-    c000, c100, c010, c110, c001, c101, c011, c111 = _gather_corners(vol, flat, offsets)
+    v, strides = _flat(vol)
+    flat, offsets, (fx, fy, fz) = _cells(coords, vol.shape, strides)
+    c000, c100, c010, c110, c001, c101, c011, c111 = _gather_corners(v, flat, offsets)
     gx = 1.0 - fx
     gy = 1.0 - fy
     gz = 1.0 - fz
@@ -86,8 +90,9 @@ def sample_grid_grad(vol: np.ndarray, coords: np.ndarray) -> np.ndarray:
 
     Shape (3, ...); zero where the raw coordinate fell outside [0, n-1].
     """
-    flat, offsets, (fx, fy, fz) = _cells(coords, vol.shape)
-    c000, c100, c010, c110, c001, c101, c011, c111 = _gather_corners(vol, flat, offsets)
+    v, strides = _flat(vol)
+    flat, offsets, (fx, fy, fz) = _cells(coords, vol.shape, strides)
+    c000, c100, c010, c110, c001, c101, c011, c111 = _gather_corners(v, flat, offsets)
     gx = 1.0 - fx
     gy = 1.0 - fy
     gz = 1.0 - fz
@@ -135,14 +140,15 @@ def warp_labels(lab: Volume, u: DisplacementField) -> Volume:
     if lab.dims != u.dims:
         raise ValueError(f"dims mismatch: labels {lab.dims} vs field {u.dims}")
     coords = identity_grid(lab.dims, dtype=np.float64) + u.data
+    v, strides = _flat(lab.data)
     flat = np.zeros(lab.dims, dtype=np.intp)
-    for axis, (n, stride) in enumerate(zip(lab.dims, _strides(lab.dims))):
+    for axis, (n, stride) in enumerate(zip(lab.dims, strides)):
         c = np.clip(coords[axis], 0.0, float(n - 1))
         i = np.floor(c + 0.5).astype(np.intp)
         np.clip(i, 0, n - 1, out=i)
         i *= stride
         flat += i
-    return Volume(np.take(lab.data.ravel(), flat), LABEL)
+    return Volume(np.take(v, flat), LABEL)
 
 
 def warp_backward(src: Volume, u: DisplacementField, upstream: np.ndarray) -> np.ndarray:

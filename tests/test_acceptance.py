@@ -89,7 +89,7 @@ def test_criterion_1_gradient_fidelity():
     for expected in ("conv3d", "conv3d_transpose", "prelu", "add/concat_channels",
                      "trilinear_warp", "global_cc", "local_cc", "r1_smoothness",
                      "r2_through_det", "faim_graph_end_to_end", "conv3d_s2",
-                     "direct_loss_end_to_end"):
+                     "direct_loss_end_to_end", "row_conv_prelu_skip", "row_convT_skip_prelu"):
         assert expected in names
     for r in results:
         assert r.passed, f"{r.name}: rel err {r.max_rel_err:.3e} >= tol {r.tol:g}"

@@ -518,6 +518,109 @@ class TestStride1Kernels:
         assert peak < 7_200_000
 
 
+class TestThinColumnTiles:
+    """A thin shifted-row convolution (Cin * k < Cout) runs in column tiles; a wide one in one."""
+
+    # (9, 7, 11) has 1025 output columns: with 256-column tiles the last one takes 257
+    @pytest.mark.parametrize("extent", [(40, 36, 33), (32, 32, 32), (9, 7, 11)])
+    @pytest.mark.parametrize("cin,cout", [(2, 8), (3, 16)], ids=["branch3", "head-input-grad"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_tiles_give_single_tile_result(self, monkeypatch, cin, cout, extent, dtype):
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((cin, *extent)).astype(dtype)
+        w = rng.standard_normal((cout, cin, 3, 3, 3)).astype(dtype)
+        monkeypatch.setattr(ad, "_TILE_BYTES", 1 << 40)
+        one = ad._rows_conv(x, w)
+        monkeypatch.setattr(ad, "_TILE_BYTES", 1 << 16)  # tiles of 128 to 512 columns
+        tiled = ad._rows_conv(x, w)
+        if dtype == np.float32 or cout == 8:
+            assert tiled.tobytes() == one.tobytes()
+        else:
+            # OpenBLAS's small-matrix dgemm kernel rounds the last few (remainder) columns
+            # of a tile-sized 16-row product differently from the large one: seen at 32^3
+            assert _rel(tiled, one) <= 1e-15
+
+
+ROW_KINDS = {  # op, cin, cout, k, stride, PReLU, skip: as branch3, res (its input is its skip), up1, head
+    "prelu": ("conv3d", 2, 8, 3, 1, True, None),
+    "conv_skip": ("conv3d", 4, 4, 3, 1, True, "input"),
+    "convT_skip": ("conv3d_transpose", 4, 3, 2, 2, True, "other"),
+    "linear": ("conv3d", 4, 3, 3, 1, False, None),
+    "linear_skip": ("conv3d", 4, 4, 3, 1, False, "input"),  # no PReLU reads g before x's gradient
+    "convT_input_skip": ("conv3d_transpose", 4, 4, 3, 1, True, "input"),
+}
+
+
+def _row_case(kind, dtype, tape, fused):
+    """One layer row, as one node (``fused``) or as the conv + add + prelu chain; its output and leaves.
+
+    ``tape`` is "none" (frozen leaves), "root" (the row is backward's root, so
+    its gradient is the read-only seed) or "interior" (an add after it hands it
+    a gradient of its own).
+    """
+    op, cin, cout, k, stride, prelu, skip = ROW_KINDS[kind]
+    rng = np.random.default_rng(23)
+    ext = (6, 5, 7)
+    out_ext = tuple(n * stride for n in ext) if op == "conv3d_transpose" else ext
+    shape_w = (cin, cout, k, k, k) if op == "conv3d_transpose" else (cout, cin, k, k, k)
+    arrays = {"x0": (cin, *ext), "x1": (cin, *ext), "w": shape_w, "b": (cout,), "s": (cout, *out_ext),
+              "c": (cout, *out_ext)}
+    leaves = {n: ad.Tensor(rng.standard_normal(shape).astype(dtype), name=n, requires_grad=tape != "none")
+              for n, shape in arrays.items()}
+    leaves["a"] = ad.Tensor(rng.uniform(0.1, 0.5, cout).astype(dtype), name="a", requires_grad=tape != "none")
+    x = ad.add(leaves["x0"], leaves["x1"])  # an interior input, as in the network
+    s = {"input": x, "other": leaves["s"], None: None}[skip]
+    a = leaves["a"] if prelu else None
+    conv = getattr(ad, op)
+    if fused:
+        out = conv(x, leaves["w"], leaves["b"], stride=stride, padding=(k - 1) // 2, slopes=a, skip=s)
+    else:
+        out = conv(x, leaves["w"], leaves["b"], stride=stride, padding=(k - 1) // 2)
+        out = ad.add(out, s) if s is not None and op == "conv3d_transpose" else out
+        out = ad.prelu(out, a) if a is not None else out
+        out = ad.add(out, s) if s is not None and op == "conv3d" else out
+    root = ad.add(out, leaves["c"]) if tape == "interior" else out
+    if tape != "none":
+        ad.backward(root, seed=np.random.default_rng(24).standard_normal(root.shape))
+    return out, leaves
+
+
+class TestLayerRow:
+    """A layer-table row as one node gives the bytes of the conv + add + prelu chain, forward and backward."""
+
+    @pytest.mark.parametrize("tape", ["none", "root", "interior"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind", sorted(ROW_KINDS))
+    def test_same_bytes_as_chain(self, kind, dtype, tape):
+        row, row_leaves = _row_case(kind, dtype, tape, fused=True)
+        chain, chain_leaves = _row_case(kind, dtype, tape, fused=False)
+        assert row.data.dtype == dtype and row.data.flags.c_contiguous
+        assert row.data.tobytes() == chain.data.tobytes()
+        if tape == "none":
+            assert row.parents == () and row.backward_fn is None and not row.requires_grad
+        for name, leaf in row_leaves.items():
+            want = chain_leaves[name].grad
+            assert (leaf.grad is None) == (want is None), name
+            assert leaf.grad is None or leaf.grad.tobytes() == want.tobytes(), name
+
+    def test_frozen_input_skip_still_gets_its_gradient(self):
+        rng = np.random.default_rng(25)
+        x = ad.Tensor(rng.standard_normal((2, 4, 4, 4)), requires_grad=False)
+        w, b = ad.Tensor(rng.standard_normal((3, 2, 3, 3, 3))), ad.Tensor(np.zeros(3))
+        s, a = ad.Tensor(rng.standard_normal((3, 4, 4, 4))), ad.Tensor(np.full(3, 0.25))
+        seed = rng.standard_normal((3, 4, 4, 4))
+        ad.backward(ad.conv3d(x, w, b, padding=1, slopes=a, skip=s), seed=seed)
+        assert x.grad is None and np.array_equal(s.grad, seed)
+
+    def test_shape_errors(self):
+        x = ad.Tensor(np.zeros((2, 4, 4, 4)))
+        w, b = ad.Tensor(np.zeros((3, 2, 3, 3, 3))), ad.Tensor(np.zeros(3))
+        with pytest.raises(ValueError, match="slopes must have shape"):
+            ad.conv3d(x, w, b, padding=1, slopes=ad.Tensor(np.zeros(2)))
+        with pytest.raises(ValueError, match="skip shape mismatch"):
+            ad.conv3d(x, w, b, padding=1, skip=ad.Tensor(np.zeros((3, 4, 4, 5))))
+
+
 def _window_layers(extent=16):
     """The FAIM layers that run the window kernel, with the extent of their input in a network fed extent^3."""
     rows = []
@@ -824,14 +927,16 @@ class TestGradientLifetime:
         assert np.array_equal(seen[id(x)], seen[id(y)])
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    @pytest.mark.parametrize("root_op", ["add", "add_chain", "concat", "prelu", "conv"])
+    @pytest.mark.parametrize("root_op", ["add", "add_chain", "concat", "prelu", "conv", "row"])
     def test_caller_seed_never_written(self, dtype, root_op):
         rng = np.random.default_rng(18)
         a, b, c = (ad.Tensor(rng.standard_normal((2, 3, 3, 3)).astype(dtype)) for _ in range(3))
         w, slopes = ad.Tensor(rng.standard_normal((2, 2, 3, 3, 3)).astype(dtype)), ad.Tensor(np.ones(2, dtype))
         root = {"add": lambda: ad.add(a, b), "add_chain": lambda: ad.add(c, ad.add(a, ad.add(b, c))),
                 "concat": lambda: ad.concat_channels([a, ad.add(b, c)]), "prelu": lambda: ad.prelu(ad.add(a, b), slopes),
-                "conv": lambda: ad.conv3d(ad.add(a, b), w, ad.Tensor(np.zeros(2, dtype)), 1, 1)}[root_op]()
+                "conv": lambda: ad.conv3d(ad.add(a, b), w, ad.Tensor(np.zeros(2, dtype)), 1, 1),
+                "row": lambda: ad.conv3d(ad.add(a, b), w, ad.Tensor(np.zeros(2, dtype)), 1, 1, slopes=slopes,
+                                         skip=c)}[root_op]()
         seed = rng.standard_normal(root.shape).astype(dtype)
         kept = seed.copy()
         ad.backward(root, seed=seed)
@@ -889,7 +994,7 @@ class TestGradientDtype:
         recorded = []
         grads = _faim_step_gradients(np.float32, on_graph=lambda u: recorded.append(_record_closure_grads(u)))
         calls = recorded[0]
-        assert len(calls) > 20
+        assert len(calls) == 11  # one per layer row and the concat
         assert all(node == g == np.dtype(np.float32) and contiguous for node, g, contiguous, _ in calls)
         assert all(g.dtype == np.float64 and g.flags.c_contiguous for g in grads.values())
 

@@ -325,9 +325,9 @@ class TestGradcheckCmd:
     # whole-network row, and no other; the forward pass is left exact, since the
     # row and FFT kernels derive their input gradient from it
     @pytest.mark.parametrize("kernel,rows", [
-        ("_rows_weight_grad", {"conv3d"}),
+        ("_rows_weight_grad", {"conv3d", "row_conv_prelu_skip"}),
         ("_plane_weight_grad", {"conv3d_k5"}),
-        ("_weight_grad", {"conv3d_transpose", "conv3d_s2"}),
+        ("_weight_grad", {"conv3d_transpose", "conv3d_s2", "row_convT_skip_prelu"}),
     ], ids=["rows", "fft", "window"])
     def test_wrong_weight_gradient_fails(self, monkeypatch, capsys, kernel, rows):
         exact = getattr(ad, kernel)

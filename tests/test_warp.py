@@ -247,6 +247,43 @@ class TestWarpBytesPinned:
         assert sha256_of(out) == WARP_SHA256[case][fn]
 
 
+class TestMemoryOrder:
+    """Loaded volumes are Fortran-ordered; they are gathered in place and warp to the bytes of a C-ordered copy."""
+
+    @pytest.fixture
+    def loaded(self, tmp_path):
+        from foldreg.volume import load_volume, save_volume
+
+        src, lab, u, upstream = pin_case((6, 7, 8), np.float32, 44)
+        save_volume(src, tmp_path / "s.frv")
+        save_volume(lab, tmp_path / "l.frv")
+        return load_volume(tmp_path / "s.frv"), load_volume(tmp_path / "l.frv", LABEL), u, upstream
+
+    def test_same_bytes_as_c_ordered_copy(self, loaded):
+        src, lab, u, upstream = loaded
+        assert src.data.flags.f_contiguous and not src.data.flags.c_contiguous
+        c_src, c_lab = Volume(np.ascontiguousarray(src.data)), Volume(np.ascontiguousarray(lab.data), LABEL)
+        coords = identity_grid(src.dims, dtype=u.data.dtype) + u.data
+        assert sample_grid(src.data, coords).tobytes() == sample_grid(c_src.data, coords).tobytes()
+        assert sample_grid_grad(src.data, coords).tobytes() == sample_grid_grad(c_src.data, coords).tobytes()
+        assert warp_backward(src, u, upstream).tobytes() == warp_backward(c_src, u, upstream).tobytes()
+        assert warp_labels(lab, u).data.tobytes() == warp_labels(c_lab, u).data.tobytes()
+
+    def test_strided_view_is_copied_first(self, loaded):
+        src = loaded[0].data[::2, :, ::-1]
+        coords = identity_grid(src.shape) + np.random.default_rng(45).uniform(-2, 2, (3, *src.shape))
+        c_src = np.ascontiguousarray(src)
+        assert sample_grid(src, coords).tobytes() == sample_grid(c_src, coords).tobytes()
+        assert sample_grid_grad(src, coords).tobytes() == sample_grid_grad(c_src, coords).tobytes()
+
+    def test_gather_copies_nothing(self, loaded):
+        from foldreg.warp import _flat
+
+        src, lab, _, _ = loaded
+        for arr in (src.data, lab.data, np.ascontiguousarray(src.data)):
+            assert np.shares_memory(_flat(arr)[0], arr)
+
+
 def trilinear_oracle(vol, p):
     """Per-point trilinear value: clamp, lower cell at faces, one node on a unit axis."""
     cells = []
