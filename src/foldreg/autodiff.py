@@ -2,9 +2,9 @@
 
 Exactly the operations the registration network needs: 3D convolution
 (cross-correlation, zero padding), transposed convolution, PReLU, elementwise
-add, channel concatenation, and a scalar sum for building test losses.
-Graphs are built define-by-run and traversed once, in reverse topological
-order, by ``backward``.
+add and channel concatenation; a scalar test loss is built outside this
+module. Graphs are built define-by-run and traversed once, in reverse
+topological order, by ``backward``.
 
 Each tensor carries ``requires_grad``. Leaves default to True; pass False for
 inputs whose gradient nothing reads, such as the stacked source/target
@@ -22,9 +22,9 @@ the node's gradient dtype (see Dtypes): a fresh closure result of that dtype
 is adopted as it is, and so is the gradient that ``add`` hands over to its
 last operand that needs one, since the add node drops it next. Any other
 first contribution, such as one that aliases another buffer (``add``'s to its
-first operand, ``concat_channels``'s slices, ``sum_all``'s broadcast), is
-copied. ``backward`` hands an interior root the caller's seed read-only, so
-no operand adopts it and nothing writes it.
+first operand, ``concat_channels``'s slices, a broadcast view), is copied.
+``backward`` hands an interior root the caller's seed read-only, so no
+operand adopts it and nothing writes it.
 Later contributions are added into it. An interior node's gradient is
 dropped (set to None) as soon as its own closure has run; leaves keep theirs.
 
@@ -533,15 +533,6 @@ def concat_channels(xs) -> Tensor:
             off += c
 
     return Tensor(y, parents=tuple(xs), backward_fn=backward_fn, op="concat_channels")
-
-
-def sum_all(x: Tensor) -> Tensor:
-    y = np.asarray(x.data.sum(dtype=np.float64))
-
-    def backward_fn(g):
-        _accumulate(x, np.broadcast_to(g, x.data.shape), fresh=False)
-
-    return Tensor(y, parents=(x,), backward_fn=backward_fn, op="sum_all")
 
 
 def _topo_order(root: Tensor):

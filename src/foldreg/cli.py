@@ -47,19 +47,6 @@ def _parse_dims(text: str) -> tuple[int, int, int]:
     return dims
 
 
-def _apply_thread_cap(threads):
-    if threads is None:
-        return
-    if threads < 1:
-        raise UsageError(f"--threads must be >= 1, got {threads}")
-    try:
-        from threadpoolctl import threadpool_limits
-
-        threadpool_limits(limits=threads)
-    except ImportError:
-        print("warning: threadpoolctl not installed, --threads ignored", file=sys.stderr)
-
-
 def _cmd_synth(args) -> int:
     dims = _parse_dims(args.dims)
     if args.n < 1 or args.labels < 1:
@@ -176,7 +163,6 @@ def _cmd_describe(args) -> int:
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="foldreg", description=__doc__)
-    parser.add_argument("--threads", type=int, default=None, help="cap BLAS worker threads")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", parents=[], help="generate a synthetic labeled dataset")
@@ -242,7 +228,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_thread_cap(args.threads)
         return args.fn(args)
     except UsageError as exc:
         print(f"foldreg: error: {exc}", file=sys.stderr)

@@ -11,7 +11,9 @@ an autodiff graph (conv, PReLU, add/concat, a whole layer row);
 ``_check_value_and_grad`` checks a function returning ``(value, *grads)``
 (global and local CC, R1); and ``_training_loss`` gives both end-to-end rows
 the training loss of a field, with ``trainer._loss_and_grad`` as its
-analytic gradient.
+analytic gradient. The R1 and R2 rows take their gradients from
+``jacobian.du_cotangent``, the cotangent on Du that training scatters back
+onto u, at weights (1, 0) and, through ``r2_backward``, (0, 1).
 """
 
 from __future__ import annotations
@@ -204,7 +206,12 @@ def _check_cc(rng, size, mode) -> CheckResult:
 
 def _check_r1(rng, size) -> CheckResult:
     u = rng.standard_normal((3, size, size, size))
-    return _check_value_and_grad(rng, "r1_smoothness", loss._r1_with_grad, [u])
+
+    def fn(u_arr):
+        grad = jacobian.jacobian_adjoint(jacobian.du_cotangent(u_arr, 1.0, 0.0))
+        return loss.r1_smoothness(DisplacementField(u_arr)), grad
+
+    return _check_value_and_grad(rng, "r1_smoothness", fn, [u])
 
 
 def _r2_safe_coords(u, rng, margin=0.02, limit=120):

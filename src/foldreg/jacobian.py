@@ -9,8 +9,10 @@ orientation-preserving voxels.
 
 The penalty's gradient is nonzero only at folding voxels: r2_cotangent
 returns its cotangent on Du there alone, and jacobian_adjoint scatters a
-cotangent on Du back onto u. loss_backward adds R2's cotangent into R1's
-and runs that adjoint once for both.
+cotangent on Du back onto u. du_cotangent is the one place the regularizers'
+cotangent on Du is formed: it adds R2's folding-voxel cotangent into R1's
+2 alpha Du / N. loss_backward and r2_backward both scatter its result back
+onto u with one adjoint.
 """
 
 from __future__ import annotations
@@ -118,18 +120,30 @@ def r2_cotangent(u_arr: np.ndarray, upstream: float = 1.0):
     return idx, _cofactors(J) * active
 
 
-def r2_backward(u: DisplacementField, upstream: float = 1.0) -> np.ndarray:
-    """Gradient of r2_penalty(det_map(u)) w.r.t. u, shape (3, nx, ny, nz).
+def du_cotangent(u_arr: np.ndarray, alpha: float, beta: float) -> np.ndarray:
+    """Cotangent on Du of alpha * R1 + beta * R2, float64, shape (3, 3, nx, ny, nz).
 
-    The cotangent of r2_cotangent, zero off the folding voxels, scattered
-    back onto u by the difference stencil's adjoint.
+    R1 is the voxel mean of |Du|^2 and R2 is r2_penalty. R2's cotangent is
+    formed first, at the folding voxels only, and its own Du is freed before
+    R1's D = Du is allocated: besides D, only the folding voxels' 3x3
+    cotangents are live.
     """
-    idx, values = r2_cotangent(u.data, upstream)
-    # elsewhere cofactor * 0 would be a signed zero, which the adjoint's +0
-    # accumulators absorb, so plain zeros give the same bytes
-    grad_J = np.zeros((3, 3, *u.dims), dtype=values.dtype)
-    grad_J.reshape(3, 3, -1)[:, :, idx] = values
-    return jacobian_adjoint(grad_J)
+    folds = r2_cotangent(u_arr, beta) if beta != 0.0 else None
+    if alpha != 0.0:
+        # d (alpha * R1) / d Du = 2 alpha Du / N, formed in D itself
+        grad_D = jacobian_raw(u_arr).astype(np.float64, copy=False)
+        grad_D *= 2.0 * alpha / u_arr[0].size
+    else:
+        grad_D = np.zeros((3, 3, *u_arr.shape[1:]))
+    if folds is not None:
+        idx, values = folds
+        grad_D.reshape(3, 3, -1)[:, :, idx] += values
+    return grad_D
+
+
+def r2_backward(u: DisplacementField, upstream: float = 1.0) -> np.ndarray:
+    """Gradient of upstream * r2_penalty(det_map(u)) w.r.t. u, shape (3, nx, ny, nz)."""
+    return jacobian_adjoint(du_cotangent(u.data, 0.0, upstream))
 
 
 def det_volume(det: np.ndarray) -> Volume:

@@ -11,8 +11,9 @@ reductions accumulate in float64. Each window sum is three BLAS products,
 one per axis, with a symmetric 0/1 band matrix.
 
 Training takes the breakdown from ``total_loss`` and the gradients from
-``loss_backward``. Evaluation takes ``loss_value``: the breakdown with no
-gradient, from the CC's forward half and one Du, with the determinant map
+``loss_backward``, whose R1 and R2 part is ``jacobian.du_cotangent``
+scattered back onto u. Evaluation takes ``loss_value``: the breakdown with
+no gradient, from the CC's forward half and one Du, with the determinant map
 of that Du.
 """
 
@@ -210,12 +211,6 @@ def _r1(D: np.ndarray) -> float:
     return float(np.square(D, out=D).sum(dtype=np.float64) / D[0, 0].size)
 
 
-def _r1_with_grad(u_arr: np.ndarray):
-    D = _du(u_arr)
-    grad = jacobian.jacobian_adjoint(D * (2.0 / u_arr[0].size))
-    return _r1(D), grad
-
-
 def r1_smoothness(u: DisplacementField) -> float:
     """Voxel mean of the squared Frobenius norm of Du."""
     return _r1(_du(u.data))
@@ -305,21 +300,9 @@ def loss_backward(
 
     Returns (grad_s, grad_u). The image term only touches grad_s; composing
     with the warp (warp_backward) is the caller's job. R1 and R2 both act
-    through Du, so their cotangents on Du are summed and scattered back onto
-    u by one jacobian_adjoint. R2's is formed first, at the folding voxels
-    only, and its own Du is freed before R1's D = Du is allocated: besides D,
-    only the folding voxels' 3x3 cotangents are live.
+    through Du: jacobian.du_cotangent forms their summed cotangent on Du, and
+    one jacobian_adjoint scatters it back onto u.
     """
-    _check_dims(s_warped, target)
+    _check_pair(s_warped, target, u)
     _, grad_s, _ = _image_term(s_warped.data, target.data, cc_mode, window)
-    folds = jacobian.r2_cotangent(u.data, beta) if beta != 0.0 else None
-    if alpha != 0.0:
-        # d (alpha * R1) / d Du = 2 alpha Du / N, formed in D itself
-        grad_D = _du(u.data)
-        grad_D *= 2.0 * alpha / u.data[0].size
-    else:
-        grad_D = np.zeros((3, 3, *u.dims))
-    if folds is not None:
-        idx, values = folds
-        grad_D.reshape(3, 3, -1)[:, :, idx] += values
-    return grad_s, jacobian.jacobian_adjoint(grad_D)
+    return grad_s, jacobian.jacobian_adjoint(jacobian.du_cotangent(u.data, alpha, beta))

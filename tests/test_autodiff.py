@@ -15,6 +15,14 @@ import foldreg.autodiff as ad
 from foldreg.model import FaimConfig, faim_layers
 
 
+def sum_all(x: ad.Tensor) -> ad.Tensor:
+    """The float64 sum of x as a scalar test loss; its backward hands x a broadcast view of the seed."""
+    def backward_fn(g):
+        ad._accumulate(x, np.broadcast_to(g, x.data.shape), fresh=False)
+
+    return ad.Tensor(x.data.sum(dtype=np.float64), parents=(x,), backward_fn=backward_fn, op="sum_all")
+
+
 def brute_conv3d(x, w, b, stride, padding):
     """Direct six-loop cross-correlation with zero padding."""
     cout, cin, k = w.shape[0], w.shape[1], w.shape[2]
@@ -252,7 +260,7 @@ class TestPrelu:
         x = ad.Tensor(x_arr)
         a = ad.Tensor(np.array([0.25]))
         out = ad.prelu(x, a)
-        ad.backward(ad.sum_all(out))
+        ad.backward(sum_all(out))
         assert a.grad[0] == pytest.approx(x_arr.sum())
 
     # float32, float64, and float32 inputs with float64 slopes, whose output is float64
@@ -331,21 +339,21 @@ class TestBackward:
         w = ad.Tensor(np.zeros((1, 1, 3, 3, 3)))
         b = ad.Tensor(np.zeros(1))
         out = ad.conv3d(x, w, b)
-        ad.backward(ad.sum_all(out))
+        ad.backward(sum_all(out))
         assert np.array_equal(w.grad, np.full((1, 1, 3, 3, 3), 8.0))  # 2^3 positions
         assert b.grad[0] == 8.0
 
     def test_diamond_graph_accumulates(self):
         x = ad.Tensor(np.ones((1, 2, 2, 2)))
         y = ad.add(x, x)
-        ad.backward(ad.sum_all(y))
+        ad.backward(sum_all(y))
         assert np.array_equal(x.grad, np.full((1, 2, 2, 2), 2.0))
 
     def test_grad_reset_between_backwards(self):
         x = ad.Tensor(np.ones((1, 2, 2, 2)))
         for _ in range(3):
             y = ad.add(x, x)
-            ad.backward(ad.sum_all(y))
+            ad.backward(sum_all(y))
             assert np.array_equal(x.grad, np.full((1, 2, 2, 2), 2.0))
 
     def test_determinism(self):
@@ -355,7 +363,7 @@ class TestBackward:
             w = ad.Tensor(rng.standard_normal((3, 2, 3, 3, 3)).astype(np.float32))
             b = ad.Tensor(rng.standard_normal(3).astype(np.float32))
             out = ad.conv3d(x, w, b, 1, 1)
-            ad.backward(ad.sum_all(out))
+            ad.backward(sum_all(out))
             return out.data.copy(), w.grad.copy()
 
         d1, g1 = run()
@@ -714,7 +722,7 @@ def _through_each_op(x):
     down = ad.conv3d(x, conv_w, conv_b, stride=2, padding=1)
     up = ad.conv3d_transpose(x, convT_w, convT_b, stride=2)
     cat = ad.concat_channels([x, ad.prelu(x, slopes), ad.add(x, other)])
-    root = ad.add(ad.add(ad.sum_all(down), ad.sum_all(up)), ad.sum_all(cat))
+    root = ad.add(ad.add(sum_all(down), sum_all(up)), sum_all(cat))
     return root, params
 
 
@@ -725,7 +733,7 @@ class TestRequiresGrad:
         ad.backward(root)
         assert x.grad is None
         assert all(p.grad is not None for p in params)
-        frozen_root = ad.sum_all(x)
+        frozen_root = sum_all(x)
         assert not frozen_root.requires_grad
         ad.backward(frozen_root)
         assert x.grad is None and frozen_root.grad is None
@@ -891,7 +899,7 @@ class TestGradientLifetime:
 
     def test_sum_all_gradient_is_writable(self):
         x = ad.Tensor(np.zeros((1, 2, 2, 2), dtype=np.float32))
-        ad.backward(ad.sum_all(x))
+        ad.backward(sum_all(x))
         x.grad[0, 0, 0, 0] = 7.0
         assert x.grad.sum() == 14.0 and x.grad.dtype == np.float64
 
@@ -906,7 +914,7 @@ class TestGradientLifetime:
     def test_leaf_that_no_closure_reaches_gets_zeros(self):
         x = ad.Tensor(np.ones((1, 2, 2, 2)))
         cut = ad.Tensor(x.data * 2, parents=(x,), op="detached")  # an op output without a closure
-        ad.backward(ad.sum_all(cut))
+        ad.backward(sum_all(cut))
         assert cut.grad is None
         assert x.grad.dtype == np.float64 and np.array_equal(x.grad, np.zeros((1, 2, 2, 2)))
 
@@ -983,7 +991,7 @@ class TestGradientDtype:
                         for shape in ((2, 4, 4, 4), (2, 4, 4, 4), (2,)))
         w, b = ad.Tensor(rng.standard_normal((3, 2, 3, 3, 3))), ad.Tensor(rng.standard_normal(3))
         h = ad.prelu(ad.add(x, y), slopes)
-        root = ad.sum_all(ad.concat_channels([h, ad.conv3d(h, w, b, 1, 1)]))
+        root = sum_all(ad.concat_channels([h, ad.conv3d(h, w, b, 1, 1)]))
         seen = _record_closure_grads(root)
         ad.backward(root)
         assert [node for node, *_ in seen] == [np.float64] * 3 + [np.float32] * 2

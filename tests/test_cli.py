@@ -5,7 +5,7 @@ import pytest
 from test_volume import build_nifti
 
 from foldreg import autodiff as ad
-from foldreg import metrics, trainer
+from foldreg import jacobian, metrics, trainer
 from foldreg.cli import main
 from foldreg.model import FaimConfig, build_faim, load_checkpoint, save_checkpoint
 from foldreg.trainer import load_dataset, make_pairs
@@ -323,15 +323,17 @@ class TestGradcheckCmd:
 
     # a 1% error in one kernel's weight gradient fails that kernel's rows and the
     # whole-network row, and no other; the forward pass is left exact, since the
-    # row and FFT kernels derive their input gradient from it
-    @pytest.mark.parametrize("kernel,rows", [
-        ("_rows_weight_grad", {"conv3d", "row_conv_prelu_skip"}),
-        ("_plane_weight_grad", {"conv3d_k5"}),
-        ("_weight_grad", {"conv3d_transpose", "conv3d_s2", "row_convT_skip_prelu"}),
-    ], ids=["rows", "fft", "window"])
-    def test_wrong_weight_gradient_fails(self, monkeypatch, capsys, kernel, rows):
-        exact = getattr(ad, kernel)
-        monkeypatch.setattr(ad, kernel, lambda *args: 1.01 * exact(*args))
+    # row and FFT kernels derive their input gradient from it. A 1% error in the
+    # regularizers' cotangent on Du fails every row that runs it.
+    @pytest.mark.parametrize("module,attr,rows", [
+        (ad, "_rows_weight_grad", {"conv3d", "row_conv_prelu_skip"}),
+        (ad, "_plane_weight_grad", {"conv3d_k5"}),
+        (ad, "_weight_grad", {"conv3d_transpose", "conv3d_s2", "row_convT_skip_prelu"}),
+        (jacobian, "du_cotangent", {"r1_smoothness", "r2_through_det", "direct_loss_end_to_end"}),
+    ], ids=["rows", "fft", "window", "du_cotangent"])
+    def test_wrong_weight_gradient_fails(self, monkeypatch, capsys, module, attr, rows):
+        exact = getattr(module, attr)
+        monkeypatch.setattr(module, attr, lambda *args: 1.01 * exact(*args))
         assert run(["gradcheck", "--seed", "0", "--size", "4"]) == 2
         lines = capsys.readouterr().out.splitlines()
         assert {line.split()[0] for line in lines if line.endswith("FAIL")} == rows | {"faim_graph_end_to_end"}
@@ -379,9 +381,12 @@ class TestDescribe:
         assert run(["describe", "--config", str(cfg)]) == 1
         assert "head_kernal" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("threads", ["0", "-1"])
-    def test_threads_below_one_usage_error(self, threads):
-        assert run(["--threads", threads, "describe"]) == 1
+    def test_threads_is_an_unknown_argument(self, capsys):
+        # BLAS threads are set in the environment, not by a flag
+        with pytest.raises(SystemExit) as exc:
+            run(["--threads", "2", "describe"])
+        assert exc.value.code == 1
+        assert "foldreg: error:" in capsys.readouterr().err
 
     def test_invalid_kernel_usage_error(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

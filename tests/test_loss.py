@@ -12,7 +12,6 @@ from foldreg.loss import (
     _box_sum,
     _global_cc_with_grad,
     _local_cc_with_grad,
-    _r1_with_grad,
     global_cc,
     local_cc,
     loss_backward,
@@ -20,7 +19,7 @@ from foldreg.loss import (
     r1_smoothness,
     total_loss,
 )
-from foldreg.jacobian import det_map, folding_count, r2_backward
+from foldreg.jacobian import det_map, folding_count, jacobian_adjoint, jacobian_raw, r2_backward
 from foldreg.volume import INTENSITY, DisplacementField, Volume
 from test_jacobian import r2_pin_field
 
@@ -169,8 +168,6 @@ class TestBoxSum:
 
 
 def brute_r1(u):
-    from foldreg.jacobian import jacobian_raw
-
     D = jacobian_raw(u)
     total = 0.0
     for c in range(3):
@@ -404,13 +401,21 @@ class TestLossValue:
         s, t, u = pinned_inputs()
         with pytest.raises(ValueError, match="unknown cc mode"):
             loss_value(s, t, u, 1.0, 0.0, "ncc")
+        small = DisplacementField(np.zeros((3, 4, 4, 4), dtype=np.float32))
         with pytest.raises(ValueError, match="dims mismatch"):
-            loss_value(s, t, DisplacementField(np.zeros((3, 4, 4, 4), dtype=np.float32)), 1.0, 0.0)
+            loss_value(s, t, small, 1.0, 0.0)
+        with pytest.raises(ValueError, match="dims mismatch"):
+            loss_backward(s, t, small, 1.0, 0.1)
 
 
 class TestLossBackwardRegularizers:
-    """loss_backward sums the R1 and R2 cotangents on Du and runs one adjoint;
-    the separate R1 and R2 gradients are its oracle."""
+    """loss_backward sums the R1 and R2 cotangents on Du and runs one adjoint.
+
+    The R1 half of the oracle is formed here from Du alone. r2_backward runs
+    the same du_cotangent as loss_backward, so the R2 half checks the alpha
+    and beta weighting only; R2's gradient itself is pinned by
+    TestR2BackwardBytesPinned and checked by gradcheck's r2_through_det row.
+    """
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("alpha,beta", [(0.0, 0.0), (1.0, 0.0), (0.0, 0.01), (0.01, 0.01)])
@@ -422,7 +427,8 @@ class TestLossBackwardRegularizers:
         rng = np.random.default_rng(62)
         s, t = rand_vol(rng, u.dims), rand_vol(rng, u.dims)
         _, grad_u = loss_backward(s, t, u, alpha, beta, GLOBAL)
-        expected = alpha * _r1_with_grad(u.data)[1] + beta * r2_backward(u)
+        r1_grad = jacobian_adjoint(jacobian_raw(u.data).astype(np.float64) * (2.0 / u.data[0].size))
+        expected = alpha * r1_grad + beta * r2_backward(u)
         assert grad_u.dtype == np.float64 and grad_u.shape == (3, *u.dims)
         assert np.abs(grad_u - expected).max() <= 1e-12 * np.abs(expected).max()
 
