@@ -14,10 +14,12 @@ workload: lr 0.1, alpha 0.01, beta 0.01, local CC with a 9^3 window. With
 untrained network, loaded through ``metrics.checkpoint_predictor`` as
 ``foldreg evaluate`` does. It prints the wall time of that call and the peak
 resident set size of the process, so run each phase in its own process to get
-its own peak. BLAS is pinned to one thread before numpy is imported, as in
-the benchmark. The package is imported from the ``src`` directory of the
-checkout that holds this script, so it runs with no install and no
-PYTHONPATH. The test suite runs each mode at 8^3, and the FAIM modes also at
+its own peak, and the number of CPUs the process may run on: with two or
+more, the field half of the loss stack runs on a second thread at 2^14
+voxels or more (``foldreg._forkjoin``). BLAS is pinned to one thread before
+numpy is imported, as in the benchmark. The package is imported from the
+``src`` directory of the checkout that holds this script, so it runs with no
+install and no PYTHONPATH. The test suite runs each mode at 8^3, and the FAIM modes also at
 8x12x16, and no larger: at 64^3 it takes seconds and hundreds of MiB, at
 144x180x144 a minute and several GiB.
 """
@@ -66,6 +68,7 @@ def main() -> None:
     sys.path.insert(0, str(ROOT / "src"))
 
     from foldreg import metrics, model, trainer
+    from foldreg._forkjoin import usable_cpus
 
     ds = trainer.synth_dataset(seed=0, n=2, dims=args.dims)
     cfg = trainer.TrainConfig(epochs=1, beta=0.01)
@@ -93,7 +96,7 @@ def main() -> None:
     elapsed = time.perf_counter() - start
     if args.direct:
         summary += f"  {1e3 * elapsed / len(result.log_rows):.0f} ms per step"
-    print(f"dims {size}  {summary}  {elapsed:.2f} s  "
+    print(f"dims {size}  {summary}  {elapsed:.2f} s  {usable_cpus()} usable CPUs  "
           f"peak RSS {_peak_mib():.0f} MiB (before {before:.0f} MiB)")
 
 

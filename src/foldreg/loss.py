@@ -15,6 +15,14 @@ Training takes the breakdown from ``total_loss`` and the gradients from
 scattered back onto u. Evaluation takes ``loss_value``: the breakdown with
 no gradient, from the CC's forward half and one Du, with the determinant map
 of that Du.
+
+``total_loss`` and ``loss_value`` fork their field half, R1 and R2 from Du,
+which reads u alone, onto the worker of ``_forkjoin`` and run the CC
+meanwhile. Each half keeps its serial order of operations, so the bytes do
+not depend on which thread ran it.
+``loss_backward`` stays serial: its CC sets the peak of a training step's
+loss stack, and the field gradient beside it would add its (3, 3, N)
+float64 cotangent to that peak.
 """
 
 from __future__ import annotations
@@ -24,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jacobian
+from ._forkjoin import fork
 from .volume import DisplacementField, Volume
 
 EPS = 1e-5
@@ -237,6 +246,24 @@ def _image_value(s_arr: np.ndarray, t_arr: np.ndarray, cc_mode: str, window: int
     return 1.0 - cc
 
 
+def _regularizers(u_arr: np.ndarray) -> tuple[float, float]:
+    """total_loss's field half: R1 from one Du, then R2 from det(I + Du) of a second Du.
+
+    Du is differenced twice, not once, because bench/selftest.py pins 4
+    jacobian_raw calls per training step.
+    """
+    r1 = _r1(_du(u_arr))
+    return r1, jacobian.r2_penalty(jacobian.deformation_det(jacobian.jacobian_raw(u_arr)))
+
+
+def _regularizers_and_det(u_arr: np.ndarray):
+    """loss_value's field half from one Du: det(I + Du) in u's dtype, then R1 from Du in float64, then R2."""
+    D = jacobian.jacobian_raw(u_arr)
+    det = jacobian.deformation_det(D)
+    r1 = _r1(D.astype(np.float64, copy=False))
+    return r1, jacobian.r2_penalty(det), det
+
+
 def _check_pair(s_warped: Volume, target: Volume, u: DisplacementField) -> None:
     _check_dims(s_warped, target)
     if s_warped.dims != u.dims:
@@ -253,9 +280,9 @@ def total_loss(
     window: int = DEFAULT_WINDOW,
 ) -> LossBreakdown:
     _check_pair(s_warped, target, u)
+    join = fork(u.data[0].size, _regularizers, u.data)
     image, _, _ = _image_term(s_warped.data, target.data, cc_mode, window)
-    r1 = _r1(_du(u.data))
-    r2 = jacobian.r2_penalty(jacobian.det_map(u))
+    r1, r2 = join()
     total = image + alpha * r1 + beta * r2
     return LossBreakdown(image=image, r1=r1, r2=r2, total=total, alpha=alpha, beta=beta)
 
@@ -278,11 +305,9 @@ def loss_value(
     total_loss and det_map.
     """
     _check_pair(s_warped, target, u)
+    join = fork(u.data[0].size, _regularizers_and_det, u.data)
     image = _image_value(s_warped.data, target.data, cc_mode, window)
-    D = jacobian.jacobian_raw(u.data)
-    det = jacobian.deformation_det(D)
-    r1 = _r1(D.astype(np.float64, copy=False))
-    r2 = jacobian.r2_penalty(det)
+    r1, r2, det = join()
     total = image + alpha * r1 + beta * r2
     return LossBreakdown(image=image, r1=r1, r2=r2, total=total, alpha=alpha, beta=beta), det
 

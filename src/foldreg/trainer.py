@@ -9,6 +9,11 @@ set is trained across shuffled pairs for ``epochs`` epochs; for the
 ``direct`` kind each pair gets its own zero-initialized field optimized for
 ``steps`` iterations (classical per-pair registration).
 
+``_loss_and_grad`` forks the warp's derivative at x + u onto the worker of
+``_forkjoin`` and runs ``loss_backward`` meanwhile; the image gradient is
+applied to the derivative after the join, so the field gradient has the
+same bytes whichever thread computed it.
+
 A checkpoint holds the trained parameters only: Adam's moments and step
 count end with the run. A NaN/Inf loss or gradient aborts the run with
 ``TrainingDiverged`` and keeps the last good checkpoint: the parameters from
@@ -26,6 +31,7 @@ import numpy as np
 from . import loss as loss_mod
 from . import model as model_mod
 from . import optim
+from ._forkjoin import fork
 from .autodiff import backward
 from .jacobian import jacobian_raw
 from .settings import Settings, format_key_values
@@ -41,7 +47,8 @@ from .volume import (
     save_field,
     save_volume,
 )
-from .warp import warp_backward, warp_image, warp_labels
+# warp_backward is not called here; bench/spans.py patches it by name, so it stays importable
+from .warp import warp_backward, warp_derivative, warp_image, warp_labels  # noqa: F401
 
 
 class TrainingDiverged(RuntimeError):
@@ -286,8 +293,9 @@ def _loss_and_grad(src: Volume, tgt: Volume, u_arr: np.ndarray, cfg: TrainConfig
     bd = loss_mod.total_loss(warped, tgt, u, cfg.alpha, cfg.beta, cfg.cc_mode, cfg.cc_window)
     if not np.isfinite(bd.total):
         return None, None
+    join = fork(u_arr[0].size, warp_derivative, src, u)
     grad_s, grad_u = loss_mod.loss_backward(warped, tgt, u, cfg.alpha, cfg.beta, cfg.cc_mode, cfg.cc_window)
-    grad_u += warp_backward(src, u, grad_s)
+    grad_u += join() * grad_s
     return bd, grad_u
 
 

@@ -151,12 +151,18 @@ def warp_labels(lab: Volume, u: DisplacementField) -> Volume:
     return Volume(np.take(v, flat), LABEL)
 
 
-def warp_backward(src: Volume, u: DisplacementField, upstream: np.ndarray) -> np.ndarray:
-    """Gradient of sum(upstream * warped) with respect to u, shape (3, ...)."""
+def warp_derivative(src: Volume, u: DisplacementField) -> np.ndarray:
+    """d warped(x) / d u(x) at every voxel: sample_grid_grad at x + u(x), shape (3, ...)."""
     if src.dims != u.dims:
         raise ValueError(f"dims mismatch: source {src.dims} vs field {u.dims}")
+    coords = identity_grid(src.dims, dtype=u.data.dtype) + u.data
+    return sample_grid_grad(src.data, coords)
+
+
+def warp_backward(src: Volume, u: DisplacementField, upstream: np.ndarray) -> np.ndarray:
+    """Gradient of sum(upstream * warped) with respect to u, shape (3, ...)."""
+    derivative = warp_derivative(src, u)
     upstream = np.asarray(upstream)
     if upstream.shape != src.dims:
         raise ValueError(f"upstream shape {upstream.shape} does not match dims {src.dims}")
-    coords = identity_grid(src.dims, dtype=u.data.dtype) + u.data
-    return sample_grid_grad(src.data, coords) * upstream
+    return derivative * upstream

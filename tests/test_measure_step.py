@@ -28,10 +28,10 @@ def _run(dims, mode):
 @pytest.mark.parametrize("mode", [[], ["--direct"], ["--evaluate"]], ids=["train", "direct", "evaluate"])
 def test_measure_step_runs(mode):
     out = _run("8", mode)
-    assert re.fullmatch(r"dims 8x8x8  .+  peak RSS \d+ MiB \(before \d+ MiB\)\n", out), out
+    assert re.fullmatch(r"dims 8x8x8  .+  \d+ usable CPUs  peak RSS \d+ MiB \(before \d+ MiB\)\n", out), out
 
 
 @pytest.mark.parametrize("mode", [[], ["--evaluate"]], ids=["train", "evaluate"])
 def test_measure_step_anisotropic(mode):
     out = _run("8,12,16", mode)
-    assert re.fullmatch(r"dims 8x12x16  .+  peak RSS \d+ MiB \(before \d+ MiB\)\n", out), out
+    assert re.fullmatch(r"dims 8x12x16  .+  \d+ usable CPUs  peak RSS \d+ MiB \(before \d+ MiB\)\n", out), out

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from foldreg import metrics, model, trainer
+from foldreg import _forkjoin, metrics, model, trainer
 from foldreg.autodiff import Tensor
 from foldreg.jacobian import det_map, folding_count, jacobian_raw
 from foldreg.loss import total_loss
@@ -475,6 +475,35 @@ class TestPeakMemory:
                                                 TrainConfig(beta=0.01), rows))
         assert len(rows) == 1
         assert peak < 6_500_000
+
+    def test_faim_training_step_32(self):
+        # predict, loss and gradient, backward: 36.70-36.71 MB with the loss
+        # stack's field half on the worker or not, as the backward pass sets it
+        ds = synth_dataset(seed=0, n=2, dims=(32, 32, 32))
+        params = model.build_faim(model.FaimConfig(), seed=0)
+        src, tgt = ds.volumes["s00"], ds.volumes["s01"]
+
+        def step():
+            u = model.predict(params, src, tgt)
+            _, grad_u = trainer._loss_and_grad(src, tgt, u.data, TrainConfig(beta=0.01))
+            trainer.backward(u, seed=grad_u)
+
+        assert self._peak(step) < 38_000_000
+
+    def test_direct_loss_and_grad_32(self, monkeypatch):
+        # 5.41 MB serial. With the worker forced on, 5.80 MB in the median of
+        # 300 runs and 8.69 MB at most, as the two halves' transients overlap:
+        # the local CC (5.27 MB peak) with the field values (3.54 MB), then
+        # loss_backward (5.27 MB) with the warp's derivative (3.28 MB). The
+        # bound is their largest sum with the warped image, 8.94 MB, so it
+        # holds for every overlap
+        monkeypatch.setattr(_forkjoin, "GRAIN", 0)
+        monkeypatch.setattr(_forkjoin, "usable_cpus", lambda: 2)
+        ds = synth_dataset(seed=0, n=2, dims=(32, 32, 32))
+        u = (np.random.default_rng(1).standard_normal((3, 32, 32, 32)) * 0.8).astype(np.float32)
+        assert folding_count(det_map(DisplacementField(u))) > 0
+        cfg = TrainConfig(lr=0.1, alpha=0.01, beta=0.01)
+        assert self._peak(lambda: trainer._loss_and_grad(ds.volumes["s00"], ds.volumes["s01"], u, cfg)) < 9_200_000
 
     def test_graph_released_before_update(self, monkeypatch):
         import gc
