@@ -14,6 +14,7 @@ from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import gradcheck as gradcheck_mod
+from . import loss as loss_mod
 from . import metrics, model, trainer
 from .jacobian import det_map, det_volume, folding_count, folding_mask
 from .optim import DivergenceError
@@ -183,7 +184,7 @@ def build_parser() -> _Parser:
     p.add_argument("--epochs", type=int)
     p.add_argument("--steps", type=int, help="per-pair iterations (direct model)")
     p.add_argument("--seed", type=int)
-    p.add_argument("--cc", dest="cc_mode", choices=("local", "global"))
+    p.add_argument("--cc", dest="cc_mode", choices=tuple(loss_mod.CC_MODES))
     p.add_argument("--window", dest="cc_window", type=int)
     p.add_argument("--crop", type=_parse_dims, help="center-crop target dims: N or NX,NY,NZ")
     p.add_argument("--clip-norm", type=float)

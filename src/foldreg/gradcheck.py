@@ -19,6 +19,7 @@ onto u, at weights (1, 0) and, through ``r2_backward``, (0, 1).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -200,8 +201,7 @@ def _check_warp(rng, size) -> CheckResult:
 def _check_cc(rng, size, mode) -> CheckResult:
     a = rng.random((size, size, size))
     b = rng.random((size, size, size))
-    fn = loss._global_cc_with_grad if mode == loss.GLOBAL else lambda a, b: loss._local_cc_with_grad(a, b, 3)
-    return _check_value_and_grad(rng, f"{mode}_cc", fn, [a, b])
+    return _check_value_and_grad(rng, f"{mode}_cc", partial(loss.CC_MODES[mode][1], w=3), [a, b])
 
 
 def _check_r1(rng, size) -> CheckResult:

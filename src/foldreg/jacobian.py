@@ -12,7 +12,8 @@ returns its cotangent on Du there alone, and jacobian_adjoint scatters a
 cotangent on Du back onto u. du_cotangent is the one place the regularizers'
 cotangent on Du is formed: it adds R2's folding-voxel cotangent into R1's
 2 alpha Du / N. loss_backward and r2_backward both scatter its result back
-onto u with one adjoint.
+onto u with one adjoint. _cofactor is the one cyclic cofactor rule, for the
+determinant and for R2's cotangent alike.
 """
 
 from __future__ import annotations
@@ -53,18 +54,17 @@ def jacobian_adjoint(grad: np.ndarray) -> np.ndarray:
     return out
 
 
+def _cofactor(J, c: int, a: int):
+    """d det(J) / d J[c][a]: rows c+1, c+2 by columns a+1, a+2 of J, mod 3, whose cyclic order gives the sign."""
+    r1, r2, k1, k2 = (c + 1) % 3, (c + 2) % 3, (a + 1) % 3, (a + 2) % 3
+    return J[r1][k1] * J[r2][k2] - J[r1][k2] * J[r2][k1]
+
+
 def _cofactors(J: np.ndarray) -> np.ndarray:
     """C with C[c, a] = d det(J) / d J[c, a]."""
     C = np.empty_like(J)
-    C[0, 0] = J[1, 1] * J[2, 2] - J[1, 2] * J[2, 1]
-    C[0, 1] = J[1, 2] * J[2, 0] - J[1, 0] * J[2, 2]
-    C[0, 2] = J[1, 0] * J[2, 1] - J[1, 1] * J[2, 0]
-    C[1, 0] = J[0, 2] * J[2, 1] - J[0, 1] * J[2, 2]
-    C[1, 1] = J[0, 0] * J[2, 2] - J[0, 2] * J[2, 0]
-    C[1, 2] = J[0, 1] * J[2, 0] - J[0, 0] * J[2, 1]
-    C[2, 0] = J[0, 1] * J[1, 2] - J[0, 2] * J[1, 1]
-    C[2, 1] = J[0, 2] * J[1, 0] - J[0, 0] * J[1, 2]
-    C[2, 2] = J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]
+    for c, a in np.ndindex(3, 3):
+        C[c, a] = _cofactor(J, c, a)
     return C
 
 
@@ -75,11 +75,8 @@ def deformation_det(D: np.ndarray) -> np.ndarray:
     row. Only the diagonal entries 1 + D[c, c] are new arrays.
     """
     J = [[D[c, a] + 1.0 if a == c else D[c, a] for a in range(3)] for c in range(3)]
-    return (
-        J[0][0] * (J[1][1] * J[2][2] - J[1][2] * J[2][1])
-        - J[0][1] * (J[1][0] * J[2][2] - J[1][2] * J[2][0])
-        + J[0][2] * (J[1][0] * J[2][1] - J[1][1] * J[2][0])
-    )
+    # written out, not summed from 0, which would turn a -0.0 det into +0.0
+    return J[0][0] * _cofactor(J, 0, 0) + J[0][1] * _cofactor(J, 0, 1) + J[0][2] * _cofactor(J, 0, 2)
 
 
 def det_map(u: DisplacementField) -> np.ndarray:

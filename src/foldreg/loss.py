@@ -2,10 +2,11 @@
 
 total = (1 - CC) + alpha * R1 + beta * R2
 
-Two CC modes are provided. "global" is the Pearson correlation over the whole
-volume (image term in [0, 2]); "local" is the mean squared windowed
-correlation coefficient with zero-padded window sums (image term in [0, 1]),
-the variant used by comparable registration networks, and the default.
+The two CC modes are the rows of ``CC_MODES``. "global" is the Pearson
+correlation over the whole volume (image term in [0, 2]); "local", the
+default, is the mean squared windowed correlation coefficient with zero-padded
+window sums (image term in [0, 1]), the variant used by comparable
+registration networks.
 R1 is the voxel mean of the squared Frobenius norm of Du. All scalar
 reductions accumulate in float64. Each window sum is three BLAS products,
 one per axis, with a symmetric 0/1 band matrix.
@@ -57,7 +58,7 @@ def _check_dims(a: Volume, b: Volume) -> None:
         raise ValueError(f"dims mismatch: {a.dims} vs {b.dims}")
 
 
-def _global_cc_terms(x: np.ndarray, y: np.ndarray):
+def _global_cc_terms(x: np.ndarray, y: np.ndarray, w: int | None = None):
     """The forward half of the global CC: (cc, zx, zy, sx, sy, denom), x and y taken in float64."""
     x = x.astype(np.float64, copy=False)
     y = y.astype(np.float64, copy=False)
@@ -70,11 +71,7 @@ def _global_cc_terms(x: np.ndarray, y: np.ndarray):
     return cov / denom, zx, zy, sx, sy, denom
 
 
-def _global_cc(x: np.ndarray, y: np.ndarray) -> float:
-    return float(_global_cc_terms(x, y)[0])
-
-
-def _global_cc_with_grad(x: np.ndarray, y: np.ndarray):
+def _global_cc_with_grad(x: np.ndarray, y: np.ndarray, w: int | None = None):
     cc, zx, zy, sx, sy, denom = _global_cc_terms(x, y)
     n = zx.size
     # d cov / dx_i = zy_i / n; d sx / dx_i = zx_i / (n * sx)
@@ -85,12 +82,6 @@ def _global_cc_with_grad(x: np.ndarray, y: np.ndarray):
     if sy > 0.0:
         gy -= zy * (cc / (n * sy * (sy + EPS)))
     return float(cc), gx, gy
-
-
-def global_cc(a: Volume, b: Volume) -> float:
-    """Pearson correlation over all voxels, epsilon-stabilized."""
-    _check_dims(a, b)
-    return _global_cc(a.data, b.data)
 
 
 def _band_matrices(shape, w: int, dtype) -> tuple[np.ndarray, ...]:
@@ -109,13 +100,15 @@ def _box_sum(arr: np.ndarray, bands) -> np.ndarray:
 
 
 def _local_cc_terms(x: np.ndarray, y: np.ndarray, w: int):
-    """The forward half of the local CC, x and y in float64: six box sums, then cc^2 per voxel.
+    """The forward half of the local CC, x and y taken in float64: six box sums, then cc^2 per voxel.
 
-    Returns (bands, count, sx, sy, cross, var_x, var_y, denom, cc2); the
-    value is the voxel mean of cc2.
+    Returns (cc, bands, count, sx, sy, cross, var_x, var_y, denom, cc2); the
+    value cc is the voxel mean of cc2.
     """
     if w < 1 or w % 2 == 0:
         raise ValueError(f"window size must be odd, got {w}")
+    x = x.astype(np.float64, copy=False)
+    y = y.astype(np.float64, copy=False)
     # sums are zero-padded; means use the true in-bounds count so constant
     # volumes have exactly zero local variance at the boundary too
     bands = _band_matrices(x.shape, w, x.dtype)
@@ -144,21 +137,14 @@ def _local_cc_terms(x: np.ndarray, y: np.ndarray, w: int):
     denom += EPS
     cc2 = cross * cross
     cc2 /= denom
-    return bands, count, sx, sy, cross, var_x, var_y, denom, cc2
-
-
-def _local_cc(x: np.ndarray, y: np.ndarray, w: int) -> float:
-    x = x.astype(np.float64, copy=False)
-    y = y.astype(np.float64, copy=False)
-    return float(_local_cc_terms(x, y, w)[-1].mean(dtype=np.float64))
+    return cc2.mean(dtype=np.float64), bands, count, sx, sy, cross, var_x, var_y, denom, cc2
 
 
 def _local_cc_with_grad(x: np.ndarray, y: np.ndarray, w: int):
     x = x.astype(np.float64, copy=False)
     y = y.astype(np.float64, copy=False)
     n = x.size
-    bands, count, sx, sy, cross, var_x, var_y, denom, cc2 = _local_cc_terms(x, y, w)
-    value = float(cc2.mean(dtype=np.float64))
+    value, bands, count, sx, sy, cross, var_x, var_y, denom, cc2 = _local_cc_terms(x, y, w)
     tmp = np.empty_like(count)
 
     # g_cross = 2 cross / (denom n), g_var_x = -cc2 var_y / (denom n), likewise g_var_y
@@ -201,13 +187,31 @@ def _local_cc_with_grad(x: np.ndarray, y: np.ndarray, w: int):
     g_syy *= 2.0
     g_syy *= y
     gy += g_syy
-    return value, gx, gy
+    return float(value), gx, gy
+
+
+# cc mode -> (its forward half, which returns the CC first; the CC with its gradients (cc, gx, gy)),
+# in the order of the CLI's --cc choices. Each takes (x, y, window); the global CC ignores the window.
+CC_MODES = {
+    LOCAL: (_local_cc_terms, _local_cc_with_grad),
+    GLOBAL: (_global_cc_terms, _global_cc_with_grad),
+}
+
+
+def _cc_value(a: Volume, b: Volume, cc_mode: str, window) -> float:
+    """The CC alone, from the mode's forward half: no gradient."""
+    _check_dims(a, b)
+    return float(CC_MODES[cc_mode][0](a.data, b.data, window)[0])
+
+
+def global_cc(a: Volume, b: Volume) -> float:
+    """Pearson correlation over all voxels, epsilon-stabilized."""
+    return _cc_value(a, b, GLOBAL, None)
 
 
 def local_cc(a: Volume, b: Volume, w: int = DEFAULT_WINDOW) -> float:
     """Mean squared local correlation over w^3 windows, in [0, 1]."""
-    _check_dims(a, b)
-    return _local_cc(a.data, b.data, w)
+    return _cc_value(a, b, LOCAL, w)
 
 
 def _du(u_arr: np.ndarray) -> np.ndarray:
@@ -226,24 +230,8 @@ def r1_smoothness(u: DisplacementField) -> float:
 
 
 def _image_term(s_arr: np.ndarray, t_arr: np.ndarray, cc_mode: str, window: int):
-    if cc_mode == GLOBAL:
-        cc, gs, gt = _global_cc_with_grad(s_arr, t_arr)
-    elif cc_mode == LOCAL:
-        cc, gs, gt = _local_cc_with_grad(s_arr, t_arr, window)
-    else:
-        raise ValueError(f"unknown cc mode {cc_mode!r}")
+    cc, gs, gt = CC_MODES[cc_mode][1](s_arr, t_arr, window)
     return 1.0 - cc, -gs, -gt
-
-
-def _image_value(s_arr: np.ndarray, t_arr: np.ndarray, cc_mode: str, window: int) -> float:
-    """_image_term's value alone: the CC's forward half, no gradient."""
-    if cc_mode == GLOBAL:
-        cc = _global_cc(s_arr, t_arr)
-    elif cc_mode == LOCAL:
-        cc = _local_cc(s_arr, t_arr, window)
-    else:
-        raise ValueError(f"unknown cc mode {cc_mode!r}")
-    return 1.0 - cc
 
 
 def _regularizers(u_arr: np.ndarray) -> tuple[float, float]:
@@ -264,10 +252,12 @@ def _regularizers_and_det(u_arr: np.ndarray):
     return r1, jacobian.r2_penalty(det), det
 
 
-def _check_pair(s_warped: Volume, target: Volume, u: DisplacementField) -> None:
+def _check_pair(s_warped: Volume, target: Volume, u: DisplacementField, cc_mode: str) -> None:
     _check_dims(s_warped, target)
     if s_warped.dims != u.dims:
         raise ValueError(f"dims mismatch: image {s_warped.dims} vs field {u.dims}")
+    if cc_mode not in CC_MODES:
+        raise ValueError(f"unknown cc mode {cc_mode!r}")
 
 
 def total_loss(
@@ -279,7 +269,7 @@ def total_loss(
     cc_mode: str = LOCAL,
     window: int = DEFAULT_WINDOW,
 ) -> LossBreakdown:
-    _check_pair(s_warped, target, u)
+    _check_pair(s_warped, target, u, cc_mode)
     join = fork(u.data[0].size, _regularizers, u.data)
     image, _, _ = _image_term(s_warped.data, target.data, cc_mode, window)
     r1, r2 = join()
@@ -304,9 +294,9 @@ def loss_value(
     float64 field, Du itself, squared in place). Every value has the bytes of
     total_loss and det_map.
     """
-    _check_pair(s_warped, target, u)
+    _check_pair(s_warped, target, u, cc_mode)
     join = fork(u.data[0].size, _regularizers_and_det, u.data)
-    image = _image_value(s_warped.data, target.data, cc_mode, window)
+    image = 1.0 - _cc_value(s_warped, target, cc_mode, window)
     r1, r2, det = join()
     total = image + alpha * r1 + beta * r2
     return LossBreakdown(image=image, r1=r1, r2=r2, total=total, alpha=alpha, beta=beta), det
@@ -328,6 +318,6 @@ def loss_backward(
     through Du: jacobian.du_cotangent forms their summed cotangent on Du, and
     one jacobian_adjoint scatters it back onto u.
     """
-    _check_pair(s_warped, target, u)
+    _check_pair(s_warped, target, u, cc_mode)
     _, grad_s, _ = _image_term(s_warped.data, target.data, cc_mode, window)
     return grad_s, jacobian.jacobian_adjoint(jacobian.du_cotangent(u.data, alpha, beta))

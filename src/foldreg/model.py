@@ -257,6 +257,8 @@ def load_checkpoint(path):
             off += 4
             name = buf[off:off + name_len].decode("utf-8")
             off += name_len
+            if name in arrays:
+                raise ValueError(f"tensor {name!r} is named twice")
             (ndim,) = struct.unpack_from("<I", buf, off)
             off += 4
             shape = struct.unpack_from(f"<{ndim}I", buf, off)

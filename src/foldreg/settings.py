@@ -19,12 +19,14 @@ def format_key_values(meta: dict) -> str:
 
 
 def parse_key_values(text: str) -> dict[str, str]:
-    """Parse flat key=value text; blank lines and # comments are skipped."""
+    """Parse flat key=value text; blank lines and # comments are skipped, any other line needs an "="."""
     meta = {}
-    for line in text.splitlines():
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if line and not line.startswith("#"):
-            k, _, v = line.partition("=")
+            k, eq, v = line.partition("=")
+            if not eq:
+                raise ValueError(f"line {lineno}: expected key=value, got {line!r}")
             meta[k.strip()] = v.strip()
     return meta
 

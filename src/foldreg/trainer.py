@@ -81,7 +81,7 @@ class TrainConfig(Settings):
             raise ValueError("epochs and steps must be >= 1")
         if self.cc_window < 1 or self.cc_window % 2 == 0:
             raise ValueError("cc window must be odd")
-        if self.cc_mode not in (loss_mod.LOCAL, loss_mod.GLOBAL):
+        if self.cc_mode not in loss_mod.CC_MODES:
             raise ValueError(f"unknown cc mode {self.cc_mode!r}")
         if self.crop is not None and not (
                 len(self.crop) == 3 and all(isinstance(c, int) and c > 0 for c in self.crop)):
@@ -228,6 +228,7 @@ def load_dataset(manifest_path) -> Dataset:
         raise FileNotFoundError(f"dataset manifest not found at {manifest}")
     root = manifest.parent
     ds = Dataset(ids=[], volumes={}, labels={}, fields={})
+    listed = {}  # (kind, id) -> the line that lists it
     for lineno, line in enumerate(manifest.read_text().splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -236,11 +237,13 @@ def load_dataset(manifest_path) -> Dataset:
         if len(parts) != 3:
             raise ValueError(f"{manifest}:{lineno}: expected 'kind id path', got {line!r}")
         entry_kind, sid, rel = parts
+        first = listed.setdefault((entry_kind, sid), lineno)
+        if first != lineno:
+            raise ValueError(f"{manifest}:{lineno}: {entry_kind} {sid!r} is already listed on line {first}")
         path = root / rel
         if entry_kind == "volume":
             ds.volumes[sid] = load_volume(path, INTENSITY)
-            if sid not in ds.ids:
-                ds.ids.append(sid)
+            ds.ids.append(sid)
         elif entry_kind == "label":
             ds.labels[sid] = load_volume(path, LABEL)
         elif entry_kind == "field":

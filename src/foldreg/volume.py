@@ -9,7 +9,9 @@ Conventions used throughout the package:
   displacement along axis ``c``.
 * Native container "FRV1": 28-byte header (magic ``FRV1``, payload kind u32,
   nx/ny/nz u32, channel count u32, element-type code u32), then the
-  channel-major little-endian payload (float32, or int32 for labels).
+  channel-major little-endian payload. The layout table ``_FRV_LAYOUTS`` holds
+  each kind's codes and dtype; one writer and one reader go through it, and a
+  header that is no row of it raises ``FormatError``.
 * NIfTI-1 support is read-only: single-file uncompressed ``.nii``,
   little-endian, element kinds uint8/int16/int32/float32/float64. Spatial
   metadata beyond the dims is ignored; images are assumed pre-aligned.
@@ -25,13 +27,17 @@ import numpy as np
 
 INTENSITY = "intensity"
 LABEL = "label"
+_FIELD = "displacement"
 
 _MAGIC = b"FRV1"
-_KIND_INTENSITY = 0
-_KIND_LABEL = 1
-_KIND_DISPLACEMENT = 2
-_ELEM_F32 = 0
-_ELEM_I32 = 1
+# kind -> (payload kind code, channel count, element-type code, dtype): the
+# FRV1 layouts that are written and the only headers that load
+_FRV_LAYOUTS = {
+    INTENSITY: (0, 1, 0, np.dtype("<f4")),
+    LABEL: (1, 1, 1, np.dtype("<i4")),
+    _FIELD: (2, 3, 0, np.dtype("<f4")),
+}
+_FRV_KINDS = {row[:3]: kind for kind, row in _FRV_LAYOUTS.items()}
 _HEADER = struct.Struct("<4sIIIIII")  # 28 bytes
 _LABEL_MAX = int(np.iinfo(np.int32).max)
 
@@ -149,34 +155,26 @@ def center_crop(v: Volume, target) -> Volume:
 # FRV1 container
 
 
-def _frv_bytes_volume(v: Volume) -> bytes:
-    if v.kind == LABEL:
-        kind_code, elem_code = _KIND_LABEL, _ELEM_I32
-        payload = v.data.astype("<i4", copy=False)
-    else:
-        if v.data.dtype != np.float32:
-            raise TypeError("save requires float32 intensity data; cast explicitly")
-        kind_code, elem_code = _KIND_INTENSITY, _ELEM_F32
-        payload = v.data.astype("<f4", copy=False)
-    nx, ny, nz = v.dims
-    header = _HEADER.pack(_MAGIC, kind_code, nx, ny, nz, 1, elem_code)
-    return header + payload.ravel(order="F").tobytes()
+def _write_frv(path, kind: str, data: np.ndarray) -> None:
+    """Write ``data`` of shape (channels, nx, ny, nz) as the FRV1 layout of ``kind``."""
+    kind_code, channels, elem_code, dtype = _FRV_LAYOUTS[kind]
+    if data.dtype.name != dtype.name:
+        raise TypeError(f"save requires {dtype.name} {kind} data; cast explicitly")
+    header = _HEADER.pack(_MAGIC, kind_code, *data.shape[1:], channels, elem_code)
+    # channel-major, x-fastest within each channel
+    Path(path).write_bytes(header + np.moveaxis(data.astype(dtype, copy=False), 0, -1).tobytes(order="F"))
 
 
 def save_volume(v: Volume, path) -> None:
-    Path(path).write_bytes(_frv_bytes_volume(v))
+    _write_frv(path, v.kind, v.data[None])
 
 
 def save_field(u: DisplacementField, path) -> None:
-    if u.data.dtype != np.float32:
-        raise TypeError("save requires float32 field data; cast explicitly")
-    nx, ny, nz = u.dims
-    header = _HEADER.pack(_MAGIC, _KIND_DISPLACEMENT, nx, ny, nz, 3, _ELEM_F32)
-    payload = b"".join(u.data[c].astype("<f4", copy=False).ravel(order="F").tobytes() for c in range(3))
-    Path(path).write_bytes(header + payload)
+    _write_frv(path, _FIELD, u.data)
 
 
-def _parse_frv(buf: bytes, path):
+def _read_frv(buf: bytes, path):
+    """(kind, data): the row of _FRV_LAYOUTS an FRV1 file holds, and its payload as (channels, nx, ny, nz)."""
     if buf[:4] != _MAGIC:
         raise FormatError(f"{path}: bad magic (not an FRV1 file)")
     if len(buf) < _HEADER.size:
@@ -184,15 +182,23 @@ def _parse_frv(buf: bytes, path):
     _, kind_code, nx, ny, nz, channels, elem_code = _HEADER.unpack_from(buf)
     if min(nx, ny, nz) < 1:
         raise FormatError(f"{path}: non-positive dims {(nx, ny, nz)}")
-    if elem_code not in (_ELEM_F32, _ELEM_I32):
-        raise FormatError(f"{path}: unsupported element kind {elem_code}")
-    dtype = np.dtype("<f4") if elem_code == _ELEM_F32 else np.dtype("<i4")
-    count = nx * ny * nz * channels
-    expected = _HEADER.size + count * 4
+    kind = _FRV_KINDS.get((kind_code, channels, elem_code))
+    if kind is None:
+        raise FormatError(f"{path}: unsupported element kind {elem_code} "
+                          f"with payload kind {kind_code} and {channels} channel(s)")
+    dtype, count = _FRV_LAYOUTS[kind][3], nx * ny * nz * channels
+    expected = _HEADER.size + count * dtype.itemsize
     if len(buf) != expected:
         raise FormatError(f"{path}: payload size mismatch (expected {expected} bytes, got {len(buf)})")
     flat = np.frombuffer(buf, dtype=dtype, count=count, offset=_HEADER.size)
-    return kind_code, (nx, ny, nz), channels, flat
+    return kind, np.moveaxis(flat.reshape((nx, ny, nz, channels), order="F"), -1, 0)
+
+
+def _volume(data: np.ndarray, kind: str, path) -> Volume:
+    """A loaded payload as a Volume of ``kind``: a copy, in data's memory order."""
+    if kind == LABEL and data.size and data.min() < 0:
+        raise FormatError(f"{path}: label volumes must be non-negative")
+    return Volume(data.astype(np.int32 if kind == LABEL else np.float32), kind)
 
 
 def load_volume(path, kind: str | None = None) -> Volume:
@@ -205,32 +211,20 @@ def load_volume(path, kind: str | None = None) -> Volume:
     buf = Path(path).read_bytes()
     if buf[:4] != _MAGIC:
         return _load_nifti(buf, path, kind or INTENSITY)
-    kind_code, dims, channels, flat = _parse_frv(buf, path)
-    if kind_code == _KIND_DISPLACEMENT or channels != 1:
+    file_kind, data = _read_frv(buf, path)
+    if file_kind == _FIELD:
         raise FormatError(f"{path}: holds a displacement field; use load_field")
-    file_kind = LABEL if kind_code == _KIND_LABEL else INTENSITY
     if kind not in (None, file_kind):
         raise FormatError(f"{path}: holds a {file_kind} volume, expected {kind}")
-    data = flat.reshape(dims, order="F")
-    if file_kind == LABEL:
-        return _label_volume(data, path)
-    return Volume(data.astype(np.float32), INTENSITY)
-
-
-def _label_volume(data: np.ndarray, path) -> Volume:
-    if data.size and data.min() < 0:
-        raise FormatError(f"{path}: label volumes must be non-negative")
-    return Volume(data.astype(np.int32), LABEL)
+    return _volume(data[0], file_kind, path)
 
 
 def load_field(path) -> DisplacementField:
-    kind_code, dims, channels, flat = _parse_frv(Path(path).read_bytes(), path)
-    if kind_code != _KIND_DISPLACEMENT or channels != 3:
+    file_kind, data = _read_frv(Path(path).read_bytes(), path)
+    if file_kind != _FIELD:
         raise FormatError(f"{path}: not a displacement field")
-    per = dims[0] * dims[1] * dims[2]
-    chans = [flat[c * per:(c + 1) * per].reshape(dims, order="F") for c in range(3)]
     try:
-        return DisplacementField(np.stack(chans))
+        return DisplacementField(np.ascontiguousarray(data))
     except ValueError as exc:  # NaN or Inf components
         raise FormatError(f"{path}: {exc}") from exc
 
@@ -256,10 +250,12 @@ def _load_nifti(buf: bytes, path, kind: str) -> Volume:
     ndim = dim[0]
     if not 1 <= ndim <= 7:
         raise FormatError(f"{path}: bad magic/header (dim[0]={ndim})")
-    shape = [max(int(d), 1) for d in dim[1:4]]
-    extra = [int(d) for d in dim[4:1 + ndim]]
-    if ndim > 3 and any(d > 1 for d in extra):
+    extents = [int(d) for d in dim[1:1 + ndim]] + [1, 1]  # those beyond dim[0] are 1
+    if min(extents) < 1:
+        raise FormatError(f"{path}: non-positive extent (dim={dim[:1 + ndim]})")
+    if any(d > 1 for d in extents[3:]):
         raise FormatError(f"{path}: only scalar 3D volumes are supported (dim={dim[:1 + ndim]})")
+    shape = extents[:3]
     datatype = struct.unpack_from("<h", buf, 70)[0]
     if datatype not in _NIFTI_DTYPES:
         raise FormatError(f"{path}: unsupported element kind (datatype={datatype})")
@@ -271,10 +267,7 @@ def _load_nifti(buf: bytes, path, kind: str) -> Volume:
     count = shape[0] * shape[1] * shape[2]
     if len(buf) < vox_offset + count * dtype.itemsize:
         raise FormatError(f"{path}: payload size mismatch")
+    if kind == LABEL and not np.issubdtype(dtype, np.integer):
+        raise FormatError(f"{path}: label load requires an integer element kind")
     flat = np.frombuffer(buf, dtype=dtype, count=count, offset=vox_offset)
-    data = flat.reshape(shape, order="F")
-    if kind == LABEL:
-        if not np.issubdtype(dtype, np.integer):
-            raise FormatError(f"{path}: label load requires an integer element kind")
-        return _label_volume(data, path)
-    return Volume(data.astype(np.float32), INTENSITY)
+    return _volume(flat.reshape(shape, order="F"), kind, path)

@@ -381,6 +381,13 @@ class TestDescribe:
         assert run(["describe", "--config", str(cfg)]) == 1
         assert "head_kernal" in capsys.readouterr().err
 
+    def test_line_without_equals_usage_error(self, tmp_path, capsys):
+        # such a line once became a key with an empty value
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("# comment\n\nhead_kernel 5\n")
+        assert run(["describe", "--config", str(cfg)]) == 1
+        assert "line 3: expected key=value, got 'head_kernel 5'" in capsys.readouterr().err
+
     def test_threads_is_an_unknown_argument(self, capsys):
         # BLAS threads are set in the environment, not by a flag
         with pytest.raises(SystemExit) as exc:

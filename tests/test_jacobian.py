@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from foldreg.jacobian import (
+    _cofactors,
+    deformation_det,
     det_map,
     folding_count,
     folding_mask,
@@ -101,6 +103,45 @@ class TestDetMap:
         u = affine_field(A, rng.uniform(-1, 1, size=3), (12, 12, 12))
         expected = np.linalg.det(np.eye(3) + A)
         assert np.abs(det_map(u) - expected).max() < 1e-6
+
+
+class TestLibraryOracles:
+    """deformation_det and _cofactors against numpy.linalg, sharing no code with jacobian.py.
+
+    The bounds are relative to the largest entry. Measured worst cases over 20
+    seeded 12x10x9 fields: float64 8.1e-16 (det) and 4.6e-16 (cofactors);
+    float32 1.9e-7 and 9.3e-8, against float64 references of the same inputs.
+    """
+
+    BOUNDS = {np.float64: 1e-13, np.float32: 1e-6}
+
+    @staticmethod
+    def field_jacobian(seed, dtype):
+        rng = np.random.default_rng(seed)
+        # std 0.6 folds about a third of the voxels
+        D = jacobian_raw(rng.normal(0.0, 0.6, (3, 12, 10, 9)).astype(dtype))
+        return D, np.moveaxis(D.astype(np.float64), (0, 1), (-2, -1)) + np.eye(3)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_det_matches_numpy_det(self, seed, dtype):
+        D, J = self.field_jacobian(seed, dtype)
+        expected = np.linalg.det(J)
+        assert (expected < 0).any() and (expected > 0).any()
+        det = deformation_det(D)
+        assert det.dtype == dtype
+        assert np.abs(det - expected).max() <= self.BOUNDS[dtype] * np.abs(expected).max()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_cofactors_match_adjugate_transpose(self, seed, dtype):
+        D, J = self.field_jacobian(seed, dtype)
+        # the cofactor matrix is det(J) inv(J)^T
+        expected = np.linalg.det(J)[..., None, None] * np.swapaxes(np.linalg.inv(J), -1, -2)
+        Jd = D + np.eye(3, dtype=dtype)[:, :, None, None, None]
+        C = np.moveaxis(_cofactors(Jd), (0, 1), (-2, -1))
+        assert C.dtype == dtype
+        assert np.abs(C - expected).max() <= self.BOUNDS[dtype] * np.abs(expected).max()
 
 
 class TestFoldingCount:

@@ -356,6 +356,23 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="field:a:b"):
             params_from_checkpoint(meta, arrays)
 
+    def test_tensor_named_twice_rejected(self, tmp_path):
+        # the later record once won silently; save_checkpoint takes a dict, so the file is edited
+        arrays = {"field:a:b": np.zeros((3, 4, 4, 4), np.float32), "field:a:c": np.ones((3, 4, 4, 4), np.float32)}
+        path = tmp_path / "d.fck"
+        save_checkpoint(path, {"kind": "direct", "dims": "4,4,4"}, arrays)
+        path.write_bytes(path.read_bytes().replace(b"field:a:c", b"field:a:b"))
+        with pytest.raises(FormatError, match="tensor 'field:a:b' is named twice"):
+            load_checkpoint(path)
+
+    def test_metadata_line_without_equals_rejected(self, tmp_path):
+        path = tmp_path / "d.fck"
+        save_checkpoint(path, {"kind": "direct", "dims": "4,4,4"}, {"field:a:b": np.zeros((3, 4, 4, 4), np.float32)})
+        blob = path.read_bytes().replace(b"dims=4,4,4", b"dims:4,4,4")
+        path.write_bytes(blob)
+        with pytest.raises(FormatError, match=r"line 2: expected key=value, got 'dims:4,4,4'"):
+            load_checkpoint(path)
+
     def test_direct_round_trip(self, tmp_path):
         rng = np.random.default_rng(8)
         arrays = {"field:a:b": rng.standard_normal((3, 4, 4, 4)).astype(np.float32)}

@@ -132,6 +132,18 @@ class TestDatasetIO:
         with pytest.raises(FileNotFoundError):
             load_dataset(tmp_path / "nope")
 
+    @pytest.mark.parametrize("entry", ["volume s00 volumes/s01.frv", "label s01 labels/s01.frv",
+                                       "field s00 fields/s00.frv"])
+    def test_duplicate_entry_rejected(self, tmp_path, entry):
+        # a second volume s00 once replaced the first, so training ran on identical pairs
+        manifest = save_dataset(synth_dataset(seed=4, n=2, dims=(8, 8, 8)), tmp_path / "data")
+        lines = manifest.read_text().splitlines()
+        kind, sid = entry.split()[:2]
+        first = 1 + next(i for i, line in enumerate(lines) if line.split()[:2] == [kind, sid])
+        manifest.write_text("\n".join(lines + [entry]) + "\n")
+        with pytest.raises(ValueError, match=rf":{len(lines) + 1}: {kind} '{sid}' is already listed on line {first}$"):
+            load_dataset(manifest)
+
 
 CUSTOM_TRAIN = TrainConfig(lr=2e-4, epochs=1, alpha=0.5, beta=0.25, cc_mode="global", cc_window=5, seed=3,
                            crop=(8, 8, 8), clip_norm=1.5, steps=2)

@@ -1,3 +1,4 @@
+import itertools
 import struct
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from foldreg.volume import (
+    _FRV_LAYOUTS,
     INTENSITY,
     LABEL,
     DisplacementField,
@@ -219,6 +221,75 @@ class TestFrv:
             load_field(path)
 
 
+def frv_blob(kind_code, channels, elem_code, dims=(2, 3, 4), payload=None) -> bytes:
+    """An FRV1 header, then ``payload`` or as many zero bytes as 4-byte elements would take."""
+    if payload is None:
+        payload = b"\x00" * (4 * channels * int(np.prod(dims)))
+    return struct.pack("<4sIIIIII", b"FRV1", kind_code, *dims, channels, elem_code) + payload
+
+
+class TestFrvLayoutTable:
+    """Every row of _FRV_LAYOUTS round-trips; every other header is a FormatError."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(sorted(_FRV_LAYOUTS)), dims=st.tuples(*[st.integers(1, 7)] * 3),
+           seed=st.integers(0, 2**32 - 1))
+    def test_every_kind_round_trips_bit_exactly(self, tmp_path_factory, kind, dims, seed):
+        rng = np.random.default_rng(seed)
+        path = tmp_path_factory.mktemp("frv") / "x.frv"
+        if kind == LABEL:
+            v = Volume(rng.integers(0, np.iinfo(np.int32).max, size=dims, endpoint=True).astype(np.int32), LABEL)
+            save_volume(v, path)
+            out = load_volume(path)
+        elif kind == INTENSITY:
+            data = rng.normal(0, 1e3, dims).astype(np.float32)
+            data[rng.random(dims) < 0.2] = -0.0
+            v = Volume(data, INTENSITY)
+            save_volume(v, path)
+            out = load_volume(path)
+        else:
+            data = rng.normal(0, 3, (3, *dims)).astype(np.float32)
+            data[rng.random(data.shape) < 0.2] = -0.0
+            v = DisplacementField(data)
+            save_field(v, path)
+            out = load_field(path)
+        assert out.data.dtype == v.data.dtype and out.data.shape == v.data.shape
+        assert out.data.tobytes() == v.data.tobytes()
+        assert getattr(out, "kind", None) == getattr(v, "kind", None)
+        kind_code, channels, elem_code, _ = _FRV_LAYOUTS[kind]
+        assert path.read_bytes()[:28] == frv_blob(kind_code, channels, elem_code, dims, b"")
+
+    @staticmethod
+    def assert_rejected(path, layout):
+        # the header alone: the layout is checked before the payload size
+        path.write_bytes(frv_blob(*layout, payload=b""))
+        for loader in (load_volume, load_field):
+            with pytest.raises(FormatError, match="unsupported element kind"):
+                loader(path)
+
+    def test_small_codes_outside_the_table_rejected(self, tmp_path):
+        rows = {row[:3] for row in _FRV_LAYOUTS.values()}
+        for layout in itertools.product(range(9), range(6), range(5)):
+            if layout not in rows:
+                self.assert_rejected(tmp_path / "x.frv", layout)
+
+    @settings(max_examples=60, deadline=None)
+    @given(layout=st.tuples(*[st.integers(0, 2**32 - 1)] * 3)
+           .filter(lambda row: row not in {r[:3] for r in _FRV_LAYOUTS.values()}))
+    def test_any_codes_outside_the_table_rejected(self, tmp_path_factory, layout):
+        self.assert_rejected(tmp_path_factory.mktemp("frv") / "x.frv", layout)
+
+    @pytest.mark.parametrize("loader", [load_volume, load_field])
+    @pytest.mark.parametrize("layout", [(7, 1, 0), (1, 1, 0)], ids=["kind_7", "float32_labels"])
+    def test_layouts_that_used_to_load(self, tmp_path, loader, layout):
+        # kind 7 once loaded as intensity, and float32 labels truncated toward zero (0.7 -> 0)
+        payload = np.full(24, 0.7, dtype="<f4").tobytes()
+        path = tmp_path / "x.frv"
+        path.write_bytes(frv_blob(*layout, payload=payload))
+        with pytest.raises(FormatError, match="unsupported element kind"):
+            loader(path)
+
+
 def build_nifti(data: np.ndarray, datatype: int, vox_offset: int = 352, sizeof_hdr: int = 348,
                 magic: bytes = b"n+1\x00") -> bytes:
     header = bytearray(348)
@@ -289,6 +360,28 @@ class TestNifti:
         path.write_bytes(bytes(blob))
         with pytest.raises(FormatError, match=message):
             load_volume(path)
+
+    @pytest.mark.parametrize("dim", [(3, 4, 4, 0), (3, 4, 4, -2), (4, 4, 4, 1, 0), (1, 0)])
+    def test_non_positive_extent_rejected(self, tmp_path, dim):
+        # these once loaded with the extent taken as 1
+        blob = bytearray(build_nifti(np.zeros((4, 4, 1), dtype="<f4"), datatype=16))
+        struct.pack_into("<8h", blob, 40, *dim, *[1] * (8 - len(dim)))
+        path = tmp_path / "v.nii"
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="non-positive extent"):
+            load_volume(path)
+
+    @pytest.mark.parametrize("extra_voxels", [0, 32])
+    def test_extents_beyond_ndim_ignored(self, tmp_path, extra_voxels):
+        # dim[3] = 3 is unused when dim[0] = 2: the volume is 4x4x1, with or without trailing bytes
+        data = np.arange(16 + extra_voxels, dtype="<f4")
+        blob = bytearray(build_nifti(data.reshape(-1, 1, 1), datatype=16))
+        struct.pack_into("<8h", blob, 40, 2, 4, 4, 3, 1, 1, 1, 1)
+        path = tmp_path / "v.nii"
+        path.write_bytes(bytes(blob))
+        out = load_volume(path)
+        assert out.dims == (4, 4, 1)
+        assert np.array_equal(out.data, data[:16].reshape((4, 4, 1), order="F"))
 
     def test_two_file_magic_rejected(self, tmp_path):
         data = np.zeros((2, 2, 2), dtype="<f4")
