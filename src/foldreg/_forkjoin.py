@@ -7,16 +7,22 @@ at least ``GRAIN`` voxels and at least two CPUs are usable; otherwise the
 join runs ``fn`` itself, on the caller, after the caller's own half, which
 is the serial order of operations. Below the grain the hand-off costs more
 than the overlap saves: forked over serial, a training step's
-``_loss_and_grad`` took 1.36x at 16^3, 1.06x at 24^3, 0.87x at 28^3 and
-0.80x at 40^3 (medians, one BLAS thread, 2-vCPU host). If the caller's own
-half raises before the join, the task still runs to its end on the worker,
-and its result is dropped.
+``_loss_and_grad`` took 1.17-1.35x at 16^3, 1.04-1.11x at 20^3, 0.82-1.04x
+at 24^3, 0.74-0.90x at 28^3, 0.81-0.85x at 32^3 and 0.74-0.77x at 40^3
+(medians of 480-960 steps each, in two or three runs of direct training with
+the benchmark's direct_register settings; one BLAS thread, 2-vCPU host).
+24^3 straddles the crossover, so the grain stays just above it. If the
+caller's own half raises before the join, the task still runs to its end on
+the worker, and its result is dropped.
 
 A result never depends on the worker. Each task runs its operations in the
 serial order, and nothing is accumulated across the two threads. A task
 must make no BLAS call, so that OpenBLAS is entered from one thread only,
 and must call no function that the benchmark's tracer (``bench/spans.py``)
-times, since its span stack belongs to the caller.
+times, since its span stack belongs to the caller. The tracer also counts
+calls, per step, in a counter that the step's first counted call creates:
+so that no count is lost, that call is made on the caller before the step's
+first fork, and no counted function runs on both threads at once.
 
 The worker thread starts on the first forked task. A child made by
 ``os.fork()`` gets a fresh executor, since the parent's thread does not exist

@@ -12,8 +12,8 @@ an autodiff graph (conv, PReLU, add/concat, a whole layer row);
 (global and local CC, R1); and ``_training_loss`` gives both end-to-end rows
 the training loss of a field, with ``trainer._loss_and_grad`` as its
 analytic gradient. The R1 and R2 rows take their gradients from
-``jacobian.du_cotangent``, the cotangent on Du that training scatters back
-onto u, at weights (1, 0) and, through ``r2_backward``, (0, 1).
+``jacobian.regularizer_grad``, which training runs, at weights (1, 0) and,
+through ``r2_backward``, (0, 1).
 """
 
 from __future__ import annotations
@@ -208,8 +208,7 @@ def _check_r1(rng, size) -> CheckResult:
     u = rng.standard_normal((3, size, size, size))
 
     def fn(u_arr):
-        grad = jacobian.jacobian_adjoint(jacobian.du_cotangent(u_arr, 1.0, 0.0))
-        return loss.r1_smoothness(DisplacementField(u_arr)), grad
+        return loss.r1_smoothness(DisplacementField(u_arr)), jacobian.regularizer_grad(u_arr, 1.0, 0.0)
 
     return _check_value_and_grad(rng, "r1_smoothness", fn, [u])
 

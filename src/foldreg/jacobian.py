@@ -11,9 +11,9 @@ The penalty's gradient is nonzero only at folding voxels: r2_cotangent
 returns its cotangent on Du there alone, and jacobian_adjoint scatters a
 cotangent on Du back onto u. du_cotangent is the one place the regularizers'
 cotangent on Du is formed: it adds R2's folding-voxel cotangent into R1's
-2 alpha Du / N. loss_backward and r2_backward both scatter its result back
-onto u with one adjoint. _cofactor is the one cyclic cofactor rule, for the
-determinant and for R2's cotangent alike.
+2 alpha Du / N. regularizer_grad scatters its result back onto u with one
+adjoint; r2_backward is its alpha = 0 case. _cofactor is the one cyclic
+cofactor rule, for the determinant and for R2's cotangent alike.
 """
 
 from __future__ import annotations
@@ -138,9 +138,18 @@ def du_cotangent(u_arr: np.ndarray, alpha: float, beta: float) -> np.ndarray:
     return grad_D
 
 
+def regularizer_grad(u_arr: np.ndarray, alpha: float, beta: float) -> np.ndarray:
+    """Gradient of alpha * R1 + beta * R2 w.r.t. u, float64, shape (3, nx, ny, nz).
+
+    Reads u alone: du_cotangent's cotangent on Du, scattered back onto u by
+    one jacobian_adjoint.
+    """
+    return jacobian_adjoint(du_cotangent(u_arr, alpha, beta))
+
+
 def r2_backward(u: DisplacementField, upstream: float = 1.0) -> np.ndarray:
     """Gradient of upstream * r2_penalty(det_map(u)) w.r.t. u, shape (3, nx, ny, nz)."""
-    return jacobian_adjoint(du_cotangent(u.data, 0.0, upstream))
+    return regularizer_grad(u.data, 0.0, upstream)
 
 
 def det_volume(det: np.ndarray) -> Volume:

@@ -11,19 +11,21 @@ R1 is the voxel mean of the squared Frobenius norm of Du. All scalar
 reductions accumulate in float64. Each window sum is three BLAS products,
 one per axis, with a symmetric 0/1 band matrix.
 
-Training takes the breakdown from ``total_loss`` and the gradients from
-``loss_backward``, whose R1 and R2 part is ``jacobian.du_cotangent``
-scattered back onto u. Evaluation takes ``loss_value``: the breakdown with
-no gradient, from the CC's forward half and one Du, with the determinant map
-of that Du.
+Training takes the breakdown from ``total_loss``, the image term's gradient
+from ``loss_backward`` and the regularizers' gradient on u from
+``jacobian.regularizer_grad``. Evaluation takes ``loss_value``: the breakdown
+with no gradient, from the CC's forward half and one Du, with the determinant
+map of that Du.
 
 ``total_loss`` and ``loss_value`` fork their field half, R1 and R2 from Du,
 which reads u alone, onto the worker of ``_forkjoin`` and run the CC
 meanwhile. Each half keeps its serial order of operations, so the bytes do
 not depend on which thread ran it.
-``loss_backward`` stays serial: its CC sets the peak of a training step's
-loss stack, and the field gradient beside it would add its (3, 3, N)
-float64 cotangent to that peak.
+``loss_backward`` forks nothing: it is the CC gradient alone, and
+``trainer._loss_and_grad`` runs the regularizer gradient beside it.
+``_local_cc_with_grad`` drops each array once it is last read (at 32^3 its
+peak is 3.44 MB, not 5.27 MB), which makes room for the regularizer
+gradient's (3, 3, N) float64 cotangent on the worker.
 """
 
 from __future__ import annotations
@@ -156,6 +158,7 @@ def _local_cc_with_grad(x: np.ndarray, y: np.ndarray, w: int):
     g_var_x /= denom_n
     g_var_y = np.multiply(neg_cc2, var_x, out=var_y)
     g_var_y /= denom_n
+    del cc2, neg_cc2, denom, denom_n, var_x
     # the zero-padded box sum is self-adjoint, so gradients flow through it unchanged:
     # g_sx = box(-g_cross * sy / count - 2 g_var_x * sx / count), likewise g_sy
     neg_g_cross = np.negative(g_cross, out=cross)
@@ -172,6 +175,7 @@ def _local_cc_with_grad(x: np.ndarray, y: np.ndarray, w: int):
     tmp *= sy
     tmp /= count
     a -= tmp
+    del tmp, count, sx, sy, cross, neg_g_cross
     g_sy = _box_sum(a, bands)
     g_sxy = _box_sum(g_cross, bands)
     g_sxx = _box_sum(g_var_x, bands)
@@ -252,12 +256,16 @@ def _regularizers_and_det(u_arr: np.ndarray):
     return r1, jacobian.r2_penalty(det), det
 
 
-def _check_pair(s_warped: Volume, target: Volume, u: DisplacementField, cc_mode: str) -> None:
+def _check_images(s_warped: Volume, target: Volume, cc_mode: str) -> None:
     _check_dims(s_warped, target)
-    if s_warped.dims != u.dims:
-        raise ValueError(f"dims mismatch: image {s_warped.dims} vs field {u.dims}")
     if cc_mode not in CC_MODES:
         raise ValueError(f"unknown cc mode {cc_mode!r}")
+
+
+def _check_pair(s_warped: Volume, target: Volume, u: DisplacementField, cc_mode: str) -> None:
+    _check_images(s_warped, target, cc_mode)
+    if s_warped.dims != u.dims:
+        raise ValueError(f"dims mismatch: image {s_warped.dims} vs field {u.dims}")
 
 
 def total_loss(
@@ -305,19 +313,14 @@ def loss_value(
 def loss_backward(
     s_warped: Volume,
     target: Volume,
-    u: DisplacementField,
-    alpha: float,
-    beta: float,
     cc_mode: str = LOCAL,
     window: int = DEFAULT_WINDOW,
-):
-    """Gradients of the total loss w.r.t. the warped image and the field.
+) -> np.ndarray:
+    """Gradient of the image term w.r.t. the warped image, float64, shape (nx, ny, nz).
 
-    Returns (grad_s, grad_u). The image term only touches grad_s; composing
-    with the warp (warp_backward) is the caller's job. R1 and R2 both act
-    through Du: jacobian.du_cotangent forms their summed cotangent on Du, and
-    one jacobian_adjoint scatters it back onto u.
+    R1 and R2 do not depend on the warped image, so their gradient on u is
+    ``jacobian.regularizer_grad``; composing this one with the warp
+    (``warp_derivative``) is the caller's job.
     """
-    _check_pair(s_warped, target, u, cc_mode)
-    _, grad_s, _ = _image_term(s_warped.data, target.data, cc_mode, window)
-    return grad_s, jacobian.jacobian_adjoint(jacobian.du_cotangent(u.data, alpha, beta))
+    _check_images(s_warped, target, cc_mode)
+    return _image_term(s_warped.data, target.data, cc_mode, window)[1]

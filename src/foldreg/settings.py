@@ -76,8 +76,16 @@ class Settings:
 
     @classmethod
     def load(cls, path):
-        """The defaults, overridden by a settings file; a key that is not a field is a ValueError."""
-        meta = parse_key_values(Path(path).read_text())
+        """The defaults, overridden by a settings file.
+
+        A line without "=" or a key that is not a field is a ValueError that
+        names the file.
+        """
+        text = Path(path).read_text()
+        try:
+            meta = parse_key_values(text)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
         unknown = sorted(set(meta) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError(f"{path}: unknown setting {', '.join(unknown)}")

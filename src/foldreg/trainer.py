@@ -9,10 +9,14 @@ set is trained across shuffled pairs for ``epochs`` epochs; for the
 ``direct`` kind each pair gets its own zero-initialized field optimized for
 ``steps`` iterations (classical per-pair registration).
 
-``_loss_and_grad`` forks the warp's derivative at x + u onto the worker of
-``_forkjoin`` and runs ``loss_backward`` meanwhile; the image gradient is
-applied to the derivative after the join, so the field gradient has the
-same bytes whichever thread computed it.
+``_loss_and_grad`` runs the step's loss stack in two halves on the caller
+and the worker of ``_forkjoin``. The caller warps the source, then forks
+the warp's derivative at x + u, which shares the worker with the R1/R2
+values of ``total_loss``, while it runs the CC. Once the total is finite,
+it forks ``jacobian.regularizer_grad``, the R1/R2 gradient on u, and runs
+``loss_backward``, the CC gradient, meanwhile. The image gradient is applied
+to the derivative after both joins, in the serial order, so the field
+gradient has the same bytes whichever thread computed each part.
 
 A checkpoint holds the trained parameters only: Adam's moments and step
 count end with the run. A NaN/Inf loss or gradient aborts the run with
@@ -28,6 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import jacobian
 from . import loss as loss_mod
 from . import model as model_mod
 from . import optim
@@ -292,13 +297,17 @@ def _loss_and_grad(src: Volume, tgt: Volume, u_arr: np.ndarray, cfg: TrainConfig
     if not np.isfinite(u_arr).all():
         return None, None
     u = DisplacementField(u_arr)
+    # the first counted call of a step (bench/spans.py) runs here, on the caller, before any fork
     warped = warp_image(src, u)
+    derivative = fork(u_arr[0].size, warp_derivative, src, u)
     bd = loss_mod.total_loss(warped, tgt, u, cfg.alpha, cfg.beta, cfg.cc_mode, cfg.cc_window)
     if not np.isfinite(bd.total):
+        derivative()  # read, so that an error on the worker is not lost
         return None, None
-    join = fork(u_arr[0].size, warp_derivative, src, u)
-    grad_s, grad_u = loss_mod.loss_backward(warped, tgt, u, cfg.alpha, cfg.beta, cfg.cc_mode, cfg.cc_window)
-    grad_u += join() * grad_s
+    field = fork(u_arr[0].size, jacobian.regularizer_grad, u_arr, cfg.alpha, cfg.beta)
+    grad_s = loss_mod.loss_backward(warped, tgt, cfg.cc_mode, cfg.cc_window)
+    grad_u = field()
+    grad_u += derivative() * grad_s
     return bd, grad_u
 
 

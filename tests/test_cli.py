@@ -386,7 +386,7 @@ class TestDescribe:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("# comment\n\nhead_kernel 5\n")
         assert run(["describe", "--config", str(cfg)]) == 1
-        assert "line 3: expected key=value, got 'head_kernel 5'" in capsys.readouterr().err
+        assert f"{cfg}: line 3: expected key=value, got 'head_kernel 5'" in capsys.readouterr().err
 
     def test_threads_is_an_unknown_argument(self, capsys):
         # BLAS threads are set in the environment, not by a flag

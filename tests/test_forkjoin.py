@@ -124,13 +124,22 @@ def test_worker_restarts_in_forked_child(forked):
     assert os.waitstatus_to_exitcode(status) == 0
 
 
-def _timed_entry_points(monkeypatch):
-    """The _TIMED table of bench/spans.py: (module, attribute, span name) of every entry point it times."""
+def _bench_spans(monkeypatch):
+    """bench/spans.py, whose _TIMED and _COUNTED tables list (module, attribute, name) of what it times and counts."""
     spec = importlib.util.spec_from_file_location("bench_spans", ROOT / "bench" / "spans.py")
     spans = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, spans)  # its dataclasses look their module up
     spec.loader.exec_module(spans)
-    return spans._TIMED
+    return spans
+
+
+def _direct_step(ds):
+    """One direct-model _fit step on the first pair of a 32^3 dataset."""
+    params = model.direct_field_model((32, 32, 32))
+    state = optim.adam_init(params.arrays(), lr=0.1)
+    rows = []
+    trainer._fit(params, state, [(0, ("s00", "s01"))], ds.volumes, TrainConfig(lr=0.1, alpha=0.01, beta=0.01), rows)
+    assert len(rows) == 1
 
 
 def test_tracer_entry_points_stay_on_the_caller(forked, monkeypatch):
@@ -145,17 +154,50 @@ def test_tracer_entry_points_stay_on_the_caller(forked, monkeypatch):
             return _fn(*args, **kwargs)
         monkeypatch.setattr(module, attr, recording)
 
-    for module, attr, name in _timed_entry_points(monkeypatch):
+    for module, attr, name in _bench_spans(monkeypatch)._TIMED:
         record(module, attr, name)
     record(loss, "_box_sum", "loss._box_sum")
     record(jacobian, "jacobian_raw", "jacobian.jacobian_raw")
-    params = model.direct_field_model((32, 32, 32))
-    state = optim.adam_init(params.arrays(), lr=0.1)
-    rows = []
-    trainer._fit(params, state, [(0, ("s00", "s01"))], ds.volumes, TrainConfig(lr=0.1, alpha=0.01, beta=0.01), rows)
-    assert len(rows) == 1
+    _direct_step(ds)
     caller = threading.get_ident()
     names = {name for name, _ in seen}
     assert {"loss.total_loss", "loss.loss_backward", "optim.adam_step", "loss._box_sum"} <= names
     assert all(ident == caller for name, ident in seen if name != "jacobian.jacobian_raw")
     assert any(ident != caller for name, ident in seen if name == "jacobian.jacobian_raw")
+
+
+def test_tracer_counters_are_never_raced(forked, monkeypatch):
+    # the tracer's counters are a per-step Counter that the step's first
+    # counted call creates, and each count is a read-modify-write; so that
+    # no count is lost, that first call runs on the caller before the step
+    # forks anything, and no counter is entered from both threads at once
+    ds = synth_dataset(seed=0, n=2, dims=(32, 32, 32))
+    calls = []  # (counter, thread, start, end)
+    forks = []  # when each fork of the step was made
+
+    def record(module, attr, counter):
+        def recording(*args, _fn=getattr(module, attr), **kwargs):
+            start = time.perf_counter()
+            try:
+                return _fn(*args, **kwargs)
+            finally:
+                calls.append((counter, threading.get_ident(), start, time.perf_counter()))
+        monkeypatch.setattr(module, attr, recording)
+
+    def recording_fork(*args):
+        forks.append(time.perf_counter())
+        return _forkjoin.fork(*args)
+
+    for module, attr, counter in _bench_spans(monkeypatch)._COUNTED:
+        record(module, attr, counter)
+    for module in (trainer, loss):
+        monkeypatch.setattr(module, "fork", recording_fork)
+    _direct_step(ds)
+    caller = threading.get_ident()
+    _, first_thread, first_start, _ = min(calls, key=lambda c: c[2])
+    assert first_thread == caller and first_start < min(forks)
+    assert {ident for _, ident, _, _ in calls} - {caller}  # the worker did count calls
+    for counter, ident, start, end in calls:
+        for other, other_ident, other_start, other_end in calls:
+            if other == counter and other_ident != ident:
+                assert end <= other_start or other_end <= start, (counter, start, end, other_start, other_end)

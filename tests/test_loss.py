@@ -19,7 +19,7 @@ from foldreg.loss import (
     r1_smoothness,
     total_loss,
 )
-from foldreg.jacobian import det_map, folding_count, jacobian_adjoint, jacobian_raw, r2_backward
+from foldreg.jacobian import det_map, folding_count, jacobian_adjoint, jacobian_raw, r2_backward, regularizer_grad
 from foldreg.volume import INTENSITY, DisplacementField, Volume
 from test_jacobian import r2_pin_field
 
@@ -245,14 +245,13 @@ class TestLossBackward:
         rng = np.random.default_rng(16)
         t = rand_vol(rng)
         u = DisplacementField(np.zeros((3, 5, 5, 5)))
-        grad_s, _ = loss_backward(t, t, u, alpha=0.0, beta=0.0, cc_mode=GLOBAL)
+        grad_s = loss_backward(t, t, cc_mode=GLOBAL)
         assert np.abs(grad_s).max() < 1e-3
 
     def test_r1_gradient_zero_at_constant(self):
         rng = np.random.default_rng(17)
-        s, t = rand_vol(rng), rand_vol(rng)
         u = DisplacementField(np.full((3, 5, 5, 5), 0.7))
-        _, grad_u = loss_backward(s, t, u, alpha=1.0, beta=0.0, cc_mode=GLOBAL)
+        grad_u = regularizer_grad(u.data, alpha=1.0, beta=0.0)
         assert np.allclose(grad_u, 0.0, atol=1e-12)
 
     @pytest.mark.parametrize("mode,window", [(GLOBAL, 0), (LOCAL, 3)])
@@ -266,7 +265,8 @@ class TestLossBackward:
         def f(sa, ua):
             return total_loss(vol(sa), t, DisplacementField(ua), alpha, beta, mode, max(window, 3)).total
 
-        grad_s, grad_u = loss_backward(vol(s_arr), t, DisplacementField(u_arr), alpha, beta, mode, max(window, 3))
+        grad_s = loss_backward(vol(s_arr), t, mode, max(window, 3))
+        grad_u = regularizer_grad(u_arr, alpha, beta)
         h = 1e-6
         worst = 0.0
         idx_rng = np.random.default_rng(19)
@@ -316,7 +316,9 @@ def pinned_inputs():
 LOSS_PIN_MODES = {"local9": (LOCAL, 9), "local5": (LOCAL, 5), "global": (GLOBAL, 9)}
 
 # sha256 of the loss breakdown (image, r1, r2, total as float64) and of
-# loss_backward's (grad_s, grad_u), alpha 0.5, beta 0.2; the local digests
+# (grad_s, grad_u) from loss_backward and regularizer_grad, alpha 0.5, beta
+# 0.2, which loss_backward returned together until the two halves of a
+# training step's gradient ran on two threads; the local digests
 # that the band-matrix box sums move (all but local9's breakdown) were
 # re-recorded with them, within 4e-15 relative of the filter's outputs.
 # The three loss_backward digests were re-recorded again when R1 and R2 came
@@ -366,13 +368,14 @@ class TestLossBytesPinned:
     @pytest.mark.parametrize("mode", sorted(LOSS_PIN_MODES))
     def test_loss_backward_grad_s_bytes(self, mode):
         s, t, u = pinned_inputs()
-        grad_s, _ = loss_backward(s, t, u, 0.5, 0.2, *LOSS_PIN_MODES[mode])
+        grad_s = loss_backward(s, t, *LOSS_PIN_MODES[mode])
         assert sha256_of(grad_s) == GRAD_S_SHA256[mode]
 
     @pytest.mark.parametrize("mode", sorted(LOSS_PIN_MODES))
     def test_loss_backward_bytes(self, mode):
         s, t, u = pinned_inputs()
-        grad_s, grad_u = loss_backward(s, t, u, 0.5, 0.2, *LOSS_PIN_MODES[mode])
+        grad_s = loss_backward(s, t, *LOSS_PIN_MODES[mode])
+        grad_u = regularizer_grad(u.data, 0.5, 0.2)
         assert sha256_of(grad_s, grad_u) == LOSS_SHA256[mode][1]
 
 
@@ -405,14 +408,16 @@ class TestLossValue:
         with pytest.raises(ValueError, match="dims mismatch"):
             loss_value(s, t, small, 1.0, 0.0)
         with pytest.raises(ValueError, match="dims mismatch"):
-            loss_backward(s, t, small, 1.0, 0.1)
+            loss_backward(s, Volume(small.data[0]))
+        with pytest.raises(ValueError, match="unknown cc mode"):
+            loss_backward(s, t, "ncc")
 
 
 class TestLossBackwardRegularizers:
-    """loss_backward sums the R1 and R2 cotangents on Du and runs one adjoint.
+    """regularizer_grad sums the R1 and R2 cotangents on Du and runs one adjoint.
 
     The R1 half of the oracle is formed here from Du alone. r2_backward runs
-    the same du_cotangent as loss_backward, so the R2 half checks the alpha
+    the same du_cotangent as regularizer_grad, so the R2 half checks the alpha
     and beta weighting only; R2's gradient itself is pinned by
     TestR2BackwardBytesPinned and checked by gradcheck's r2_through_det row.
     """
@@ -424,9 +429,7 @@ class TestLossBackwardRegularizers:
         u = DisplacementField(r2_pin_field(case).data.astype(dtype))
         n_fold, n_vox = folding_count(det_map(u)), u.data[0].size
         assert {"none": n_fold == 0, "some": 0 < n_fold < n_vox, "all": n_fold == n_vox}[case]
-        rng = np.random.default_rng(62)
-        s, t = rand_vol(rng, u.dims), rand_vol(rng, u.dims)
-        _, grad_u = loss_backward(s, t, u, alpha, beta, GLOBAL)
+        grad_u = regularizer_grad(u.data, alpha, beta)
         r1_grad = jacobian_adjoint(jacobian_raw(u.data).astype(np.float64) * (2.0 / u.data[0].size))
         expected = alpha * r1_grad + beta * r2_backward(u)
         assert grad_u.dtype == np.float64 and grad_u.shape == (3, *u.dims)
@@ -435,10 +438,10 @@ class TestLossBackwardRegularizers:
     def test_peak_memory(self):
         """tracemalloc peak of one 32^3 loss_backward on a float32 training step's inputs.
 
-        With a separate adjoint for R1 and for R2, each over its own
-        (3, 3, N) float64 cotangent, the peak was 7.0 MB; with R2's cotangent
-        formed at the folding voxels first and one adjoint, local CC sets it,
-        at about 5.3 MB.
+        The local CC's gradient sets it. While loss_backward also formed the
+        R1/R2 gradient, the peak was 7.0 MB with a separate adjoint for R1
+        and for R2 and 5.3 MB with one; the CC gradient alone peaked at
+        5.27 MB too, and at 3.44 MB once it dropped each array when last read.
         """
         import tracemalloc
 
@@ -446,12 +449,10 @@ class TestLossBackwardRegularizers:
         dims = (32, 32, 32)
         s = Volume(rng.random(dims).astype(np.float32))
         t = Volume(rng.random(dims).astype(np.float32))
-        u = DisplacementField((rng.standard_normal((3, *dims)) * 0.3).astype(np.float32))
-        assert folding_count(det_map(u)) > 0
         tracemalloc.start()
         try:
-            loss_backward(s, t, u, 1.0, 0.01)
+            loss_backward(s, t)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 6_000_000
+        assert peak < 3_500_000

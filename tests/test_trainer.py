@@ -193,7 +193,8 @@ class TestConfigFile:
         ("epochz=3\n", "unknown setting epochz"),
         ("crop=8,8\n", "crop must be 3 positive ints"),
         ("lr=abc\n", "could not convert"),
-    ], ids=["unknown_key", "short_crop", "unparsable_value"])
+        ("lr 5\n", "config.txt: line 1: expected key=value"),
+    ], ids=["unknown_key", "short_crop", "unparsable_value", "line_without_equals"])
     def test_malformed_file_rejected(self, tmp_path, text, match):
         path = tmp_path / "config.txt"
         path.write_text(text)
@@ -503,19 +504,20 @@ class TestPeakMemory:
         assert self._peak(step) < 38_000_000
 
     def test_direct_loss_and_grad_32(self, monkeypatch):
-        # 5.41 MB serial. With the worker forced on, 5.80 MB in the median of
-        # 300 runs and 8.69 MB at most, as the two halves' transients overlap:
-        # the local CC (5.27 MB peak) with the field values (3.54 MB), then
-        # loss_backward (5.27 MB) with the warp's derivative (3.28 MB). The
-        # bound is their largest sum with the warped image, 8.94 MB, so it
-        # holds for every overlap
+        # 5.01 MB serial. With the worker forced on, 5.40 MB in the median of
+        # 300 runs and 8.57 MB at most, as the two halves' transients overlap:
+        # total_loss's local CC (3.44 MB peak) with the warp's derivative
+        # (3.28 MB) and then the field values (3.54 MB), then loss_backward
+        # (3.44 MB) with regularizer_grad (4.61 MB). The largest sum, with the
+        # warped image and the derivative that waits for the join (0.52 MB),
+        # is 8.57 MB, so the bound holds for every overlap
         monkeypatch.setattr(_forkjoin, "GRAIN", 0)
         monkeypatch.setattr(_forkjoin, "usable_cpus", lambda: 2)
         ds = synth_dataset(seed=0, n=2, dims=(32, 32, 32))
         u = (np.random.default_rng(1).standard_normal((3, 32, 32, 32)) * 0.8).astype(np.float32)
         assert folding_count(det_map(DisplacementField(u))) > 0
         cfg = TrainConfig(lr=0.1, alpha=0.01, beta=0.01)
-        assert self._peak(lambda: trainer._loss_and_grad(ds.volumes["s00"], ds.volumes["s01"], u, cfg)) < 9_200_000
+        assert self._peak(lambda: trainer._loss_and_grad(ds.volumes["s00"], ds.volumes["s01"], u, cfg)) < 8_800_000
 
     def test_graph_released_before_update(self, monkeypatch):
         import gc
