@@ -12,11 +12,12 @@ pair (six steps) with the settings of the ``direct_register`` benchmark
 workload: lr 0.1, alpha 0.01, beta 0.01, local CC with a 9^3 window. With
 ``--evaluate`` it runs ``metrics.evaluate`` on one pair with an
 untrained network, loaded through ``metrics.checkpoint_predictor`` as
-``foldreg evaluate`` does. It prints the wall time of that call and the peak
+``foldreg evaluate`` does. It prints the wall time of that call, the peak
 resident set size of the process, so run each phase in its own process to get
-its own peak, and the number of CPUs the process may run on: with two or
-more, the field half of the loss stack runs on a second thread at 2^14
-voxels or more (``foldreg._forkjoin``). BLAS is pinned to one thread before
+its own peak, the minor page faults taken during the call, and the number of
+CPUs the process may run on: with two or more, the field half of the loss
+stack and half of each convolution row's epilogue run on a second thread at
+2^14 voxels or more (``foldreg._forkjoin``). BLAS is pinned to one thread before
 numpy is imported, as in the benchmark. The package is imported from the
 ``src`` directory of the checkout that holds this script, so it runs with no
 install and no PYTHONPATH. The test suite runs each mode at 8^3, and the FAIM modes also at
@@ -53,6 +54,10 @@ def _peak_mib() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
+def _minor_faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--dims", type=_dims, default=(64, 64, 64),
@@ -77,27 +82,28 @@ def main() -> None:
         params = model.build_faim(seed=0)
         meta = {"kind": "faim", **params.config.to_meta()}
         predict = metrics.checkpoint_predictor(meta, params.arrays())
-        before = _peak_mib()
+        before, faults = _peak_mib(), _minor_faults()
         start = time.perf_counter()
         result = metrics.evaluate(predict, ds.volumes, ds.labels, [tuple(ds.ids)],
                                   alpha=cfg.alpha, beta=cfg.beta, cc_mode=cfg.cc_mode, window=cfg.cc_window)
         summary = f"evaluate 1 pair  mean Dice {result.mean_dice!r}  total {result.mean_total!r}"
     elif args.direct:
         cfg = trainer.TrainConfig(lr=0.1, steps=3, alpha=0.01, beta=0.01)
-        before = _peak_mib()
+        before, faults = _peak_mib(), _minor_faults()
         start = time.perf_counter()
         result = trainer.train(cfg, ds.volumes, kind="direct")
         summary = f"direct {len(result.log_rows)} steps  final loss {result.final.total!r}"
     else:
-        before = _peak_mib()
+        before, faults = _peak_mib(), _minor_faults()
         start = time.perf_counter()
         result = trainer.train(cfg, ds.volumes, kind="faim")
         summary = f"train {len(result.log_rows)} steps  final loss {result.final.total!r}"
     elapsed = time.perf_counter() - start
+    faults = _minor_faults() - faults
     if args.direct:
         summary += f"  {1e3 * elapsed / len(result.log_rows):.0f} ms per step"
     print(f"dims {size}  {summary}  {elapsed:.2f} s  {usable_cpus()} usable CPUs  "
-          f"peak RSS {_peak_mib():.0f} MiB (before {before:.0f} MiB)")
+          f"peak RSS {_peak_mib():.0f} MiB (before {before:.0f} MiB)  {faults} minor page faults")
 
 
 if __name__ == "__main__":

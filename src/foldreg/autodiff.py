@@ -47,8 +47,11 @@ convolution runs, fixed in code:
   output has more rows than the shifted rows (Cin * k < Cout), the output is
   computed in column tiles whose tap outputs, accumulator and row slice fit a
   fixed cache budget, the taps added in the same order;
-* a strided or size-changing convolution runs as one GEMM on a column matrix
-  (im2col): one copy of the padded input's window view, Cin * k^3 rows.
+* a strided or size-changing convolution runs as GEMMs on a column matrix
+  (im2col): copies of the padded input's window view, Cin * k^3 rows. A
+  layer's forward pass builds and multiplies it in tiles of whole output
+  depth planes that fit the same cache budget, with one GEMM's bytes; the
+  gradients read the whole matrix.
 
 Each kernel gives three functions: a layer's forward pass, its input gradient
 and its weight gradient. The input gradient of a stride-1 same convolution is
@@ -72,11 +75,23 @@ A layer-table row (``model.faim_layers``) is one node: ``conv3d`` and
 ``conv3d_transpose`` take the row's PReLU ``slopes`` and ``skip``, which joins
 before the activation of a transposed convolution and after that of a
 convolution. The bias, the skip and the PReLU run in place on the fresh
-convolution result, as max(z, 0) + min(z, 0) * a, which gives the bytes of
-``prelu`` since IEEE addition commutes. A row whose output needs a gradient
+convolution result, or copy a cropped one into the row's output, as
+max(z, 0) + min(z, 0) * a, which gives the bytes of ``prelu`` since IEEE
+addition commutes. A row whose output needs a gradient
 keeps its pre-activation z, and its closure takes the chain's backward steps
 in the chain's order, with the same bytes; ``prelu`` and ``add`` remain as the
 oracle of that chain.
+
+A row's forward pass runs in two halves along its output channels. The
+caller runs every BLAS call of the kernel (for the FFT kernel the kernel
+spectrum, the depth block and the per-frequency GEMMs, for all channels)
+and allocates the one C-contiguous output. Then the caller takes the first
+half of the channels and the worker of ``_forkjoin`` the second: each runs
+its channels' inverse FFTs, the crop copy of a padded kernel result, and the
+epilogue, through ``_forkjoin.fork``'s rule (at least ``GRAIN`` output voxels,
+two usable CPUs), else the caller runs both halves in turn. Each channel's
+operations are the same either way, so are the bytes. The backward pass
+runs on the caller.
 
 Dtypes: a forward pass returns the common dtype of its operands, so a
 float32 network stays float32. Every kernel computes in that precision. The
@@ -97,10 +112,13 @@ code in float64 throughout.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import fft
+
+from ._forkjoin import fork
 
 
 class Tensor:
@@ -145,6 +163,39 @@ def _columns(x: np.ndarray, k: int, stride: int, padding: int) -> np.ndarray:
 def _conv_raw(cols: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Cross-correlation with w (Cout, Cin, k, k, k) of the input whose ``_columns`` are ``cols``: one GEMM."""
     return np.tensordot(w, cols, axes=4)
+
+
+_TILE_BYTES = 1 << 20  # working set of one column tile of a shifted-row or window convolution
+
+
+def _depth_tiles(od: int, plane: int, rows: int, cout: int, itemsize: int) -> list[tuple[int, int]]:
+    """The (d0, d1) output depth-plane ranges of ``_window_conv``'s tiles; the last takes the rest.
+
+    A tile's columns (``rows`` by ``plane`` per depth plane) fit
+    ``_TILE_BYTES``. So that OpenBLAS multiplies each tile with the kernels of
+    the whole product, and the bytes are one GEMM's, a tile is also at least
+    256 columns and 2^20 multiply-adds, and a multiple of 16 columns wide:
+    narrower tiles, or ones whose width left a remainder, rounded apart in a
+    scan of shapes.
+    """
+    n = max(_TILE_BYTES // (rows * plane * itemsize), -(-max(256, (1 << 20) // (cout * rows)) // plane))
+    step = 16 // math.gcd(plane, 16)
+    n = -(-n // step) * step
+    starts = range(0, max(od - n, 0) + 1, n)
+    return [(d0, od if d0 == starts[-1] else d0 + n) for d0 in starts]
+
+
+def _window_conv(x: np.ndarray, w: np.ndarray, stride: int, padding: int) -> np.ndarray:
+    """``_conv_raw(_columns(x, k, stride, padding), w)``, its column matrix built and multiplied in ``_depth_tiles``."""
+    cout, cin, k = w.shape[:3]
+    win = sliding_window_view(_pad_spatial(x, padding), (k, k, k), axis=(1, 2, 3))[:, ::stride, ::stride, ::stride]
+    rows = cin * k ** 3
+    wm = w.reshape(cout, rows)
+    y = np.empty((cout, *win.shape[1:4]), dtype=np.result_type(x, w))
+    for d0, d1 in _depth_tiles(win.shape[1], win.shape[2] * win.shape[3], rows, cout, x.itemsize):
+        cols = np.ascontiguousarray(win[:, d0:d1].transpose(0, 4, 5, 6, 1, 2, 3))
+        np.matmul(wm, cols.reshape(rows, -1), out=y[:, d0:d1].reshape(cout, -1))
+    return y
 
 
 def _scatter(g: np.ndarray, w: np.ndarray, stride: int, padding: int, out_sp) -> np.ndarray:
@@ -222,13 +273,15 @@ def _depth_block(x: np.ndarray, k: int, s) -> np.ndarray:
     return rows.reshape(buf.shape[2], c * k, d)
 
 
-def _plane_conv(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Same cross-correlation of x (Cin, ...) with w (Cout, Cin, k, k, k) as in-plane FFTs.
+def _plane_parts(x: np.ndarray, w: np.ndarray):
+    """Same cross-correlation of x (Cin, ...) with w (Cout, Cin, k, k, k) as in-plane FFTs, in two phases.
 
     Per in-plane frequency, one GEMM of the tap planes' spectra (Cout, Cin * k)
     with the depth block (Cin * k, D) sums the channels and depth taps; the
     in-plane part is the linear convolution with the reversed taps, read at
-    offset (k - 1) // 2.
+    offset (k - 1) // 2. The GEMMs run here; the inverse transforms run per
+    channel range, in ``part(c0, c1)``, which returns the result's channels
+    c0 to c1 as a cropped view. Returns (None, part): no whole result exists.
     """
     cout, cin, k = w.shape[:3]
     p, (d, h, wd) = (k - 1) // 2, x.shape[1:]
@@ -236,8 +289,19 @@ def _plane_conv(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     a = fft.rfft(w[:, :, :, ::-1, ::-1].astype(rt, copy=False), s[1], axis=-1, workers=1)
     a = fft.fft(a, s[0], axis=-2, workers=1).reshape(cout, cin * k, -1)
     y = np.ascontiguousarray(a.transpose(2, 0, 1)) @ _depth_block(x.astype(rt, copy=False), k, s)
-    y = fft.irfftn(y.transpose(1, 2, 0).reshape(cout, d, s[0], -1), s, axes=(2, 3), workers=1)
-    return y[:, :, p:p + h, p:p + wd].astype(np.result_type(x, w), copy=False)
+    y = y.transpose(1, 2, 0).reshape(cout, d, s[0], -1)
+    dt = np.result_type(x, w)
+
+    def part(c0, c1):
+        out = fft.irfftn(y[c0:c1], s, axes=(2, 3), workers=1)
+        return out[:, :, p:p + h, p:p + wd].astype(dt, copy=False)
+
+    return None, part
+
+
+def _plane_conv(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``_plane_parts`` whole."""
+    return _plane_parts(x, w)[1](0, len(w))
 
 
 def _plane_weight_grad(g: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
@@ -272,9 +336,6 @@ def _shifted_rows(x: np.ndarray, k: int, dtype):
     rows = np.empty((x.shape[0], k, n), dtype=dtype)
     rows[...] = sliding_window_view(flat, n, axis=1)
     return rows.reshape(-1, n), xp.shape[1:]
-
-
-_TILE_BYTES = 1 << 20  # working set of one column tile of a thin shifted-row convolution
 
 
 def _row_taps(sp, padded, k: int, cin: int, cout: int):
@@ -351,19 +412,32 @@ def _rows_weight_grad(g: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
 
 
 def _kernel(k: int, stride: int, padding: int):
-    """(windows, forward, input_grad, weight_grad) of the kernel ``conv_kernel`` names.
+    """(windows, forward, input_grad, weight_grad, layer) of the kernel ``conv_kernel`` names.
 
-    They are called as forward(windows(x), w), input_grad(g, w, in_sp) and
-    weight_grad(g, windows(x)). ``windows`` is what the forward pass and the
-    weight gradient read of their windowed operand: the window kernel's
-    column matrix, the array itself for the others.
+    They are called as forward(windows(x), w), input_grad(g, w, in_sp),
+    weight_grad(g, windows(x)) and layer(x, w). ``windows`` is what the
+    forward pass and the weight gradient read of their windowed operand: the
+    window kernel's column matrix, the array itself for the others. ``layer``
+    is a node's forward pass, as (y, part): the whole result, or None when the
+    FFT kernel defers its inverse transforms, and ``part(c0, c1)``, the
+    result's channels c0 to c1. The window kernel's layer runs in
+    ``_depth_tiles``.
     """
     name = conv_kernel(k, stride, padding)
     if name == "window":
         return (lambda x: _columns(x, k, stride, padding), _conv_raw,
-                lambda g, w, in_sp: _scatter(g, w, stride, padding, in_sp), _weight_grad)
-    conv, corr = {"fft": (_plane_conv, _plane_weight_grad), "rows": (_rows_conv, _rows_weight_grad)}[name]
-    return (lambda x: x), conv, lambda g, w, in_sp: conv(g, _flip(w)), lambda g, x: corr(g, x, k)
+                lambda g, w, in_sp: _scatter(g, w, stride, padding, in_sp), _weight_grad,
+                lambda x, w: _ranges(_window_conv(x, w, stride, padding)))
+    if name == "fft":
+        conv, corr, layer = _plane_conv, _plane_weight_grad, _plane_parts
+    else:
+        conv, corr, layer = _rows_conv, _rows_weight_grad, lambda x, w: _ranges(_rows_conv(x, w))
+    return (lambda x: x), conv, lambda g, w, in_sp: conv(g, _flip(w)), lambda g, x: corr(g, x, k), layer
+
+
+def _ranges(y: np.ndarray):
+    """A whole kernel result as a layer's (y, part)."""
+    return y, lambda c0, c1: y[c0:c1]
 
 
 def _grad_dtype(t: Tensor):
@@ -395,10 +469,34 @@ def _check_4d(x: Tensor, who: str) -> None:
         raise ValueError(f"{who} expects a (C, D, H, W) tensor, got shape {x.data.shape}")
 
 
+def _owned(y: np.ndarray, dtype) -> bool:
+    return y.flags.writeable and y.flags.c_contiguous and y.dtype == dtype
+
+
 def _into(op, y: np.ndarray, z, own: bool = True) -> np.ndarray:
     """op(y, z), written into y when the caller owns it and it is writeable, C-contiguous and of the result's dtype."""
-    own = own and y.flags.writeable and y.flags.c_contiguous and y.dtype == np.result_type(y, z)
-    return op(y, z, out=y if own else None)
+    return op(y, z, out=y if own and _owned(y, np.result_type(y, z)) else None)
+
+
+def _epilogue(y: np.ndarray, z: np.ndarray, h: np.ndarray, neg, b, a, skip, transpose: bool) -> None:
+    """A channel range of a row's bias, skip and PReLU on its kernel result y, in the chain's op order.
+
+    The pre-activation goes into z, min(z, 0) * a into ``neg`` and the output
+    into h: buffers the caller allocated, so that the worker allocates none.
+    y may be z, and h is z unless the node keeps z for backward or an operand
+    widens the output's dtype. A ufunc computes in its inputs' dtype and then
+    casts into ``out``, so each step rounds as in the chain, with its bytes.
+    """
+    np.add(y, b, out=z)
+    if skip is not None and transpose:
+        np.add(z, skip, out=z)
+    if a is not None:
+        np.multiply(np.minimum(z, 0, out=neg), a, out=neg)
+        # max(z, 0) + min(z, 0) * a: prelu's bytes, as IEEE addition commutes; one term is 0, so
+        # the sum is exact in any dtype
+        np.add(np.maximum(z, 0, out=h), neg, out=h)
+    if skip is not None and not transpose:
+        np.add(z if a is None else h, skip, out=h)
 
 
 def _conv_node(op: str, x: Tensor, w: Tensor, b: Tensor, stride: int, padding: int, slopes, skip) -> Tensor:
@@ -429,21 +527,30 @@ def _conv_node(op: str, x: Tensor, w: Tensor, b: Tensor, stride: int, padding: i
         raise ValueError(f"{op} skip shape mismatch: {skip.data.shape} vs {(cout, *out_sp)}")
     parents = tuple(t for t in (x, w, b, slopes, skip) if t is not None)
     keep = any(t.requires_grad for t in parents)
-    windows, forward, input_grad, weight_grad = _kernel(k, stride, padding)
+    windows, forward, input_grad, weight_grad, layer = _kernel(k, stride, padding)
     # a transposed convolution swaps the forward pass and the input gradient, and the weight
     # gradient's operands; then both of its gradients read the windows of g, built once
-    y = input_grad(x.data, w.data, out_sp) if transpose else forward(windows(x.data), w.data)
-    z = _into(np.add, y, b.data[:, None, None, None])  # a cropped kernel result is copied here
-    if skip is not None and transpose:
-        z = _into(np.add, z, skip.data)
-    h = z
-    if slopes is not None:
-        a = slopes.data[:, None, None, None]
-        neg = _into(np.multiply, np.minimum(z, 0), a)
-        # max(z, 0) + min(z, 0) * a: prelu's bytes, as IEEE addition commutes; z is kept for backward
-        h = _into(np.add, np.maximum(z, 0, out=None if keep else z), neg)
-    if skip is not None and not transpose:
-        h = _into(np.add, h, skip.data)
+    y, part = _ranges(input_grad(x.data, w.data, out_sp)) if transpose else layer(x.data, w.data)
+    a = None if slopes is None else slopes.data[:, None, None, None]
+    s = None if skip is None else skip.data
+    dz = np.result_type(x.data, w.data, b.data, *((s,) if transpose and s is not None else ()))
+    dh = np.result_type(dz, *(t for t in (a, s) if t is not None))
+    # the pre-activation z is the kernel result itself when that is whole and owned; a cropped
+    # one is copied into z by the epilogue. z is kept for backward, so h is apart from it then
+    z = y if y is not None and _owned(y, dz) else np.empty((cout, *out_sp), dtype=dz)
+    h = z if dh == dz and not (keep and a is not None) else np.empty((cout, *out_sp), dtype=dh)
+    neg = None if a is None else np.empty((cout, *out_sp), dtype=np.result_type(dz, a))
+
+    def finish(c0, c1):
+        _epilogue(part(c0, c1), z[c0:c1], h[c0:c1], None if neg is None else neg[c0:c1],
+                  b.data[c0:c1, None, None, None], None if a is None else a[c0:c1],
+                  None if s is None else s[c0:c1], transpose)
+
+    # the worker takes the second half of the channels' inverse transforms and epilogue
+    half = (cout + 1) // 2
+    join = fork(math.prod(out_sp), finish, half, cout)
+    finish(0, half)
+    join()
 
     def backward_fn(g):
         conv_grad = x.requires_grad or w.requires_grad or b.requires_grad

@@ -552,6 +552,7 @@ class TestThinColumnTiles:
 ROW_KINDS = {  # op, cin, cout, k, stride, PReLU, skip: as branch3, res (its input is its skip), up1, head
     "prelu": ("conv3d", 2, 8, 3, 1, True, None),
     "conv_skip": ("conv3d", 4, 4, 3, 1, True, "input"),
+    "conv_other_skip": ("conv3d", 4, 4, 3, 1, True, "other"),
     "convT_skip": ("conv3d_transpose", 4, 3, 2, 2, True, "other"),
     "linear": ("conv3d", 4, 3, 3, 1, False, None),
     "linear_skip": ("conv3d", 4, 4, 3, 1, False, "input"),  # no PReLU reads g before x's gradient
@@ -559,12 +560,12 @@ ROW_KINDS = {  # op, cin, cout, k, stride, PReLU, skip: as branch3, res (its inp
 }
 
 
-def _row_case(kind, dtype, tape, fused):
+def _row_case(kind, dtype, tape, fused, wide=None):
     """One layer row, as one node (``fused``) or as the conv + add + prelu chain; its output and leaves.
 
     ``tape`` is "none" (frozen leaves), "root" (the row is backward's root, so
     its gradient is the read-only seed) or "interior" (an add after it hands it
-    a gradient of its own).
+    a gradient of its own). The leaf named ``wide``, if any, is float64.
     """
     op, cin, cout, k, stride, prelu, skip = ROW_KINDS[kind]
     rng = np.random.default_rng(23)
@@ -573,9 +574,10 @@ def _row_case(kind, dtype, tape, fused):
     shape_w = (cin, cout, k, k, k) if op == "conv3d_transpose" else (cout, cin, k, k, k)
     arrays = {"x0": (cin, *ext), "x1": (cin, *ext), "w": shape_w, "b": (cout,), "s": (cout, *out_ext),
               "c": (cout, *out_ext)}
-    leaves = {n: ad.Tensor(rng.standard_normal(shape).astype(dtype), name=n, requires_grad=tape != "none")
-              for n, shape in arrays.items()}
-    leaves["a"] = ad.Tensor(rng.uniform(0.1, 0.5, cout).astype(dtype), name="a", requires_grad=tape != "none")
+    leaves = {n: ad.Tensor(rng.standard_normal(shape).astype(np.float64 if n == wide else dtype), name=n,
+                           requires_grad=tape != "none") for n, shape in arrays.items()}
+    leaves["a"] = ad.Tensor(rng.uniform(0.1, 0.5, cout).astype(np.float64 if wide == "a" else dtype), name="a",
+                            requires_grad=tape != "none")
     x = ad.add(leaves["x0"], leaves["x1"])  # an interior input, as in the network
     s = {"input": x, "other": leaves["s"], None: None}[skip]
     a = leaves["a"] if prelu else None
@@ -610,6 +612,17 @@ class TestLayerRow:
             want = chain_leaves[name].grad
             assert (leaf.grad is None) == (want is None), name
             assert leaf.grad is None or leaf.grad.tobytes() == want.tobytes(), name
+
+    # one float64 operand promotes the chain from its step on. Forward only: a float64 slope or
+    # convT skip rounds the row's gradients apart from the chain's
+    @pytest.mark.parametrize("tape", ["none", "root"])
+    @pytest.mark.parametrize("wide", ["b", "a", "s"])
+    @pytest.mark.parametrize("kind", ["prelu", "conv_other_skip", "convT_skip", "linear"])
+    def test_mixed_dtypes_same_forward_bytes_as_chain(self, kind, wide, tape):
+        row, _ = _row_case(kind, np.float32, tape, fused=True, wide=wide)
+        chain, _ = _row_case(kind, np.float32, tape, fused=False, wide=wide)
+        assert row.data.dtype == chain.data.dtype and row.data.flags.c_contiguous
+        assert row.data.tobytes() == chain.data.tobytes()
 
     def test_frozen_input_skip_still_gets_its_gradient(self):
         rng = np.random.default_rng(25)
@@ -685,6 +698,42 @@ class TestWindowKernel:
         for got, want in pairs:
             assert got.shape == want.shape
             assert _rel(got, want) <= 1e-12
+
+
+class TestWindowTiles:
+    """The window kernel's forward pass in depth-plane tiles has the bytes of one GEMM on the whole column matrix."""
+
+    # (cin, cout, k, stride, padding, extent): enc1 and enc2 at D != H != W, a thin output, and a
+    # k2 s2 and a size-changing k3 s1 kernel; at the smallest budget each runs in several tiles,
+    # and in all but the 32^3 one the tile count does not divide the output depth
+    CASES = [(16, 32, 3, 2, 1, (20, 36, 28)), (16, 32, 3, 2, 1, (32, 32, 32)), (32, 32, 3, 2, 1, (40, 12, 20)),
+             (4, 3, 3, 2, 1, (64, 40, 48)), (8, 16, 2, 2, 0, (40, 20, 28)), (6, 8, 3, 1, 0, (36, 17, 13))]
+
+    @pytest.mark.parametrize("tile_bytes", [1, 1 << 16, 1 << 20])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+    @pytest.mark.parametrize("cin,cout,k,stride,padding,extent", CASES)
+    def test_tiles_give_one_gemm(self, monkeypatch, cin, cout, k, stride, padding, extent, dtype, tile_bytes):
+        rng = np.random.default_rng(cin * cout + k)
+        x = rng.standard_normal((cin, *extent)).astype(dtype)
+        w = rng.standard_normal((cout, cin, k, k, k)).astype(dtype)
+        whole = ad._conv_raw(ad._columns(x, k, stride, padding), w)
+        monkeypatch.setattr(ad, "_TILE_BYTES", tile_bytes)
+        tiles, depth_tiles = [], ad._depth_tiles
+        monkeypatch.setattr(ad, "_depth_tiles", lambda *args: tiles.append(depth_tiles(*args)) or tiles[-1])
+        tiled = ad._window_conv(x, w, stride, padding)
+        assert tile_bytes > 1 or len(tiles[0]) > 1
+        assert tiled.dtype == whole.dtype and tiled.flags.c_contiguous
+        assert np.array_equal(tiled, whole)
+
+    def test_small_budget_tiles_cover_depth_unevenly(self, monkeypatch):
+        monkeypatch.setattr(ad, "_TILE_BYTES", 1)
+        # enc1 at 20 x 36 x 28: 252-column planes, 4 per tile to reach 256 columns in multiples of 16
+        assert ad._depth_tiles(10, 252, 432, 32, 4) == [(0, 4), (4, 10)]
+        # the thin 4 -> 3 case: 2^20 multiply-adds take 3236 columns, 7 planes of 480
+        assert ad._depth_tiles(32, 480, 108, 3, 8) == [(0, 7), (7, 14), (14, 21), (21, 32)]
+        monkeypatch.setattr(ad, "_TILE_BYTES", 1 << 20)
+        assert ad._depth_tiles(16, 256, 432, 32, 4) == [(d, d + 2) for d in range(0, 16, 2)]  # enc1 at 32^3
+        assert ad._depth_tiles(4, 64, 864, 32, 4) == [(0, 4)]  # enc2 at 16^3: one tile
 
 
 class TestConvTransposeColumns:

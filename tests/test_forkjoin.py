@@ -1,9 +1,11 @@
-"""The loss stack's field half on the fork-join worker: same bytes, same errors, same tracer view.
+"""The fork-join worker's two clients: same bytes, same errors, same tracer view.
 
 ``total_loss``, ``loss_value`` and ``trainer._loss_and_grad`` each hand one
-half of their work to ``_forkjoin.fork``. ``_use_worker`` sends every task
-to the worker (grain 0, two usable CPUs reported) or none (a grain no field
-reaches), so these tests run both paths on any host.
+half of their work to ``_forkjoin.fork``, and so does a convolution row
+(``autodiff._conv_node``): half of its channels' inverse transforms and
+epilogue. ``_use_worker`` sends every task to the worker (grain 0, two usable
+CPUs reported) or none (a grain no volume reaches), so these tests run both
+paths on any host.
 """
 
 import importlib.util
@@ -16,7 +18,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from foldreg import _forkjoin, jacobian, loss, model, optim, trainer
+from foldreg import _forkjoin, jacobian, loss, metrics, model, optim, trainer
+from foldreg import autodiff as ad
 from foldreg.jacobian import folding_count
 from foldreg.loss import GLOBAL, LOCAL, loss_value, total_loss
 from foldreg.trainer import TrainConfig, synth_dataset
@@ -98,17 +101,15 @@ def test_worker_exception_comes_out_unchanged(forked, monkeypatch):
     assert total_loss(s, t, u, 0.5, 0.2) == expected
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-@pytest.mark.filterwarnings("ignore::DeprecationWarning")  # forking a process that has threads
-def test_worker_restarts_in_forked_child(forked):
-    s, t, u = _inputs((32, 32, 32), np.float32, True)
-    expected = total_loss(s, t, u, 0.5, 0.2)
+def _check_forked_child(run):
+    """Fork the process; the child must complete ``run()``, its first fork-join there, with the parent's value."""
+    expected = run()
     assert _worker_threads()  # the parent has used the worker
     pid = os.fork()
-    if pid == 0:  # the child: exit 0 only if the forked loss completes with the parent's value
+    if pid == 0:  # the child: exit 0 only if its forked work completes with the parent's value
         code = 1
         try:
-            code = 0 if total_loss(s, t, u, 0.5, 0.2) == expected else 3
+            code = 0 if run() == expected else 3
         finally:
             os._exit(code)
     deadline = time.monotonic() + 30.0
@@ -122,6 +123,21 @@ def test_worker_restarts_in_forked_child(forked):
         os.waitpid(pid, 0)
         pytest.fail("the forked child hung on its first fork-join")
     assert os.waitstatus_to_exitcode(status) == 0
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.filterwarnings("ignore::DeprecationWarning")  # forking a process that has threads
+def test_worker_restarts_in_forked_child(forked):
+    s, t, u = _inputs((32, 32, 32), np.float32, True)
+    _check_forked_child(lambda: total_loss(s, t, u, 0.5, 0.2))
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.filterwarnings("ignore::DeprecationWarning")
+def test_worker_restarts_in_forked_child_after_conv_rows(forked):
+    ds = synth_dataset(seed=0, n=2, dims=(32, 32, 32))
+    params = model.build_faim(seed=0)
+    _check_forked_child(lambda: model.faim_forward(params, ds.volumes["s00"], ds.volumes["s01"]).data.tobytes())
 
 
 def _bench_spans(monkeypatch):
@@ -201,3 +217,154 @@ def test_tracer_counters_are_never_raced(forked, monkeypatch):
         for other, other_ident, other_start, other_end in calls:
             if other == counter and other_ident != ident:
                 assert end <= other_start or other_end <= start, (counter, start, end, other_start, other_end)
+
+
+def test_fork_on_the_worker_runs_inline(forked, monkeypatch):
+    # a task that forks from the worker gets its join run there, in serial order, instead of
+    # waiting on the worker's own queue; a worker of its own lets the test end if it does wait
+    monkeypatch.setattr(_forkjoin, "_worker", _forkjoin._executor())
+    order = []
+
+    def inner():
+        order.append(("inner", threading.get_ident()))
+
+    def outer():
+        join = _forkjoin.fork(1, inner)
+        order.append(("outer", threading.get_ident()))
+        join()
+        return threading.get_ident()
+
+    future = _forkjoin._worker.submit(outer)
+    try:
+        worker = future.result(timeout=30)
+    except TimeoutError:
+        _forkjoin._worker.shutdown(wait=False, cancel_futures=True)  # ends the wait, so the thread can exit
+        pytest.fail("a fork made on the worker waited on the worker")
+    _forkjoin._worker.shutdown()
+    assert worker != threading.get_ident()
+    assert order == [("outer", worker), ("inner", worker)]
+
+
+# a layer row, forked along output channels: (op, cin, cout, k, stride, act, skip) as in model.faim_layers
+CONV_ROWS = {
+    "fft-k5": ("conv3d", 2, 8, 5, 1, True, None),
+    "fft-k7": ("conv3d", 2, 8, 7, 1, True, None),
+    "thin-rows": ("conv3d", 2, 8, 3, 1, True, None),
+    "wide-rows-skip": ("conv3d", 8, 8, 3, 1, True, "input"),
+    "k1": ("conv3d", 24, 16, 1, 1, True, None),
+    "window-k3s2": ("conv3d", 16, 32, 3, 2, True, None),
+    "convT-k2s2-skip": ("conv3d_transpose", 32, 16, 2, 2, True, "other"),
+    "linear-rows": ("conv3d", 16, 3, 3, 1, False, None),
+}
+
+
+def _conv_row(kind, dims, dtype, taped):
+    """The row's output and, when taped, its leaves' gradients after a backward pass, as bytes."""
+    op, cin, cout, k, stride, prelu, skip = CONV_ROWS[kind]
+    rng = np.random.default_rng(k + cin + cout)
+    in_dims = tuple(n // stride for n in dims) if op == "conv3d_transpose" else dims
+    out_dims = tuple((n - 1) // stride + 1 for n in dims) if op == "conv3d" else dims
+    shape_w = (cin, cout, k, k, k) if op == "conv3d_transpose" else (cout, cin, k, k, k)
+
+    def leaf(shape, scale=1.0):
+        return ad.Tensor((rng.standard_normal(shape) * scale).astype(dtype), requires_grad=taped)
+
+    x, w, b = leaf((cin, *in_dims)), leaf(shape_w, 0.2), leaf((cout,))
+    a = ad.Tensor(rng.uniform(0.1, 0.5, cout).astype(dtype), requires_grad=taped) if prelu else None
+    s = {"input": x, "other": leaf((cout, *out_dims)), None: None}[skip]
+    out = getattr(ad, op)(x, w, b, stride=stride, padding=(k - 1) // 2, slopes=a, skip=s)
+    got = [out.data.dtype.str, out.data.flags.c_contiguous, out.data.tobytes()]
+    if taped:
+        ad.backward(out, seed=np.random.default_rng(1).standard_normal(out.shape))
+        got += [t.grad.tobytes() for t in (x, w, b, a, s) if t is not None]
+    return got
+
+
+@pytest.mark.parametrize("taped", [False, True], ids=["tape-free", "taped"])
+@pytest.mark.parametrize("dims", [(32, 32, 32), (20, 36, 28)], ids=["32", "20x36x28"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+@pytest.mark.parametrize("kind", sorted(CONV_ROWS))
+def test_forked_conv_rows_match_serial(monkeypatch, kind, dtype, dims, taped):
+    _use_worker(monkeypatch, False)
+    serial = _conv_row(kind, dims, dtype, taped)
+    _use_worker(monkeypatch, True)
+    assert _conv_row(kind, dims, dtype, taped) == serial
+
+
+def _evaluate_32(ds):
+    params = model.build_faim(seed=0)
+    predict = metrics.checkpoint_predictor({"kind": "faim", **params.config.to_meta()}, params.arrays())
+    result = metrics.evaluate(predict, ds.volumes, ds.labels, [tuple(ds.ids)])
+    return metrics.report_csv(result), metrics.per_label_csv(result)
+
+
+def test_forked_evaluate_report_matches_serial(monkeypatch):
+    ds = synth_dataset(seed=2, n=2, dims=(32, 32, 32))
+    _use_worker(monkeypatch, False)
+    serial = _evaluate_32(ds)
+    _use_worker(monkeypatch, True)
+    assert _evaluate_32(ds) == serial
+
+
+def test_worker_exception_from_a_row_comes_out_unchanged(forked, monkeypatch):
+    ds = synth_dataset(seed=0, n=2, dims=(32, 32, 32))
+    params = model.build_faim(seed=0)
+    expected = model.faim_forward(params, ds.volumes["s00"], ds.volumes["s01"]).data.tobytes()
+    error = RuntimeError("epilogue failed")
+    raised_on = []
+    real = ad._epilogue
+    caller = threading.get_ident()
+
+    def failing(*args):
+        if threading.get_ident() == caller:
+            return real(*args)
+        raised_on.append(threading.get_ident())
+        raise error
+
+    monkeypatch.setattr(ad, "_epilogue", failing)
+    with pytest.raises(RuntimeError) as info:
+        model.faim_forward(params, ds.volumes["s00"], ds.volumes["s01"])
+    assert info.value is error
+    assert raised_on
+    monkeypatch.setattr(ad, "_epilogue", real)
+    assert model.faim_forward(params, ds.volumes["s00"], ds.volumes["s01"]).data.tobytes() == expected
+
+
+def test_tracer_view_of_an_evaluated_pair(forked, monkeypatch):
+    # during a 32^3 evaluate pair every entry point the tracer times or wraps runs on the caller;
+    # the conv rows' tasks call no counted function, and the worker counts only the loss
+    # stack's field half, as before the rows were forked
+    ds = synth_dataset(seed=0, n=2, dims=(32, 32, 32))
+    spans = _bench_spans(monkeypatch)
+    seen, counted, rows = [], [], []
+
+    def record(module, attr, name, log):
+        def recording(*args, _fn=getattr(module, attr), **kwargs):
+            start = time.perf_counter()
+            try:
+                return _fn(*args, **kwargs)
+            finally:
+                log.append((name, threading.get_ident(), start, time.perf_counter()))
+        monkeypatch.setattr(module, attr, recording)
+
+    for module, attr, name in spans._TIMED:
+        record(module, attr, name, seen)
+    for attr in ("conv3d", "conv3d_transpose", "prelu", "add", "concat_channels"):
+        record(ad, attr, f"autodiff.{attr}", seen)
+    for module, attr, counter in spans._COUNTED:
+        record(module, attr, counter, counted)
+    record(ad, "_epilogue", "autodiff._epilogue", rows)
+    _evaluate_32(ds)
+    caller = threading.get_ident()
+    names = {name for name, *_ in seen}
+    assert {"model.faim_forward", "model.faim_apply", "autodiff.conv3d", "autodiff.conv3d_transpose",
+            "autodiff.concat_channels", "warp.warp_labels", "warp.warp_image", "metrics.mean_dice"} <= names
+    assert all(ident == caller for _, ident, *_ in seen)
+    assert {ident for _, ident, *_ in rows} - {caller}  # the worker did run row halves
+    on_worker = [c for c in counted if c[1] != caller]
+    assert {name for name, *_ in on_worker} == {"jacobian.jacobian_raw_calls_per_step"}
+    first = min(counted, key=lambda c: c[2])
+    assert first[1] == caller and first[2] < min(start for _, _, start, _ in on_worker)
+    convs = [(start, end) for name, _, start, end in seen if name.startswith("autodiff.conv")]
+    for _, _, start, end in on_worker:
+        assert all(end <= c0 or c1 <= start for c0, c1 in convs)

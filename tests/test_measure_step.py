@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+_TAIL = r"\d+ usable CPUs  peak RSS \d+ MiB \(before \d+ MiB\)  \d+ minor page faults\n"
 
 
 def _run(dims, mode):
@@ -28,10 +29,10 @@ def _run(dims, mode):
 @pytest.mark.parametrize("mode", [[], ["--direct"], ["--evaluate"]], ids=["train", "direct", "evaluate"])
 def test_measure_step_runs(mode):
     out = _run("8", mode)
-    assert re.fullmatch(r"dims 8x8x8  .+  \d+ usable CPUs  peak RSS \d+ MiB \(before \d+ MiB\)\n", out), out
+    assert re.fullmatch(rf"dims 8x8x8  .+  {_TAIL}", out), out
 
 
 @pytest.mark.parametrize("mode", [[], ["--evaluate"]], ids=["train", "evaluate"])
 def test_measure_step_anisotropic(mode):
     out = _run("8,12,16", mode)
-    assert re.fullmatch(r"dims 8x12x16  .+  \d+ usable CPUs  peak RSS \d+ MiB \(before \d+ MiB\)\n", out), out
+    assert re.fullmatch(rf"dims 8x12x16  .+  {_TAIL}", out), out
