@@ -93,20 +93,19 @@ two usable CPUs), else the caller runs both halves in turn. Each channel's
 operations are the same either way, so are the bytes. The backward pass
 runs on the caller.
 
-Dtypes: a forward pass returns the common dtype of its operands, so a
-float32 network stays float32. Every kernel computes in that precision. The
-FFT kernel transforms float32 operands into complex64 spectra and runs
-complex64 GEMMs; any other operands, mixed float32 and float64 among them,
-transform in float64 with complex128 spectra. A float32 transform's error
-scales with the largest output of the layer, not with each output: on the
-branch convolutions it stays within 1e-6 of the largest output (measured at
-most 3.4e-7, against 4.7e-7 for the float32 shifted-row kernel on the same
-convolutions). An interior node's gradient takes the dtype of its data, so a
-float32 network also backpropagates in float32, through the same kernels,
-and no operand is promoted. A leaf's gradient is float64: the parameters'
-gradients, which clipping and the optimizer read, are accumulated in float64
-from the working precision contributions. A float64 network runs the same
-code in float64 throughout.
+Dtypes: the operands of ``conv3d``, ``conv3d_transpose`` and
+``concat_channels`` share one dtype, float32 or float64, else the op raises
+ValueError before any kernel work. Outputs and kernels are in that dtype, so
+a float32 network stays float32. The FFT kernel transforms float32 into
+complex64 spectra and runs complex64 GEMMs, float64 into complex128. A
+float32 transform's error scales with the largest output of the layer, not
+with each output: on the branch convolutions it stays within 1e-6 of the
+largest output (measured at most 3.4e-7, against 4.7e-7 for the float32
+shifted-row kernel on the same convolutions). An interior node's gradient
+takes the dtype of its data, so a float32 network also backpropagates in
+float32, through the same kernels. A leaf's gradient is float64: the
+parameters' gradients, which clipping and the optimizer read, are
+accumulated in float64 from the working precision contributions.
 """
 
 from __future__ import annotations
@@ -154,10 +153,15 @@ def _pad_spatial(x: np.ndarray, p: int) -> np.ndarray:
     return xp
 
 
-def _columns(x: np.ndarray, k: int, stride: int, padding: int) -> np.ndarray:
-    """The C-contiguous im2col array (Cin, k, k, k, *out): [c, i, j, l, r] = pad(x)[c, r * stride + (i, j, l)]."""
+def _window_view(x: np.ndarray, k: int, stride: int, padding: int) -> np.ndarray:
+    """The im2col view (Cin, k, k, k, *out): [c, i, j, l, r] = pad(x)[c, r * stride + (i, j, l)]."""
     win = sliding_window_view(_pad_spatial(x, padding), (k, k, k), axis=(1, 2, 3))[:, ::stride, ::stride, ::stride]
-    return np.ascontiguousarray(win.transpose(0, 4, 5, 6, 1, 2, 3))
+    return win.transpose(0, 4, 5, 6, 1, 2, 3)
+
+
+def _columns(x: np.ndarray, k: int, stride: int, padding: int) -> np.ndarray:
+    """``_window_view`` copied into the C-contiguous im2col array."""
+    return np.ascontiguousarray(_window_view(x, k, stride, padding))
 
 
 def _conv_raw(cols: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -168,8 +172,14 @@ def _conv_raw(cols: np.ndarray, w: np.ndarray) -> np.ndarray:
 _TILE_BYTES = 1 << 20  # working set of one column tile of a shifted-row or window convolution
 
 
+def _spans(n: int, width: int) -> list[tuple[int, int]]:
+    """[0, n) cut into (start, stop) pieces ``width`` long, the last taking the rest: one piece when n < 2 * width."""
+    starts = range(0, max(n - width, 0) + 1, width)
+    return [(s, n if s == starts[-1] else s + width) for s in starts]
+
+
 def _depth_tiles(od: int, plane: int, rows: int, cout: int, itemsize: int) -> list[tuple[int, int]]:
-    """The (d0, d1) output depth-plane ranges of ``_window_conv``'s tiles; the last takes the rest.
+    """The (d0, d1) output depth-plane ``_spans`` of ``_window_conv``'s tiles.
 
     A tile's columns (``rows`` by ``plane`` per depth plane) fit
     ``_TILE_BYTES``. So that OpenBLAS multiplies each tile with the kernels of
@@ -180,20 +190,18 @@ def _depth_tiles(od: int, plane: int, rows: int, cout: int, itemsize: int) -> li
     """
     n = max(_TILE_BYTES // (rows * plane * itemsize), -(-max(256, (1 << 20) // (cout * rows)) // plane))
     step = 16 // math.gcd(plane, 16)
-    n = -(-n // step) * step
-    starts = range(0, max(od - n, 0) + 1, n)
-    return [(d0, od if d0 == starts[-1] else d0 + n) for d0 in starts]
+    return _spans(od, -(-n // step) * step)
 
 
 def _window_conv(x: np.ndarray, w: np.ndarray, stride: int, padding: int) -> np.ndarray:
     """``_conv_raw(_columns(x, k, stride, padding), w)``, its column matrix built and multiplied in ``_depth_tiles``."""
     cout, cin, k = w.shape[:3]
-    win = sliding_window_view(_pad_spatial(x, padding), (k, k, k), axis=(1, 2, 3))[:, ::stride, ::stride, ::stride]
+    win = _window_view(x, k, stride, padding)
     rows = cin * k ** 3
     wm = w.reshape(cout, rows)
-    y = np.empty((cout, *win.shape[1:4]), dtype=np.result_type(x, w))
-    for d0, d1 in _depth_tiles(win.shape[1], win.shape[2] * win.shape[3], rows, cout, x.itemsize):
-        cols = np.ascontiguousarray(win[:, d0:d1].transpose(0, 4, 5, 6, 1, 2, 3))
+    y = np.empty((cout, *win.shape[4:]), dtype=x.dtype)
+    for d0, d1 in _depth_tiles(win.shape[4], win.shape[5] * win.shape[6], rows, cout, x.itemsize):
+        cols = np.ascontiguousarray(win[:, :, :, :, d0:d1])
         np.matmul(wm, cols.reshape(rows, -1), out=y[:, d0:d1].reshape(cout, -1))
     return y
 
@@ -213,7 +221,7 @@ def _scatter(g: np.ndarray, w: np.ndarray, stride: int, padding: int, out_sp) ->
     sp = g.shape[1:]
     tiled = k == stride
     shape = (b,) + tuple((n - 1) * stride + k for n in sp)
-    y = (np.empty if tiled else np.zeros)(shape, dtype=np.result_type(g, w))
+    y = (np.empty if tiled else np.zeros)(shape, dtype=g.dtype)
     cols = np.matmul(w.transpose(2, 3, 4, 1, 0), g.reshape(a, -1)).reshape(k, k, k, b, *sp)
     span = [(n - 1) * stride + 1 for n in sp]
     for i, j, l in itertools.product(range(k), repeat=3):
@@ -249,11 +257,6 @@ def _fft_shape(sp, k: int) -> tuple[int, ...]:
     return tuple(fft.next_fast_len(max(n + (k - 1) // 2, k), real=True) for n in sp)
 
 
-def _fft_real(a: np.ndarray, b: np.ndarray):
-    """The real dtype the FFT kernel transforms in: float32 if the operands' result is, float64 otherwise."""
-    return np.float32 if np.result_type(a, b) == np.float32 else np.float64
-
-
 def _depth_block(x: np.ndarray, k: int, s) -> np.ndarray:
     """The (F, Cin * k, D) block whose row c * k + a holds, per in-plane frequency, channel c's plane d + a - p.
 
@@ -285,16 +288,14 @@ def _plane_parts(x: np.ndarray, w: np.ndarray):
     """
     cout, cin, k = w.shape[:3]
     p, (d, h, wd) = (k - 1) // 2, x.shape[1:]
-    s, rt = _fft_shape((h, wd), k), _fft_real(x, w)
-    a = fft.rfft(w[:, :, :, ::-1, ::-1].astype(rt, copy=False), s[1], axis=-1, workers=1)
+    s = _fft_shape((h, wd), k)
+    a = fft.rfft(w[:, :, :, ::-1, ::-1], s[1], axis=-1, workers=1)
     a = fft.fft(a, s[0], axis=-2, workers=1).reshape(cout, cin * k, -1)
-    y = np.ascontiguousarray(a.transpose(2, 0, 1)) @ _depth_block(x.astype(rt, copy=False), k, s)
+    y = np.ascontiguousarray(a.transpose(2, 0, 1)) @ _depth_block(x, k, s)
     y = y.transpose(1, 2, 0).reshape(cout, d, s[0], -1)
-    dt = np.result_type(x, w)
 
     def part(c0, c1):
-        out = fft.irfftn(y[c0:c1], s, axes=(2, 3), workers=1)
-        return out[:, :, p:p + h, p:p + wd].astype(dt, copy=False)
+        return fft.irfftn(y[c0:c1], s, axes=(2, 3), workers=1)[:, :, p:p + h, p:p + wd]
 
     return None, part
 
@@ -311,29 +312,29 @@ def _plane_weight_grad(g: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
     only the lines read.
     """
     cout, cin, d = g.shape[0], x.shape[0], g.shape[1]
-    s, rt = _fft_shape(x.shape[2:], k), _fft_real(g, x)
-    gf = fft.rfftn(g.astype(rt, copy=False), s, axes=(2, 3), workers=1).reshape(cout, d, -1)
+    s = _fft_shape(x.shape[2:], k)
+    gf = fft.rfftn(g, s, axes=(2, 3), workers=1).reshape(cout, d, -1)
     gc = np.empty((gf.shape[2], cout, d), dtype=gf.dtype)
     np.conjugate(gf.transpose(2, 0, 1), out=gc)
-    c = gc @ _depth_block(x.astype(rt, copy=False), k, s).transpose(0, 2, 1)
+    c = gc @ _depth_block(x, k, s).transpose(0, 2, 1)
     i1, i2 = ((np.arange(k) - (k - 1) // 2) % n for n in s)
     c = fft.ifft(c.reshape(s[0], -1, cout * cin * k), axis=0, workers=1)[i1]
     c = fft.irfft(c, s[1], axis=1, workers=1)[:, i2]
     return c.reshape(k, k, cout, cin, k).transpose(2, 3, 4, 0, 1)
 
 
-def _shifted_rows(x: np.ndarray, k: int, dtype):
-    """x zero-padded by (k - 1) // 2 and flattened, with its k shifts stacked as rows, in ``dtype``.
+def _shifted_rows(x: np.ndarray, k: int):
+    """x zero-padded by (k - 1) // 2 and flattened, with its k shifts stacked as rows.
 
     Returns the (Cin * k, P - k + 1) block, row c * k + l holding the flat
     padded channel c from offset l, and the padded extents. The tap (i, j, l)
     of the output at flat position q then reads row c * k + l at column
-    q + (i * Hp + j) * Wp. The one copy also promotes.
+    q + (i * Hp + j) * Wp.
     """
     xp = _pad_spatial(x, (k - 1) // 2)
     flat = xp.reshape(x.shape[0], -1)
     n = flat.shape[1] - k + 1
-    rows = np.empty((x.shape[0], k, n), dtype=dtype)
+    rows = np.empty((x.shape[0], k, n), dtype=x.dtype)
     rows[...] = sliding_window_view(flat, n, axis=1)
     return rows.reshape(-1, n), xp.shape[1:]
 
@@ -357,24 +358,20 @@ def _row_taps(sp, padded, k: int, cin: int, cout: int):
 def _rows_conv(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Same cross-correlation of x (Cin, ...) with w (Cout, Cin, k, k, k) as GEMMs on shifted rows."""
     cout, cin, k = w.shape[:3]
-    dt = np.result_type(x, w)
     sp = x.shape[1:]
     if k == 1:
-        return (w.reshape(cout, cin).astype(dt, copy=False) @ x.reshape(cin, -1)).reshape(cout, *sp)
-    rows, padded = _shifted_rows(x, k, dt)
+        return (w.reshape(cout, cin) @ x.reshape(cin, -1)).reshape(cout, *sp)
+    rows, padded = _shifted_rows(x, k)
     offs, q, groups = _row_taps(sp, padded, k, cin, cout)
-    wt = w.transpose(2, 3, 0, 1, 4).reshape(k * k * cout, cin * k).astype(dt, copy=False)  # row (i * k + j) * Cout + o
-    y = np.empty((cout, sp[0] * padded[1] * padded[2]), dtype=dt)  # columns from q on are cropped unread
+    wt = w.transpose(2, 3, 0, 1, 4).reshape(k * k * cout, cin * k)  # row (i * k + j) * Cout + o
+    y = np.empty((cout, sp[0] * padded[1] * padded[2]), dtype=x.dtype)  # columns from q on are cropped unread
     # a thin input (one tap's output taller than the rows) runs in power-of-two column tiles
     # whose tap output, accumulator and row slice stay in cache, the last taking the rest, so
     # none is narrow (a 1-column product runs as a GEMV): the taps add in the same order and
     # float32 gives one tile's bytes. In float64 OpenBLAS's small-matrix kernel may round the
     # last few columns of a 16- or 32-row tile product apart from the one-tile product
-    width = q if cin * k >= cout else max(1, _TILE_BYTES // ((2 * cout + cin * k) * dt.itemsize))
-    width = 1 << (width.bit_length() - 1)
-    starts = range(0, max(q - width, 0) + 1, width)
-    for c0 in starts:
-        c1 = q if c0 == starts[-1] else c0 + width
+    width = q if cin * k >= cout else max(1, _TILE_BYTES // ((2 * cout + cin * k) * x.itemsize))
+    for c0, c1 in _spans(q, 1 << (width.bit_length() - 1)):
         acc = y[:, c0:c1]
         for taps in groups:
             lo = offs[taps[0]]
@@ -393,18 +390,17 @@ def _rows_weight_grad(g: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
     cout, cin, sp = g.shape[0], x.shape[0], x.shape[1:]
     if k == 1:
         return (g.reshape(cout, -1) @ x.reshape(cin, -1).T).reshape(cout, cin, 1, 1, 1)
-    dt = np.result_type(g, x)
-    rows, padded = _shifted_rows(x, k, dt)
+    rows, padded = _shifted_rows(x, k)
     offs, q, groups = _row_taps(sp, padded, k, cin, cout)
     gq = np.zeros((cout, sp[0], padded[1], padded[2]), dtype=g.dtype)
     gq[:, :, :sp[1], :sp[2]] = g
     gq = gq.reshape(cout, -1)[:, :q]
-    out = np.empty((k * k * cout, cin * k), dtype=dt)
+    out = np.empty((k * k * cout, cin * k), dtype=g.dtype)
     for taps in groups:
         lo, hi = offs[taps[0]], offs[taps[-1]] + q
         gs = gq
         if len(taps) > 1:  # g once per tap, each copy shifted by the tap's offset
-            gs = np.zeros((len(taps) * cout, hi - lo), dtype=dt)
+            gs = np.zeros((len(taps) * cout, hi - lo), dtype=g.dtype)
             for n, t in enumerate(taps):
                 gs[n * cout:(n + 1) * cout, offs[t] - lo:offs[t] - lo + q] = gq
         out[taps.start * cout:taps.stop * cout] = gs @ rows[:, lo:hi].T
@@ -469,13 +465,16 @@ def _check_4d(x: Tensor, who: str) -> None:
         raise ValueError(f"{who} expects a (C, D, H, W) tensor, got shape {x.data.shape}")
 
 
-def _owned(y: np.ndarray, dtype) -> bool:
-    return y.flags.writeable and y.flags.c_contiguous and y.dtype == dtype
+def _check_dtype(op: str, ts) -> None:
+    """Every operand of op is of one dtype, float32 or float64, so that its kernels run in that dtype alone."""
+    dts = {t.data.dtype for t in ts}
+    if len(dts) != 1 or dts.pop() not in (np.float32, np.float64):
+        got = ", ".join(sorted({str(t.data.dtype) for t in ts}))
+        raise ValueError(f"{op} operands must share one dtype, float32 or float64, got {got}")
 
 
-def _into(op, y: np.ndarray, z, own: bool = True) -> np.ndarray:
-    """op(y, z), written into y when the caller owns it and it is writeable, C-contiguous and of the result's dtype."""
-    return op(y, z, out=y if own and _owned(y, np.result_type(y, z)) else None)
+def _owned(y: np.ndarray) -> bool:
+    return y.flags.writeable and y.flags.c_contiguous
 
 
 def _epilogue(y: np.ndarray, z: np.ndarray, h: np.ndarray, neg, b, a, skip, transpose: bool) -> None:
@@ -483,9 +482,8 @@ def _epilogue(y: np.ndarray, z: np.ndarray, h: np.ndarray, neg, b, a, skip, tran
 
     The pre-activation goes into z, min(z, 0) * a into ``neg`` and the output
     into h: buffers the caller allocated, so that the worker allocates none.
-    y may be z, and h is z unless the node keeps z for backward or an operand
-    widens the output's dtype. A ufunc computes in its inputs' dtype and then
-    casts into ``out``, so each step rounds as in the chain, with its bytes.
+    y may be z, and h is z unless the node keeps z for backward. Each step
+    rounds as in the chain, with its bytes.
     """
     np.add(y, b, out=z)
     if skip is not None and transpose:
@@ -526,6 +524,7 @@ def _conv_node(op: str, x: Tensor, w: Tensor, b: Tensor, stride: int, padding: i
     if skip is not None and skip.data.shape != (cout, *out_sp):
         raise ValueError(f"{op} skip shape mismatch: {skip.data.shape} vs {(cout, *out_sp)}")
     parents = tuple(t for t in (x, w, b, slopes, skip) if t is not None)
+    _check_dtype(op, parents)
     keep = any(t.requires_grad for t in parents)
     windows, forward, input_grad, weight_grad, layer = _kernel(k, stride, padding)
     # a transposed convolution swaps the forward pass and the input gradient, and the weight
@@ -533,13 +532,11 @@ def _conv_node(op: str, x: Tensor, w: Tensor, b: Tensor, stride: int, padding: i
     y, part = _ranges(input_grad(x.data, w.data, out_sp)) if transpose else layer(x.data, w.data)
     a = None if slopes is None else slopes.data[:, None, None, None]
     s = None if skip is None else skip.data
-    dz = np.result_type(x.data, w.data, b.data, *((s,) if transpose and s is not None else ()))
-    dh = np.result_type(dz, *(t for t in (a, s) if t is not None))
     # the pre-activation z is the kernel result itself when that is whole and owned; a cropped
     # one is copied into z by the epilogue. z is kept for backward, so h is apart from it then
-    z = y if y is not None and _owned(y, dz) else np.empty((cout, *out_sp), dtype=dz)
-    h = z if dh == dz and not (keep and a is not None) else np.empty((cout, *out_sp), dtype=dh)
-    neg = None if a is None else np.empty((cout, *out_sp), dtype=np.result_type(dz, a))
+    z = y if y is not None and _owned(y) else np.empty((cout, *out_sp), dtype=x.data.dtype)
+    h = np.empty_like(z) if keep and a is not None else z
+    neg = None if a is None else np.empty_like(z)
 
     def finish(c0, c1):
         _epilogue(part(c0, c1), z[c0:c1], h[c0:c1], None if neg is None else neg[c0:c1],
@@ -563,7 +560,7 @@ def _conv_node(op: str, x: Tensor, w: Tensor, b: Tensor, stride: int, padding: i
             if slopes.requires_grad:
                 _accumulate(slopes, (g * np.minimum(z, 0)).sum(axis=(1, 2, 3)))
             if conv_grad:  # into g, the node's own and dropped after this, unless skip took it over
-                g = _into(np.multiply, g, (z <= 0) * a + (z > 0), own=not shared)
+                g = np.multiply(g, (z <= 0) * a + (z > 0), out=g if not shared and _owned(g) else None)
         if skip is not None and transpose and skip.requires_grad:
             _accumulate(skip, g, fresh=skip is not x)
         g_win = windows(g) if transpose and (x.requires_grad or w.requires_grad) else None
@@ -623,6 +620,7 @@ def concat_channels(xs) -> Tensor:
         raise ValueError("concat_channels needs at least one input")
     for t in xs:
         _check_4d(t, "concat_channels")
+    _check_dtype("concat_channels", xs)
     spatial = xs[0].data.shape[1:]
     for t in xs[1:]:
         if t.data.shape[1:] != spatial:

@@ -11,9 +11,10 @@ an autodiff graph (conv, PReLU, add/concat, a whole layer row);
 ``_check_value_and_grad`` checks a function returning ``(value, *grads)``
 (global and local CC, R1); and ``_training_loss`` gives both end-to-end rows
 the training loss of a field, with ``trainer._loss_and_grad`` as its
-analytic gradient. The R1 and R2 rows take their gradients from
-``jacobian.regularizer_grad``, which training runs, at weights (1, 0) and,
-through ``r2_backward``, (0, 1).
+analytic gradient. Each row runs the code a run does: the PReLU and add
+rows a layer row whose frozen identity k1 weights pass its input through
+exactly, the warp row ``warp_derivative``, and the R1 and R2 rows
+``jacobian.regularizer_grad`` at weights (1, 0) and (0, 1).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 from . import autodiff as ad
 from . import jacobian, loss, model, trainer
 from .volume import INTENSITY, DisplacementField, Volume
-from .warp import warp_backward, warp_image
+from .warp import warp_derivative, warp_image
 
 DEFAULT_TOL = 1e-4
 GRAPH_TOL = 1e-3
@@ -147,19 +148,25 @@ def _check_conv(rng, size, name: str, k: int, stride: int = 1, transpose: bool =
     return _check_tape(rng, name, lambda: op(x, w, b, stride=s, padding=p), [x, w, b])
 
 
+def _identity(c: int):
+    """Frozen k1 weights and bias whose convolution is the identity on c channels, exactly."""
+    return ad.Tensor(np.eye(c).reshape(c, c, 1, 1, 1), requires_grad=False), ad.Tensor(np.zeros(c), requires_grad=False)
+
+
 def _check_prelu(rng, size) -> CheckResult:
     data = rng.standard_normal((3, size, size, size))
     data = np.where(np.abs(data) < 0.05, data + 0.1, data)  # keep off the kink
     x = ad.Tensor(data)
     a = ad.Tensor(rng.uniform(0.1, 0.5, size=3))
-    return _check_tape(rng, "prelu", lambda: ad.prelu(x, a), [x, a])
+    return _check_tape(rng, "prelu", lambda: ad.conv3d(x, *_identity(3), slopes=a), [x, a])
 
 
 def _check_add_concat(rng, size) -> CheckResult:
     x = ad.Tensor(rng.standard_normal((2, size, size, size)))
     y = ad.Tensor(rng.standard_normal((2, size, size, size)))
     z = ad.Tensor(rng.standard_normal((3, size, size, size)))
-    return _check_tape(rng, "add/concat_channels", lambda: ad.concat_channels([ad.add(x, y), z, x]), [x, y, z])
+    return _check_tape(rng, "add/concat_channels",
+                       lambda: ad.concat_channels([ad.conv3d(x, *_identity(2), skip=y), z, x]), [x, y, z])
 
 
 def _check_row(rng, size, name: str, transpose: bool) -> CheckResult:
@@ -192,7 +199,7 @@ def _check_warp(rng, size) -> CheckResult:
     grid = np.indices((size, size, size)).astype(np.float64)
     u_arr = _avoid_kinks(grid + u_arr) - grid
     probe = rng.standard_normal((size, size, size))
-    g = warp_backward(src, DisplacementField(u_arr), probe)
+    g = warp_derivative(src, DisplacementField(u_arr)) * probe
     err = _fd_check(lambda: float((warp_image(src, DisplacementField(u_arr)).data * probe).sum()),
                     [u_arr], [g], rng, h=1e-3)
     return CheckResult("trilinear_warp", err, DEFAULT_TOL)
@@ -250,7 +257,7 @@ def _folding_field(rng, draw):
 
 def _check_r2(rng, size) -> CheckResult:
     u, coords = _folding_field(rng, lambda: rng.uniform(-1.6, 1.6, size=(3, size, size, size)))
-    g = jacobian.r2_backward(DisplacementField(u))
+    g = jacobian.regularizer_grad(u, 0.0, 1.0)
     err = _fd_check(lambda: jacobian.r2_penalty(jacobian.det_map(DisplacementField(u))), [u], [g], rng,
                     h=1e-6, coords=coords)
     return CheckResult("r2_through_det", err, DEFAULT_TOL)

@@ -11,7 +11,9 @@ cell corner in the source's own memory order (C or Fortran, as the loaders
 return it; any other layout is copied C-ordered first). The other seven
 corners are ``take``s at the same index from the source shifted by a constant
 offset: a sum of the axis strides, with offset 0 (and frac 0) on an axis of
-length 1.
+length 1. ``sample_grid`` and ``sample_grid_grad`` take cells, corners and
+fracs from that one gather, and the three warps their sample points x + u(x)
+from one rule; labels then round half up to the nearest lattice point.
 """
 
 from __future__ import annotations
@@ -55,23 +57,21 @@ def _cells(coords, dims, strides):
     return flat, offsets, fracs
 
 
-def _gather_corners(v: np.ndarray, flat, offsets):
-    """The cell corners c000, c100, c010, c110, c001, c101, c011, c111 of every point, from ``_flat``'s v."""
-    ox, oy, oz = offsets
-    return tuple(
-        np.take(v[a * ox + b * oy + c * oz:], flat)
-        for c in (0, 1) for b in (0, 1) for a in (0, 1)
-    )
+def _corners(vol: np.ndarray, coords: np.ndarray):
+    """Every point's cell corners, fracs f and complements 1 - f.
+
+    The corners are c000, c100, c010, c110, c001, c101, c011, c111, x
+    fastest; f and 1 - f are per axis.
+    """
+    v, strides = _flat(vol)
+    flat, (ox, oy, oz), fracs = _cells(coords, vol.shape, strides)
+    corners = tuple(np.take(v[a * ox + b * oy + c * oz:], flat) for c in (0, 1) for b in (0, 1) for a in (0, 1))
+    return corners, fracs, tuple(1.0 - f for f in fracs)
 
 
 def sample_grid(vol: np.ndarray, coords: np.ndarray) -> np.ndarray:
     """Trilinear interpolation of a 3D array at coords of shape (3, ...)."""
-    v, strides = _flat(vol)
-    flat, offsets, (fx, fy, fz) = _cells(coords, vol.shape, strides)
-    c000, c100, c010, c110, c001, c101, c011, c111 = _gather_corners(v, flat, offsets)
-    gx = 1.0 - fx
-    gy = 1.0 - fy
-    gz = 1.0 - fz
+    (c000, c100, c010, c110, c001, c101, c011, c111), (fx, fy, fz), (gx, gy, gz) = _corners(vol, coords)
     # weights are (x * y) * z products; the four x * y factors are shared
     gxgy, fxgy, gxfy, fxfy = gx * gy, fx * gy, gx * fy, fx * fy
     out = c000 * (gxgy * gz)
@@ -90,13 +90,8 @@ def sample_grid_grad(vol: np.ndarray, coords: np.ndarray) -> np.ndarray:
 
     Shape (3, ...); zero where the raw coordinate fell outside [0, n-1].
     """
-    v, strides = _flat(vol)
-    flat, offsets, (fx, fy, fz) = _cells(coords, vol.shape, strides)
-    c000, c100, c010, c110, c001, c101, c011, c111 = _gather_corners(v, flat, offsets)
-    gx = 1.0 - fx
-    gy = 1.0 - fy
-    gz = 1.0 - fz
-    grad = np.empty((3, *flat.shape), dtype=np.promote_types(vol.dtype, fx.dtype))
+    (c000, c100, c010, c110, c001, c101, c011, c111), (fx, fy, fz), (gx, gy, gz) = _corners(vol, coords)
+    grad = np.empty((3, *fx.shape), dtype=np.promote_types(vol.dtype, fx.dtype))
     dx, dy, dz = grad
     np.multiply(c100 - c000, gy * gz, out=dx)
     dx += (c110 - c010) * (fy * gz)
@@ -123,23 +118,25 @@ def trilinear_sample(src: Volume, p) -> float:
     return float(sample_grid(src.data, p)[0])
 
 
+def _points(vol: Volume, u: DisplacementField, dtype) -> np.ndarray:
+    """The sample points x + u(x) of vol's lattice, (3, ...) in dtype and u's."""
+    if vol.dims != u.dims:
+        raise ValueError(f"dims mismatch: volume {vol.dims} vs field {u.dims}")
+    return identity_grid(vol.dims, dtype=dtype) + u.data
+
+
 def warp_image(src: Volume, u: DisplacementField) -> Volume:
     """Produce the warped image: warped(x) = src(x + u(x))."""
     if src.kind != INTENSITY:
         raise ValueError("warp_image expects an intensity volume")
-    if src.dims != u.dims:
-        raise ValueError(f"dims mismatch: source {src.dims} vs field {u.dims}")
-    coords = identity_grid(src.dims, dtype=u.data.dtype) + u.data
-    return Volume(sample_grid(src.data, coords), INTENSITY)
+    return Volume(sample_grid(src.data, _points(src, u, u.data.dtype)), INTENSITY)
 
 
 def warp_labels(lab: Volume, u: DisplacementField) -> Volume:
     """Warp a label mask by nearest-neighbor sampling (round half up)."""
     if lab.kind != LABEL:
         raise ValueError("warp_labels expects a label volume")
-    if lab.dims != u.dims:
-        raise ValueError(f"dims mismatch: labels {lab.dims} vs field {u.dims}")
-    coords = identity_grid(lab.dims, dtype=np.float64) + u.data
+    coords = _points(lab, u, np.float64)
     v, strides = _flat(lab.data)
     flat = np.zeros(lab.dims, dtype=np.intp)
     for axis, (n, stride) in enumerate(zip(lab.dims, strides)):
@@ -153,10 +150,7 @@ def warp_labels(lab: Volume, u: DisplacementField) -> Volume:
 
 def warp_derivative(src: Volume, u: DisplacementField) -> np.ndarray:
     """d warped(x) / d u(x) at every voxel: sample_grid_grad at x + u(x), shape (3, ...)."""
-    if src.dims != u.dims:
-        raise ValueError(f"dims mismatch: source {src.dims} vs field {u.dims}")
-    coords = identity_grid(src.dims, dtype=u.data.dtype) + u.data
-    return sample_grid_grad(src.data, coords)
+    return sample_grid_grad(src.data, _points(src, u, u.data.dtype))
 
 
 def warp_backward(src: Volume, u: DisplacementField, upstream: np.ndarray) -> np.ndarray:

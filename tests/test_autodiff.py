@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
+from scipy import ndimage
 
 import foldreg.autodiff as ad
 from foldreg.model import FaimConfig, faim_layers
@@ -325,6 +326,44 @@ class TestAddConcat:
             ad.concat_channels([ad.Tensor(np.zeros((1, 2, 2, 2))), ad.Tensor(np.zeros((1, 3, 2, 2)))])
 
 
+DTYPE_OPERANDS = {  # op: the shapes of its operands (x, w, b, slopes, skip for a convolution)
+    "conv3d": ((2, 4, 4, 4), (3, 2, 3, 3, 3), (3,), (3,), (3, 4, 4, 4)),
+    "conv3d_transpose": ((2, 4, 4, 4), (2, 3, 2, 2, 2), (3,), (3,), (3, 8, 8, 8)),
+    "concat_channels": ((2, 4, 4, 4), (3, 4, 4, 4)),
+}
+
+
+def _call_with_dtypes(op, dtypes):
+    """op on random operands, the i-th of dtype ``dtypes[i]``."""
+    rng = np.random.default_rng(30)
+    ts = [ad.Tensor(rng.standard_normal(shape).astype(dt)) for shape, dt in zip(DTYPE_OPERANDS[op], dtypes)]
+    if op == "concat_channels":
+        return ad.concat_channels(ts)
+    x, w, b, a, s = ts
+    transpose = op == "conv3d_transpose"
+    return getattr(ad, op)(x, w, b, stride=2 if transpose else 1, padding=0 if transpose else 1, slopes=a, skip=s)
+
+
+class TestOperandDtype:
+    """The convolutions and the concat reject operands not all of one dtype, float32 or float64, before any work."""
+
+    @pytest.mark.parametrize("op,wide", [(op, i) for op, shapes in sorted(DTYPE_OPERANDS.items())
+                                         for i in range(len(shapes))])
+    def test_mixed_dtypes_rejected_before_any_kernel(self, monkeypatch, op, wide):
+        # one float64 operand among float32 ones: x, w, b, slopes or skip of a convolution
+        monkeypatch.setattr(ad, "_kernel", lambda *args: pytest.fail("kernel work before the dtype check"))
+        dtypes = [np.float32] * len(DTYPE_OPERANDS[op])
+        dtypes[wide] = np.float64
+        with pytest.raises(ValueError, match=f"^{op} operands must share one dtype.*float32, float64"):
+            _call_with_dtypes(op, dtypes)
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.int32])
+    @pytest.mark.parametrize("op", sorted(DTYPE_OPERANDS))
+    def test_non_float_dtype_rejected(self, op, dtype):
+        with pytest.raises(ValueError, match=f"^{op} operands must share one dtype"):
+            _call_with_dtypes(op, [dtype] * len(DTYPE_OPERANDS[op]))
+
+
 class TestBackward:
     def test_non_scalar_root_needs_seed(self):
         x = ad.Tensor(np.zeros((1, 2, 2, 2)))
@@ -469,7 +508,7 @@ class TestStride1Kernels:
                 assert _rel(a, want) <= 1e-6
 
     def test_fft_precision_follows_operands(self, monkeypatch):
-        # complex64 spectra only when both operands are float32
+        # complex64 spectra for float32 operands, complex128 for float64
         seen = []
         depth_block = ad._depth_block
 
@@ -482,11 +521,10 @@ class TestStride1Kernels:
         rng = np.random.default_rng(18)
         x, w, g = (rng.standard_normal(shape) for shape in ((2, 6, 5, 7), (3, 2, 5, 5, 5), (3, 6, 5, 7)))
         f32, f64 = np.float32, np.float64
-        for dx, dw, spectra in [(f32, f32, np.complex64), (f64, f64, np.complex128),
-                                (f32, f64, np.complex128), (f64, f32, np.complex128)]:
+        for dt, spectra in [(f32, np.complex64), (f64, np.complex128)]:
             seen.clear()
-            ad._plane_conv(x.astype(dx), w.astype(dw))
-            ad._plane_weight_grad(g.astype(dw), x.astype(dx), 5)
+            ad._plane_conv(x.astype(dt), w.astype(dt))
+            ad._plane_weight_grad(g.astype(dt), x.astype(dt), 5)
             assert seen == [np.dtype(spectra)] * 2
 
     def test_fft_kernel_deterministic(self):
@@ -560,12 +598,12 @@ ROW_KINDS = {  # op, cin, cout, k, stride, PReLU, skip: as branch3, res (its inp
 }
 
 
-def _row_case(kind, dtype, tape, fused, wide=None):
+def _row_case(kind, dtype, tape, fused):
     """One layer row, as one node (``fused``) or as the conv + add + prelu chain; its output and leaves.
 
     ``tape`` is "none" (frozen leaves), "root" (the row is backward's root, so
     its gradient is the read-only seed) or "interior" (an add after it hands it
-    a gradient of its own). The leaf named ``wide``, if any, is float64.
+    a gradient of its own).
     """
     op, cin, cout, k, stride, prelu, skip = ROW_KINDS[kind]
     rng = np.random.default_rng(23)
@@ -574,10 +612,9 @@ def _row_case(kind, dtype, tape, fused, wide=None):
     shape_w = (cin, cout, k, k, k) if op == "conv3d_transpose" else (cout, cin, k, k, k)
     arrays = {"x0": (cin, *ext), "x1": (cin, *ext), "w": shape_w, "b": (cout,), "s": (cout, *out_ext),
               "c": (cout, *out_ext)}
-    leaves = {n: ad.Tensor(rng.standard_normal(shape).astype(np.float64 if n == wide else dtype), name=n,
-                           requires_grad=tape != "none") for n, shape in arrays.items()}
-    leaves["a"] = ad.Tensor(rng.uniform(0.1, 0.5, cout).astype(np.float64 if wide == "a" else dtype), name="a",
-                            requires_grad=tape != "none")
+    leaves = {n: ad.Tensor(rng.standard_normal(shape).astype(dtype), name=n, requires_grad=tape != "none")
+              for n, shape in arrays.items()}
+    leaves["a"] = ad.Tensor(rng.uniform(0.1, 0.5, cout).astype(dtype), name="a", requires_grad=tape != "none")
     x = ad.add(leaves["x0"], leaves["x1"])  # an interior input, as in the network
     s = {"input": x, "other": leaves["s"], None: None}[skip]
     a = leaves["a"] if prelu else None
@@ -613,16 +650,13 @@ class TestLayerRow:
             assert (leaf.grad is None) == (want is None), name
             assert leaf.grad is None or leaf.grad.tobytes() == want.tobytes(), name
 
-    # one float64 operand promotes the chain from its step on. Forward only: a float64 slope or
-    # convT skip rounds the row's gradients apart from the chain's
-    @pytest.mark.parametrize("tape", ["none", "root"])
-    @pytest.mark.parametrize("wide", ["b", "a", "s"])
-    @pytest.mark.parametrize("kind", ["prelu", "conv_other_skip", "convT_skip", "linear"])
-    def test_mixed_dtypes_same_forward_bytes_as_chain(self, kind, wide, tape):
-        row, _ = _row_case(kind, np.float32, tape, fused=True, wide=wide)
-        chain, _ = _row_case(kind, np.float32, tape, fused=False, wide=wide)
-        assert row.data.dtype == chain.data.dtype and row.data.flags.c_contiguous
-        assert row.data.tobytes() == chain.data.tobytes()
+    def test_zero_pre_activation_takes_the_slope(self):
+        # z = 0 exactly (zero input and bias): the row's PReLU passes g * a there, as prelu's (x <= 0) does
+        rng = np.random.default_rng(26)
+        x, b, a = ad.Tensor(np.zeros((2, 4, 4, 4))), ad.Tensor(np.zeros(3)), ad.Tensor(np.full(3, 0.25))
+        w, seed = ad.Tensor(rng.standard_normal((3, 2, 3, 3, 3))), rng.standard_normal((3, 4, 4, 4))
+        ad.backward(ad.conv3d(x, w, b, padding=1, slopes=a), seed=seed)
+        assert np.array_equal(b.grad, (seed * 0.25).sum(axis=(1, 2, 3)))
 
     def test_frozen_input_skip_still_gets_its_gradient(self):
         rng = np.random.default_rng(25)
@@ -725,6 +759,12 @@ class TestWindowTiles:
         assert tiled.dtype == whole.dtype and tiled.flags.c_contiguous
         assert np.array_equal(tiled, whole)
 
+    def test_spans_last_piece_takes_the_rest(self):
+        assert ad._spans(3, 4) == [(0, 3)]  # shorter than one piece
+        assert ad._spans(7, 4) == [(0, 7)]  # shorter than two pieces: the one piece takes the rest
+        assert ad._spans(12, 4) == [(0, 4), (4, 8), (8, 12)]  # a multiple of the width
+        assert ad._spans(14, 4) == [(0, 4), (4, 8), (8, 14)]  # a remainder, taken by the last piece
+
     def test_small_budget_tiles_cover_depth_unevenly(self, monkeypatch):
         monkeypatch.setattr(ad, "_TILE_BYTES", 1)
         # enc1 at 20 x 36 x 28: 252-column planes, 4 per tile to reach 256 columns in multiples of 16
@@ -759,13 +799,13 @@ class TestConvTransposeColumns:
 
 
 def _through_each_op(x):
-    """A scalar graph in which x feeds every op next to gradient-requiring leaves.
+    """A scalar graph in which x feeds every op next to gradient-requiring leaves of x's dtype.
 
     Returns the root and those leaves.
     """
     rng = np.random.default_rng(10)
     c = x.data.shape[0]
-    params = [ad.Tensor(rng.standard_normal(shape)) for shape in
+    params = [ad.Tensor(rng.standard_normal(shape).astype(x.data.dtype)) for shape in
               ((3, c, 3, 3, 3), (3,), (c, 3, 2, 2, 2), (3,), (c,), x.data.shape)]
     conv_w, conv_b, convT_w, convT_b, slopes, other = params
     down = ad.conv3d(x, conv_w, conv_b, stride=2, padding=1)
@@ -890,17 +930,19 @@ FAIM64_STEP_GRAD_SHA256 = "b8697e124b612fda4030d50da0f9cb33f8263a6ccd4160dc02ea0
 
 class TestGradientLifetime:
     def test_interior_grads_dropped_leaves_keep_float64(self):
-        x = ad.Tensor(np.random.default_rng(13).standard_normal((2, 4, 4, 4)).astype(np.float32))
-        root, params = _through_each_op(x)
-        ad.backward(root)
-        nodes = _graph_nodes(root)
-        interior = [n for n in nodes if n.parents]
-        leaves = [n for n in nodes if not n.parents]
-        assert len(interior) >= 8 and len(leaves) == len(params) + 1
-        assert all(n.grad is None for n in interior)
-        for leaf in leaves:
-            assert leaf.grad.dtype == np.float64 and leaf.grad.shape == leaf.data.shape
-            assert leaf.grad.flags.c_contiguous
+        for dtype in (np.float32, np.float64):  # a float32 graph and a float64 graph
+            x = ad.Tensor(np.random.default_rng(13).standard_normal((2, 4, 4, 4)).astype(dtype))
+            root, params = _through_each_op(x)
+            ad.backward(root)
+            nodes = _graph_nodes(root)
+            interior = [n for n in nodes if n.parents]
+            leaves = [n for n in nodes if not n.parents]
+            assert len(interior) >= 8 and len(leaves) == len(params) + 1
+            assert all(n.grad is None for n in interior)
+            for leaf in leaves:
+                assert leaf.data.dtype == dtype
+                assert leaf.grad.dtype == np.float64 and leaf.grad.shape == leaf.data.shape
+                assert leaf.grad.flags.c_contiguous
 
     def test_add_of_a_node_with_itself_sums(self):
         # the float32 root takes its seed in float32; the leaf sums it twice in float64
@@ -1034,18 +1076,18 @@ class TestGradientLifetime:
 
 class TestGradientDtype:
     def test_interior_grad_takes_node_dtype(self):
-        # float32 nodes up to a conv with float64 weights, float64 nodes after it
-        rng = np.random.default_rng(16)
-        x, y, slopes = (ad.Tensor(rng.standard_normal(shape).astype(np.float32))
-                        for shape in ((2, 4, 4, 4), (2, 4, 4, 4), (2,)))
-        w, b = ad.Tensor(rng.standard_normal((3, 2, 3, 3, 3))), ad.Tensor(rng.standard_normal(3))
-        h = ad.prelu(ad.add(x, y), slopes)
-        root = sum_all(ad.concat_channels([h, ad.conv3d(h, w, b, 1, 1)]))
-        seen = _record_closure_grads(root)
-        ad.backward(root)
-        assert [node for node, *_ in seen] == [np.float64] * 3 + [np.float32] * 2
-        assert all(node == g and contiguous and held for node, g, contiguous, held in seen)
-        assert all(t.grad.dtype == np.float64 for t in (x, y, slopes, w, b))
+        # a float64 sum_all root over concat, conv, prelu and add nodes of one dtype, float32 or float64
+        for dtype in (np.float32, np.float64):
+            rng = np.random.default_rng(16)
+            x, y, slopes, w, b = (ad.Tensor(rng.standard_normal(shape).astype(dtype))
+                                  for shape in ((2, 4, 4, 4), (2, 4, 4, 4), (2,), (3, 2, 3, 3, 3), (3,)))
+            h = ad.prelu(ad.add(x, y), slopes)
+            root = sum_all(ad.concat_channels([h, ad.conv3d(h, w, b, 1, 1)]))
+            seen = _record_closure_grads(root)
+            ad.backward(root)
+            assert [node for node, *_ in seen] == [np.float64] + [dtype] * 4
+            assert all(node == g and contiguous and held for node, g, contiguous, held in seen)
+            assert all(t.grad.dtype == np.float64 for t in (x, y, slopes, w, b))
 
     def test_float32_faim_backward_runs_in_float32(self):
         recorded = []
@@ -1076,3 +1118,55 @@ class TestGradientDtype:
         g32 = _faim_step_gradients(np.float32, params=p32)
         g64 = _faim_step_gradients(np.float64, params=p64)
         assert max(np.linalg.norm(g32[n] - g64[n]) / np.linalg.norm(g64[n]) for n in g64) <= 2e-6
+
+
+def _library_conv(x, w, stride):
+    """conv3d (padding (k - 1) // 2) as scipy.ndimage.correlate per channel pair, summed over input channels."""
+    out = np.stack([sum(ndimage.correlate(x[c], w[o, c], mode="constant") for c in range(len(x)))
+                    for o in range(len(w))])
+    return out[:, ::stride, ::stride, ::stride]
+
+
+def _library_conv_transpose(x, w, stride):
+    """conv3d_transpose (padding 0): x zero-interleaved by the stride, correlated with each flipped kernel."""
+    up = np.zeros((len(x), *(n * stride for n in x.shape[1:])))
+    up[:, ::stride, ::stride, ::stride] = x
+    return np.stack([sum(ndimage.correlate(up[c], w[c, o, ::-1, ::-1, ::-1], mode="constant") for c in range(len(x)))
+                     for o in range(w.shape[1])])
+
+
+class TestLibraryOracles:
+    """Every conv kernel against scipy.ndimage.correlate, which shares no code or convention with autodiff.
+
+    The forward pass is compared relative to the largest output; the input and
+    weight gradients by the adjoint identity <f(x), g> = <x, input grad> =
+    <w, weight grad>, with the library's f(x) on the left, relative to
+    sum |f(x) * g|. float32 runs on the float32-rounded inputs against the
+    float64 library result of the unrounded ones. Measured worst cases over
+    five seeds on 12x10x9: forward 8.9e-16 (float64) and 4.4e-7 (float32);
+    adjoint 4.2e-17 and 1.2e-8.
+    """
+
+    BOUNDS = {np.float64: (5e-15, 2e-16), np.float32: (2e-6, 5e-8)}  # forward, adjoint
+
+    # (k, stride, transpose): k1 and k3 shifted rows, k5 and k7 FFT, the k3 s2 window and the k2 s2 convT
+    @pytest.mark.parametrize("k,stride,transpose", [(1, 1, False), (3, 1, False), (5, 1, False), (7, 1, False),
+                                                    (3, 2, False), (2, 2, True)],
+                             ids=["k1-rows", "k3-rows", "k5-fft", "k7-fft", "k3s2-window", "k2s2-convT"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
+    def test_kernel_matches_correlate(self, k, stride, transpose, dtype):
+        rng = np.random.default_rng(40 + k)
+        x = rng.standard_normal((2, 12, 10, 9))
+        w = rng.standard_normal((2, 3, k, k, k) if transpose else (3, 2, k, k, k))
+        ref = _library_conv_transpose(x, w, stride) if transpose else _library_conv(x, w, stride)
+        xt, wt = ad.Tensor(x.astype(dtype)), ad.Tensor(w.astype(dtype))
+        op = ad.conv3d_transpose if transpose else ad.conv3d
+        out = op(xt, wt, ad.Tensor(np.zeros(3, dtype)), stride=stride, padding=0 if transpose else (k - 1) // 2)
+        assert out.data.shape == ref.shape and out.data.dtype == dtype
+        forward, adjoint = self.BOUNDS[dtype]
+        assert np.abs(out.data - ref).max() <= forward * np.abs(ref).max()
+        g = rng.standard_normal(ref.shape)
+        ad.backward(out, seed=g.astype(dtype))
+        lhs, scale = float((ref * g).sum()), float(np.abs(ref * g).sum())
+        assert abs(float((x * xt.grad).sum()) - lhs) <= adjoint * scale
+        assert abs(float((w * wt.grad).sum()) - lhs) <= adjoint * scale

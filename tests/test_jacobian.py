@@ -204,6 +204,12 @@ class TestR2Backward:
         assert np.allclose(g[2][:, :, 1:-2], 0.0, atol=1e-15)
         assert np.allclose(g[0][1:-2, :, :], 0.0, atol=1e-15)
 
+    def test_zero_determinant_has_zero_subgradient(self):
+        # u_0 = -x_0 zeroes the first row of I + Du: det is exactly 0 at every voxel, and none folds
+        u = affine_field(np.diag([-1.0, 0.0, 0.0]), (0, 0, 0), (5, 5, 5))
+        assert not det_map(u).any()
+        assert not r2_backward(u).any()
+
     def _fd_field(self, margin=0.05):
         # deterministic folding field with no determinant near the kink at 0
         rng = np.random.default_rng(11)
