@@ -97,6 +97,22 @@ MUTANTS = (
            "tiled = k == stride",
            "tiled = k >= stride",
            ("tests/test_autodiff.py::TestLibraryOracles",)),
+    Mutant("row_halo_short", AD,
+           "halo, wide = offs[-1], cin * k >= cout",
+           "halo, wide = offs[-2], cin * k >= cout",
+           ("tests/test_autodiff.py::TestWideRowTiles",)),
+    Mutant("row_width_no_halo", AD,
+           "width = max(width, 8 * halo)",
+           "width = max(width, 8)",
+           ("tests/test_autodiff.py::TestWideRowTiles",)),
+    Mutant("row_tile_alignment", AD,
+           "m = -(-m // 16) * 16 if pad else m",
+           "m = -(-m // 1) * 1 if pad else m",
+           ("tests/test_autodiff.py::TestWideRowTiles",)),
+    Mutant("concat_view_adjacency", AD,
+           "a.ctypes.data - base.ctypes.data != end",
+           "a.ctypes.data - base.ctypes.data < start",
+           ("tests/test_autodiff.py::TestConcatView",)),
     Mutant("r2_det_sign", "src/foldreg/jacobian.py",
            "folding = det < 0.0",
            "folding = det <= 0.0",

@@ -34,7 +34,7 @@ The loss step's upper figures were 1.35, 1.11, 1.04, 0.90, 0.85 and 0.77.
 24^3 straddles the loss step's crossover, so the one grain stays just above
 it. Most rows gain from 16^3 on; the head, whose half is a crop copy and a
 bias add over 3 channels, is slower at every size, by about 40 us a call at
-32^3.
+32^3, so a row without PReLU runs its epilogue whole on the caller.
 
 A result never depends on the worker. Each task runs its operations in the
 serial order, and nothing is accumulated across the two threads. A task

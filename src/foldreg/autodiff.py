@@ -15,6 +15,11 @@ work is spent on the input gradient of a frozen input.
 Tape-free rule: an op output that needs no gradient keeps no parents and no
 closure. A forward pass on frozen parameters and a frozen input therefore
 records no tape, and each activation is freed once its last reader is done.
+A convolution can write its output into a given array (``out``): the rows
+that ``concat_channels`` joins write into adjacent channel slices of one
+buffer, and the concatenation is then a view of that buffer, with no copy;
+inputs that are not such slices are copied. Its backward pass is the same
+either way.
 
 Gradient lifetime: ``backward`` allocates no buffer up front. A node's first
 gradient contribution becomes its ``.grad``, always a C-contiguous array in
@@ -40,13 +45,20 @@ convolution runs, fixed in code:
   same GEMM on the conjugate spectrum of the upstream gradient, inverted only
   along the lines read at the k in-plane lags. A kernel is transformed as
   its Cout * Cin * k tap planes, in 2D;
-* any other stride-1 same convolution runs as shifted-row GEMMs: one copy of
+* any other stride-1 same convolution runs as shifted-row GEMMs: a copy of
   the k shifts of the flattened, padded input, then one matmul per (i, j) tap
   pair on a flat-offset view of it, several pairs per matmul when the output
-  has few channels (k = 1 is a single matmul with no copy). When one tap's
-  output has more rows than the shifted rows (Cin * k < Cout), the output is
-  computed in column tiles whose tap outputs, accumulator and row slice fit a
-  fixed cache budget, the taps added in the same order;
+  has few channels (k = 1 is a single matmul with no copy). The output is
+  computed in column tiles, the taps added in the same order in each. When
+  one tap's output has more rows than the shifted rows (Cin * k < Cout), the
+  tiles' tap outputs, accumulator and row slice fit a fixed cache budget, and
+  they read one copy of the whole input. Otherwise (the head, the residual
+  block) each tile copies its own columns of the shifts, with the halo of
+  columns that its last tap reads past it, from the padded depth planes it
+  needs, and frees them before the next tile: a tile is at least 8 times
+  the halo before rounding to a power of two, so a 16^3 head is one tile.
+  Every tile but the last multiplies a multiple of 16 columns, which gives
+  the bytes of the one product over the whole volume;
 * a strided or size-changing convolution runs as GEMMs on a column matrix
   (im2col): copies of the padded input's window view, Cin * k^3 rows. A
   layer's forward pass builds and multiplies it in tiles of whole output
@@ -89,9 +101,10 @@ and allocates the one C-contiguous output. Then the caller takes the first
 half of the channels and the worker of ``_forkjoin`` the second: each runs
 its channels' inverse FFTs, the crop copy of a padded kernel result, and the
 epilogue, through ``_forkjoin.fork``'s rule (at least ``GRAIN`` output voxels,
-two usable CPUs), else the caller runs both halves in turn. Each channel's
-operations are the same either way, so are the bytes. The backward pass
-runs on the caller.
+two usable CPUs), else the caller runs both halves in turn. A row without
+PReLU (the linear head, whose epilogue is a crop and a bias add) runs its
+epilogue whole on the caller. Each channel's operations are the same either
+way, so are the bytes. The backward pass runs on the caller.
 
 Dtypes: the operands of ``conv3d``, ``conv3d_transpose`` and
 ``concat_channels`` share one dtype, float32 or float64, else the op raises
@@ -323,20 +336,26 @@ def _plane_weight_grad(g: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
     return c.reshape(k, k, cout, cin, k).transpose(2, 3, 4, 0, 1)
 
 
-def _shifted_rows(x: np.ndarray, k: int):
-    """x zero-padded by (k - 1) // 2 and flattened, with its k shifts stacked as rows.
+def _shifted_rows(x: np.ndarray, k: int, c0: int = 0, n: int | None = None) -> np.ndarray:
+    """Columns c0 to c0 + n of the k shifts of x, zero-padded by (k - 1) // 2 and flattened, stacked as rows.
 
-    Returns the (Cin * k, P - k + 1) block, row c * k + l holding the flat
-    padded channel c from offset l, and the padded extents. The tap (i, j, l)
-    of the output at flat position q then reads row c * k + l at column
-    q + (i * Hp + j) * Wp.
+    Returns the (Cin * k, n) block whose row c * k + l holds the flat padded
+    channel c from offset c0 + l; by default it holds every column. The tap
+    (i, j, l) of the output at flat position q then reads row c * k + l at
+    column q - c0 + (i * Hp + j) * Wp. Only the padded depth planes that the
+    block reads are made, and they are freed on return.
     """
-    xp = _pad_spatial(x, (k - 1) // 2)
-    flat = xp.reshape(x.shape[0], -1)
-    n = flat.shape[1] - k + 1
-    rows = np.empty((x.shape[0], k, n), dtype=x.dtype)
+    p, (d, h, w) = (k - 1) // 2, x.shape[1:]
+    plane = (h + 2 * p) * (w + 2 * p)
+    n = (d + 2 * p) * plane - k + 1 - c0 if n is None else n
+    d0, d1 = c0 // plane, -(-(c0 + n + k - 1) // plane)
+    xp = np.zeros((len(x), d1 - d0, h + 2 * p, w + 2 * p), dtype=x.dtype)
+    s0, s1 = max(d0, p), min(d1, d + p)  # the padded planes that hold planes of x
+    xp[:, s0 - d0:s1 - d0, p:p + h, p:p + w] = x[:, s0 - p:s1 - p]
+    flat = xp.reshape(len(x), -1)[:, c0 - d0 * plane:c0 - d0 * plane + n + k - 1]
+    rows = np.empty((len(x), k, n), dtype=x.dtype)
     rows[...] = sliding_window_view(flat, n, axis=1)
-    return rows.reshape(-1, n), xp.shape[1:]
+    return rows.reshape(-1, n)
 
 
 def _row_taps(sp, padded, k: int, cin: int, cout: int):
@@ -355,33 +374,58 @@ def _row_taps(sp, padded, k: int, cin: int, cout: int):
     return offs, q, [range(t, min(t + n, k * k)) for t in range(0, k * k, n)]
 
 
+def _row_spans(q: int, halo: int, rows: int, cout: int, taps: int, itemsize: int) -> list[tuple[int, int]]:
+    """The (c0, c1) column tiles of ``_rows_conv``: ``_spans`` of its q output columns, a power of two wide.
+
+    The budget width is the columns whose ``rows`` shifted rows, ``taps``-tap
+    product and accumulator fit ``_TILE_BYTES``. A thin input (one tap's
+    output taller than the rows) runs in tiles of that width, cut from one
+    whole block. A wide input builds its block per tile, each with the
+    ``halo`` columns that the last tap reads past it, so its width is at least
+    8 * halo before the rounding: the extra columns stay at most 1/4 of the
+    GEMM work, and an output of fewer than 8 * halo columns stays one tile.
+    """
+    width = max(1, _TILE_BYTES // ((rows + (taps + 1) * cout) * itemsize))
+    if rows >= cout:
+        width = max(width, 8 * halo)
+    return _spans(q, 1 << (width.bit_length() - 1))
+
+
 def _rows_conv(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Same cross-correlation of x (Cin, ...) with w (Cout, Cin, k, k, k) as GEMMs on shifted rows."""
     cout, cin, k = w.shape[:3]
     sp = x.shape[1:]
     if k == 1:
         return (w.reshape(cout, cin) @ x.reshape(cin, -1)).reshape(cout, *sp)
-    rows, padded = _shifted_rows(x, k)
+    padded = tuple(n + k - 1 for n in sp)
     offs, q, groups = _row_taps(sp, padded, k, cin, cout)
     wt = w.transpose(2, 3, 0, 1, 4).reshape(k * k * cout, cin * k)  # row (i * k + j) * Cout + o
     y = np.empty((cout, sp[0] * padded[1] * padded[2]), dtype=x.dtype)  # columns from q on are cropped unread
-    # a thin input (one tap's output taller than the rows) runs in power-of-two column tiles
-    # whose tap output, accumulator and row slice stay in cache, the last taking the rest, so
-    # none is narrow (a 1-column product runs as a GEMV): the taps add in the same order and
-    # float32 gives one tile's bytes. In float64 OpenBLAS's small-matrix kernel may round the
-    # last few columns of a 16- or 32-row tile product apart from the one-tile product
-    width = q if cin * k >= cout else max(1, _TILE_BYTES // ((2 * cout + cin * k) * x.itemsize))
-    for c0, c1 in _spans(q, 1 << (width.bit_length() - 1)):
+    halo, wide = offs[-1], cin * k >= cout
+    # the taps add in the same order in every tile. A thin input's tiles keep its tap output,
+    # accumulator and row slice in cache; they may be narrower than the halo, so they are cut
+    # from one whole block of its few rows. In float64 OpenBLAS's small-matrix kernel may round
+    # the last few columns of a 16- or 32-row tile product apart from the one-tile product
+    whole = None if wide else _shifted_rows(x, k)
+    for c0, c1 in _row_spans(q, halo, cin * k, cout, len(groups[0]), x.itemsize):
+        # every tile but the last multiplies a multiple of 16 columns, 15 more at most: OpenBLAS
+        # rounds the remainder columns of a product apart, and the one product has them at its end
+        pad = 15 if c1 < q else 0
+        rows, base = (_shifted_rows(x, k, c0, c1 - c0 + halo + pad), c0) if wide else (whole, 0)
         acc = y[:, c0:c1]
         for taps in groups:
             lo = offs[taps[0]]
-            z = wt[taps.start * cout:taps.stop * cout] @ rows[:, lo + c0:offs[taps[-1]] + c1]
+            m = offs[taps[-1]] - lo + c1 - c0  # the columns that the group's taps read
+            m = -(-m // 16) * 16 if pad else m
+            z = wt[taps.start * cout:taps.stop * cout] @ rows[:, lo + c0 - base:lo + c0 - base + m]
             for n, t in enumerate(taps):
                 part = z[n * cout:(n + 1) * cout, offs[t] - lo:offs[t] - lo + c1 - c0]
                 if t:
                     acc += part
                 else:
                     acc[...] = part
+            del z, part
+        del rows  # a tile's block and product are freed before the next tile's are made
     return y.reshape(cout, sp[0], padded[1], padded[2])[:, :, :sp[1], :sp[2]]
 
 
@@ -390,7 +434,8 @@ def _rows_weight_grad(g: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
     cout, cin, sp = g.shape[0], x.shape[0], x.shape[1:]
     if k == 1:
         return (g.reshape(cout, -1) @ x.reshape(cin, -1).T).reshape(cout, cin, 1, 1, 1)
-    rows, padded = _shifted_rows(x, k)
+    padded = tuple(n + k - 1 for n in sp)
+    rows = _shifted_rows(x, k)
     offs, q, groups = _row_taps(sp, padded, k, cin, cout)
     gq = np.zeros((cout, sp[0], padded[1], padded[2]), dtype=g.dtype)
     gq[:, :, :sp[1], :sp[2]] = g
@@ -497,10 +542,13 @@ def _epilogue(y: np.ndarray, z: np.ndarray, h: np.ndarray, neg, b, a, skip, tran
         np.add(z if a is None else h, skip, out=h)
 
 
-def _conv_node(op: str, x: Tensor, w: Tensor, b: Tensor, stride: int, padding: int, slopes, skip) -> Tensor:
+def _conv_node(op: str, x: Tensor, w: Tensor, b: Tensor, stride: int, padding: int, slopes, skip,
+               out=None) -> Tensor:
     """A convolution, or for op "conv3d_transpose" its adjoint, with the same kernel, stride and padding.
 
-    With ``slopes`` (PReLU) and ``skip`` it is a whole layer-table row (module docstring).
+    With ``slopes`` (PReLU) and ``skip`` it is a whole layer-table row (module docstring). The
+    output is written into ``out`` when given: a C-contiguous array of the output's shape and
+    dtype, such as a channel slice of the buffer that ``concat_channels`` then returns.
     """
     _check_4d(x, op)
     transpose = op == "conv3d_transpose"
@@ -523,6 +571,9 @@ def _conv_node(op: str, x: Tensor, w: Tensor, b: Tensor, stride: int, padding: i
         raise ValueError(f"{op} shape underflow: input {in_sp}, k={k}, s={stride}, p={padding}")
     if skip is not None and skip.data.shape != (cout, *out_sp):
         raise ValueError(f"{op} skip shape mismatch: {skip.data.shape} vs {(cout, *out_sp)}")
+    if out is not None and (out.shape != (cout, *out_sp) or out.dtype != x.data.dtype or not _owned(out)):
+        raise ValueError(f"{op} out must be a writeable C-contiguous {x.data.dtype} array of shape "
+                         f"{(cout, *out_sp)}")
     parents = tuple(t for t in (x, w, b, slopes, skip) if t is not None)
     _check_dtype(op, parents)
     keep = any(t.requires_grad for t in parents)
@@ -533,9 +584,14 @@ def _conv_node(op: str, x: Tensor, w: Tensor, b: Tensor, stride: int, padding: i
     a = None if slopes is None else slopes.data[:, None, None, None]
     s = None if skip is None else skip.data
     # the pre-activation z is the kernel result itself when that is whole and owned; a cropped
-    # one is copied into z by the epilogue. z is kept for backward, so h is apart from it then
-    z = y if y is not None and _owned(y) else np.empty((cout, *out_sp), dtype=x.data.dtype)
-    h = np.empty_like(z) if keep and a is not None else z
+    # one is copied into z by the epilogue. z is kept for backward, so h is apart from it then.
+    # A given out is h, and z too when z is not kept
+    apart = keep and a is not None
+    if out is not None and not apart:
+        z = h = out
+    else:
+        z = y if y is not None and _owned(y) else np.empty((cout, *out_sp), dtype=x.data.dtype)
+        h = out if out is not None else np.empty_like(z) if apart else z
     neg = None if a is None else np.empty_like(z)
 
     def finish(c0, c1):
@@ -543,11 +599,13 @@ def _conv_node(op: str, x: Tensor, w: Tensor, b: Tensor, stride: int, padding: i
                   b.data[c0:c1, None, None, None], None if a is None else a[c0:c1],
                   None if s is None else s[c0:c1], transpose)
 
-    # the worker takes the second half of the channels' inverse transforms and epilogue
-    half = (cout + 1) // 2
-    join = fork(math.prod(out_sp), finish, half, cout)
-    finish(0, half)
-    join()
+    if a is None:  # a linear row (the head): its epilogue, a crop and a bias add, is slower forked
+        finish(0, cout)
+    else:  # the worker takes the second half of the channels' inverse transforms and epilogue
+        half = (cout + 1) // 2
+        join = fork(math.prod(out_sp), finish, half, cout)
+        finish(0, half)
+        join()
 
     def backward_fn(g):
         conv_grad = x.requires_grad or w.requires_grad or b.requires_grad
@@ -574,13 +632,14 @@ def _conv_node(op: str, x: Tensor, w: Tensor, b: Tensor, stride: int, padding: i
     return Tensor(h, parents=parents, backward_fn=backward_fn, op=op)
 
 
-def conv3d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0, slopes=None, skip=None) -> Tensor:
-    return _conv_node("conv3d", x, w, b, stride, padding, slopes, skip)
+def conv3d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0, slopes=None, skip=None,
+           out=None) -> Tensor:
+    return _conv_node("conv3d", x, w, b, stride, padding, slopes, skip, out)
 
 
 def conv3d_transpose(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0, slopes=None,
-                     skip=None) -> Tensor:
-    return _conv_node("conv3d_transpose", x, w, b, stride, padding, slopes, skip)
+                     skip=None, out=None) -> Tensor:
+    return _conv_node("conv3d_transpose", x, w, b, stride, padding, slopes, skip, out)
 
 
 def prelu(x: Tensor, slopes: Tensor) -> Tensor:
@@ -614,7 +673,23 @@ def add(x: Tensor, y: Tensor) -> Tensor:
     return Tensor(x.data + y.data, parents=(x, y), backward_fn=backward_fn, op="add")
 
 
+def _joined(arrays) -> np.ndarray | None:
+    """The view of one C-contiguous array whose adjacent channel ranges ``arrays`` are, in order; else None."""
+    base = arrays[0].base
+    if not isinstance(base, np.ndarray) or base.ndim != 4 or not base.flags.c_contiguous:
+        return None
+    step = base.strides[0]
+    start = end = arrays[0].ctypes.data - base.ctypes.data
+    for a in arrays:
+        if (a.base is not base or a.dtype != base.dtype or a.shape[1:] != base.shape[1:] or not a.flags.c_contiguous
+                or a.ctypes.data - base.ctypes.data != end):
+            return None
+        end += a.shape[0] * step
+    return base[start // step:end // step] if start % step == 0 else None
+
+
 def concat_channels(xs) -> Tensor:
+    """The inputs joined along channels: a view, with no copy, when they are adjacent slices of one array."""
     xs = list(xs)
     if not xs:
         raise ValueError("concat_channels needs at least one input")
@@ -627,7 +702,9 @@ def concat_channels(xs) -> Tensor:
             raise ValueError(
                 f"concat_channels spatial mismatch: {t.data.shape[1:]} vs {spatial}"
             )
-    y = np.concatenate([t.data for t in xs], axis=0)
+    y = _joined([t.data for t in xs])
+    if y is None:
+        y = np.concatenate([t.data for t in xs], axis=0)
     sizes = [t.data.shape[0] for t in xs]
 
     def backward_fn(g):

@@ -15,6 +15,7 @@ float32 little-endian tensors. Round trips are bit-exact.
 
 from __future__ import annotations
 
+import itertools
 import struct
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -127,16 +128,24 @@ def faim_apply(params: ModelParams, x: Tensor) -> Tensor:
         raise ValueError(f"input dims must be divisible by 4, got {dims}")
     rows = faim_layers(params.config)
     last_reader = {}  # output name -> index of the last row that reads it, as input or skip
-    for i, (_, _, src, *_, skip) in enumerate(rows):
+    couts = {row[0]: row[4] for row in rows}
+    into = {}  # a concatenated row's name -> the channel slice of the concat's buffer that it writes
+    for i, (_, _, src, cin, *_, skip) in enumerate(rows):
         for s in (*(src if isinstance(src, tuple) else (src,)), *((skip,) if skip else ())):
             last_reader[s] = i
+        if isinstance(src, tuple):
+            # the inception branches keep the input's size; written into one buffer, they are
+            # concatenated with no copy (``concat_channels``)
+            ends = list(itertools.accumulate(couts[s] for s in src))
+            into.update(zip(src, np.split(np.empty((cin, *dims), dtype=x.data.dtype), ends[:-1])))
     out = {"input": x}
     for i, (name, op, src, _, _, k, stride, act, skip) in enumerate(rows):
         h = ad.concat_channels([out[s] for s in src]) if isinstance(src, tuple) else out[src]
         conv = ad.conv3d_transpose if op == "convT" else ad.conv3d
         # one node per row: the op adds the skip before a convT's PReLU and after a conv's
         h = conv(h, t[f"{name}.w"], t[f"{name}.b"], stride=stride, padding=(k - 1) // 2,
-                 slopes=t[f"{name}.a"] if act == "PReLU" else None, skip=out[skip] if skip else None)
+                 slopes=t[f"{name}.a"] if act == "PReLU" else None, skip=out[skip] if skip else None,
+                 out=into.pop(name, None))
         out[name] = h
         for s, j in last_reader.items():
             if j == i:

@@ -326,6 +326,87 @@ class TestAddConcat:
             ad.concat_channels([ad.Tensor(np.zeros((1, 2, 2, 2))), ad.Tensor(np.zeros((1, 3, 2, 2)))])
 
 
+class TestConcatView:
+    """``concat_channels`` of adjacent channel slices of one C-contiguous array is a view of it; else a copy."""
+
+    @staticmethod
+    def _buffer():
+        return np.random.default_rng(9).standard_normal((7, 4, 5, 3))
+
+    def test_adjacent_slices_are_joined_without_a_copy(self):
+        buf = self._buffer()
+        parts = [buf[0:2], buf[2:5], buf[5:7]]
+        out = ad.concat_channels([ad.Tensor(p) for p in parts])
+        assert all(np.shares_memory(out.data, p) for p in parts)
+        assert out.data.tobytes() == np.concatenate(parts).tobytes()
+        inner = ad.concat_channels([ad.Tensor(buf[1:3]), ad.Tensor(buf[3:4])])  # a range inside the buffer
+        assert np.shares_memory(inner.data, buf) and np.array_equal(inner.data, buf[1:4])
+
+    @pytest.mark.parametrize("case", ["gap", "order", "strided", "fortran", "other array", "reshaped"])
+    def test_other_inputs_are_copied(self, case):
+        buf = self._buffer()
+        fortran = np.asfortranarray(buf)
+        parts = {"gap": [buf[0:2], buf[3:5]], "order": [buf[2:5], buf[0:2]],
+                 "strided": [buf[0:2, :, :, ::2], buf[2:4, :, :, ::2]], "fortran": [fortran[0:2], fortran[2:5]],
+                 "other array": [buf[0:2], self._buffer()[2:5]],
+                 "reshaped": [buf.reshape(7, 4, 3, 5)[0:2], buf.reshape(7, 4, 3, 5)[2:4]]}[case]
+        out = ad.concat_channels([ad.Tensor(p) for p in parts])
+        assert not any(np.shares_memory(out.data, p) for p in parts)
+        assert out.data.tobytes() == np.concatenate(parts).tobytes()
+
+    @pytest.mark.parametrize("taped", [False, True], ids=["tape-free", "taped"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+    def test_view_gives_the_copy_bytes(self, taped, dtype):
+        """Two PReLU rows written into one buffer, joined and read by a third row, against the copying concat."""
+        def run(into):
+            rng = np.random.default_rng(10)
+
+            def leaf(shape):
+                return ad.Tensor(rng.standard_normal(shape).astype(dtype), requires_grad=taped)
+
+            x = leaf((2, 6, 5, 4))
+            rows = [(leaf((c, 2, k, k, k)), leaf((c,)), leaf((c,))) for c, k in ((3, 3), (2, 5))]
+            head = (leaf((3, 5, 1, 1, 1)), leaf((3,)))
+            buf = np.empty((5, 6, 5, 4), dtype=dtype)
+            hs = [ad.conv3d(x, w, b, padding=(w.data.shape[2] - 1) // 2, slopes=a, out=o)
+                  for (w, b, a), o in zip(rows, (buf[0:3], buf[3:5]) if into else (None, None))]
+            cat = ad.concat_channels(hs)
+            assert np.shares_memory(cat.data, buf) == into
+            y = ad.conv3d(cat, *head)
+            got = [cat.data.tobytes(), y.data.tobytes()]
+            if taped:
+                ad.backward(y, seed=np.random.default_rng(11).standard_normal(y.shape))
+                got += [t.grad.tobytes() for t in (x, *itertools.chain(*rows), *head)]
+            return got
+
+        assert run(into=True) == run(into=False)
+
+    @pytest.mark.parametrize("prelu", [False, True], ids=["linear", "prelu"])
+    @pytest.mark.parametrize("op", ["conv3d", "conv3d_transpose"])
+    def test_out_takes_the_output_bytes(self, op, prelu):
+        rng = np.random.default_rng(12)
+        x = ad.Tensor(rng.standard_normal((4, 3, 5, 4)))
+        w = ad.Tensor(rng.standard_normal((4, 3, 2, 2, 2) if op == "conv3d_transpose" else (3, 4, 2, 2, 2)))
+        b = ad.Tensor(rng.standard_normal(3))
+        a = ad.Tensor(rng.uniform(0.1, 0.5, 3)) if prelu else None
+        expected = getattr(ad, op)(x, w, b, stride=2, slopes=a)
+        buf = np.full((5, *expected.shape[1:]), np.nan)
+        y = getattr(ad, op)(x, w, b, stride=2, slopes=a, out=buf[1:4])
+        assert np.shares_memory(y.data, buf) and y.data.tobytes() == expected.data.tobytes()
+        seed = rng.standard_normal(y.shape)
+        grads = []
+        for node in (expected, y):
+            ad.backward(node, seed=seed)
+            grads.append([t.grad.tobytes() for t in (x, w, b, a) if t is not None])
+        assert grads[0] == grads[1]
+
+    def test_out_must_fit_the_output(self):
+        x, w, b = ad.Tensor(np.zeros((2, 4, 4, 4))), ad.Tensor(np.zeros((3, 2, 3, 3, 3))), ad.Tensor(np.zeros(3))
+        for out in (np.zeros((2, 4, 4, 4)), np.zeros((3, 4, 4, 4), np.float32), np.zeros((3, 4, 4, 8))[..., ::2]):
+            with pytest.raises(ValueError, match="out must be"):
+                ad.conv3d(x, w, b, padding=1, out=out)
+
+
 DTYPE_OPERANDS = {  # op: the shapes of its operands (x, w, b, slopes, skip for a convolution)
     "conv3d": ((2, 4, 4, 4), (3, 2, 3, 3, 3), (3,), (3,), (3, 4, 4, 4)),
     "conv3d_transpose": ((2, 4, 4, 4), (2, 3, 2, 2, 2), (3,), (3,), (3, 8, 8, 8)),
@@ -565,7 +646,7 @@ class TestStride1Kernels:
 
 
 class TestThinColumnTiles:
-    """A thin shifted-row convolution (Cin * k < Cout) runs in column tiles; a wide one in one."""
+    """A thin shifted-row convolution (Cin * k < Cout) runs in cache-sized column tiles of one whole block."""
 
     # (9, 7, 11) has 1025 output columns: with 256-column tiles the last one takes 257
     @pytest.mark.parametrize("extent", [(40, 36, 33), (32, 32, 32), (9, 7, 11)])
@@ -585,6 +666,89 @@ class TestThinColumnTiles:
             # OpenBLAS's small-matrix dgemm kernel rounds the last few (remainder) columns
             # of a tile-sized 16-row product differently from the large one: seen at 32^3
             assert _rel(tiled, one) <= 1e-15
+
+
+def whole_rows_product(x, w):
+    """The shifted-row convolution as one product over the whole volume: the oracle of the wide column tiles.
+
+    One block of the k shifts of the whole padded, flattened input, then one
+    GEMM per tap group over all its columns, the taps added in the order of
+    ``ad._rows_conv``.
+    """
+    cout, cin, k = w.shape[:3]
+    sp, p = x.shape[1:], (k - 1) // 2
+    flat = np.pad(x, ((0, 0), *[(p, p)] * 3)).reshape(cin, -1)
+    padded = tuple(n + 2 * p for n in sp)
+    n = flat.shape[1] - k + 1
+    rows = np.stack([flat[:, l:l + n] for l in range(k)], axis=1).reshape(cin * k, n)
+    offs, q, groups = ad._row_taps(sp, padded, k, cin, cout)
+    wt = w.transpose(2, 3, 0, 1, 4).reshape(k * k * cout, cin * k)
+    y = np.zeros((cout, sp[0] * padded[1] * padded[2]), dtype=x.dtype)
+    for taps in groups:
+        lo = offs[taps[0]]
+        z = wt[taps.start * cout:taps.stop * cout] @ rows[:, lo:offs[taps[-1]] + q]
+        for i, t in enumerate(taps):
+            y[:, :q] += z[i * cout:(i + 1) * cout, offs[t] - lo:offs[t] - lo + q]
+    return y.reshape(cout, sp[0], padded[1], padded[2])[:, :, :sp[1], :sp[2]]
+
+
+class TestWideRowTiles:
+    """A wide shifted-row convolution (Cin * k >= Cout) builds its shifted rows per column tile, with the halo.
+
+    Its bytes are those of the one product over the whole volume. Each case
+    below runs in two to four tiles at the small budget, and no tile width
+    divides its output columns.
+    """
+
+    # (cin, cout, k, extent): the head (16 -> 3) and res (32 -> 32) at k3, an 8 -> 8, and k5 rows
+    CASES = [(16, 3, 3, (40, 12, 9)), (16, 3, 3, (52, 9, 5)), (32, 32, 3, (64, 5, 6)), (32, 32, 3, (45, 6, 11)),
+             (8, 8, 3, (33, 7, 10)), (16, 3, 5, (90, 5, 9)), (4, 4, 5, (70, 6, 7))]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+    @pytest.mark.parametrize("cin,cout,k,extent", CASES)
+    def test_tiles_give_the_whole_product(self, monkeypatch, cin, cout, k, extent, dtype):
+        rng = np.random.default_rng(cin * cout + k)
+        x = rng.standard_normal((cin, *extent)).astype(dtype)
+        w = rng.standard_normal((cout, cin, k, k, k)).astype(dtype)
+        monkeypatch.setattr(ad, "_TILE_BYTES", 1 << 12)
+        spans, row_spans = [], ad._row_spans
+        monkeypatch.setattr(ad, "_row_spans", lambda *args: spans.append(row_spans(*args)) or spans[-1])
+        tiled = ad._rows_conv(x, w)
+        assert len(spans[0]) > 1
+        assert tiled.tobytes() == whole_rows_product(x, w).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+    def test_head_at_32_in_two_tiles(self, dtype):
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((16, 32, 32, 32)).astype(dtype)
+        w = rng.standard_normal((3, 16, 3, 3, 3)).astype(dtype)
+        assert ad._rows_conv(x, w).tobytes() == whole_rows_product(x, w).tobytes()
+
+    @pytest.mark.parametrize("itemsize", [4, 8])
+    def test_tile_rule(self, itemsize):
+        def tiles(n, cin, cout):
+            offs, q, groups = ad._row_taps((n,) * 3, (n + 2,) * 3, 3, cin, cout)
+            return ad._row_spans(q, offs[-1], 3 * cin, cout, len(groups[0]), itemsize)
+
+        # the head: one tile at faim_train's 16^3 (q = 5146, halo 684), two at 32^3 (q = 36922,
+        # halo 2380), the second taking the rest; res at 8^3 and 16^3, the head at 64^3
+        assert tiles(16, 16, 3) == [(0, 5146)]
+        assert tiles(32, 16, 3) == [(0, 16384), (16384, 36922)]
+        assert len(tiles(8, 32, 32)) == len(tiles(16, 32, 32)) == 1
+        assert [c1 - c0 for c0, c1 in tiles(64, 16, 3)] == [65536] * 3 + [82042]
+        # a thin input's tiles take the cache budget alone: branch3, 2 -> 8
+        assert tiles(32, 2, 8)[0] == (0, 8192 if itemsize == 4 else 4096)
+
+    def test_block_is_cut_from_the_padded_planes(self):
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((3, 7, 5, 6))
+        flat = np.pad(x, ((0, 0), *[(1, 1)] * 3)).reshape(3, -1)
+        whole = ad._shifted_rows(x, 3)
+        assert whole.shape == (9, flat.shape[1] - 2)
+        for l in range(3):
+            assert np.array_equal(whole[l::3], flat[:, l:l + whole.shape[1]])
+        for c0, n in ((0, 10), (37, 100), (56, 56), (250, whole.shape[1] - 250)):
+            assert np.array_equal(ad._shifted_rows(x, 3, c0, n), whole[:, c0:c0 + n])
 
 
 ROW_KINDS = {  # op, cin, cout, k, stride, PReLU, skip: as branch3, res (its input is its skip), up1, head

@@ -291,6 +291,16 @@ def test_forked_conv_rows_match_serial(monkeypatch, kind, dtype, dims, taped):
     assert _conv_row(kind, dims, dtype, taped) == serial
 
 
+def test_only_prelu_rows_fork(forked, monkeypatch):
+    # the linear head's epilogue, a crop and a bias add, runs whole on the caller
+    sizes = []
+    monkeypatch.setattr(ad, "fork", lambda size, *args: sizes.append(size) or _forkjoin.fork(size, *args))
+    _conv_row("linear-rows", (32, 32, 32), np.float32, taped=False)
+    assert sizes == []
+    _conv_row("thin-rows", (32, 32, 32), np.float32, taped=False)
+    assert sizes == [32 ** 3]
+
+
 def _evaluate_32(ds):
     params = model.build_faim(seed=0)
     predict = metrics.checkpoint_predictor({"kind": "faim", **params.config.to_meta()}, params.arrays())

@@ -196,6 +196,26 @@ class TestTapeFreeForward:
         for out in outputs:
             assert out.parents == () and out.backward_fn is None and not out.requires_grad
 
+    @pytest.mark.parametrize("cfg", [FaimConfig(), CUSTOM], ids=["default", "custom"])
+    @pytest.mark.parametrize("taped", [False, True], ids=["tape-free", "taped"])
+    def test_branches_are_concatenated_as_a_view(self, monkeypatch, cfg, taped):
+        joins = []
+
+        def spy(xs, _fn=ad.concat_channels):
+            joins.append((list(xs), _fn(xs)))
+            return joins[-1][1]
+
+        monkeypatch.setattr(ad, "concat_channels", spy)
+        params = build_faim(cfg, seed=0)
+        src, tgt = self._pair(9, 8)
+        if taped:
+            faim_apply(params, faim_input(params, src, tgt))
+        else:
+            faim_forward(params, src, tgt)
+        (branches, cat), = joins
+        assert cat.data.shape == (cfg.branch_channels * len(cfg.branch_kernels), 8, 8, 8)
+        assert all(np.shares_memory(cat.data, b.data) for b in branches)
+
     def test_caller_params_untouched(self):
         params = build_faim(FaimConfig(), seed=0)
         before = {name: t.data for name, t in params.tensors.items()}

@@ -491,7 +491,9 @@ class TestPeakMemory:
 
     def test_faim_training_step_32(self):
         # predict, loss and gradient, backward: 36.70-36.71 MB with the loss
-        # stack's field half on the worker or not, as the backward pass sets it
+        # stack's field half on the worker or not, as the backward pass sets it;
+        # 33.56 MB with the inception branches concatenated as a view, which
+        # takes their 3.1 MB copy off the tape that backward runs on
         ds = synth_dataset(seed=0, n=2, dims=(32, 32, 32))
         params = model.build_faim(model.FaimConfig(), seed=0)
         src, tgt = ds.volumes["s00"], ds.volumes["s01"]
@@ -501,7 +503,7 @@ class TestPeakMemory:
             _, grad_u = trainer._loss_and_grad(src, tgt, u.data, TrainConfig(beta=0.01))
             trainer.backward(u, seed=grad_u)
 
-        assert self._peak(step) < 38_000_000
+        assert self._peak(step) < 34_000_000
 
     def test_direct_loss_and_grad_32(self, monkeypatch):
         # 5.01 MB serial. With the worker forced on, 5.40 MB in the median of
@@ -547,17 +549,21 @@ class TestPeakMemory:
 
     def test_faim_forward(self, monkeypatch):
         # 14.61 MB with the rows' epilogue halves on the worker or not, and with the
-        # window kernel's column matrix in tiles or whole: another layer sets the peak
-        assert self._faim_forward_peak(monkeypatch, worker=True) < 16_000_000
+        # window kernel's column matrix in tiles or whole: the head set the peak with
+        # its whole-volume shifted rows and 9-tap product. 9.70-9.71 MB with those in
+        # column tiles and the inception branches concatenated as a view; the head,
+        # in its last tile, still sets it
+        assert self._faim_forward_peak(monkeypatch, worker=True) < 10_000_000
 
     def test_faim_forward_serial(self, monkeypatch):
-        assert self._faim_forward_peak(monkeypatch, worker=False) < 16_000_000
+        assert self._faim_forward_peak(monkeypatch, worker=False) < 10_000_000
 
     def test_taped_forward_holds_no_sign_masks(self):
         # the bytes a taped 32^3 forward pass keeps for backward: 25.69 MB while
         # each PReLU closure held a bool mask of its input's sign, 23.56 MB with
         # the sign recomputed from the input the closure keeps anyway, 20.87 MB
-        # with one node per layer row (no separate output per skip add)
+        # with one node per layer row (no separate output per skip add), 17.72 MB
+        # with the inception branches concatenated as a view of their outputs
         import tracemalloc
 
         ds = synth_dataset(seed=0, n=2, dims=(32, 32, 32))
@@ -569,4 +575,4 @@ class TestPeakMemory:
         finally:
             tracemalloc.stop()
         assert u.requires_grad and u.parents
-        assert held < 21_500_000
+        assert held < 18_000_000
