@@ -12,8 +12,12 @@ pair (six steps) with the settings of the ``direct_register`` benchmark
 workload: lr 0.1, alpha 0.01, beta 0.01, local CC with a 9^3 window. With
 ``--evaluate`` it runs ``metrics.evaluate`` on one pair with an
 untrained network, loaded through ``metrics.checkpoint_predictor`` as
-``foldreg evaluate`` does. It prints the wall time of that call, the peak
-resident set size of the process, so run each phase in its own process to get
+``foldreg evaluate`` does. It prints the wall time of that call, and for
+either training mode its ms per step: the time from the end of the first
+step to the end of the last over the steps between, which leaves out the
+first step's one-time costs (``--dims 8`` then reads the part of a FAIM step
+that does not scale with the volume, to set beside ``--dims 16``). It then
+prints the peak resident set size of the process, so run each phase in its own process to get
 its own peak, the minor page faults taken during the call, and the number of
 CPUs the process may run on: with two or more, the field half of the loss
 stack and half of each convolution row's epilogue run on a second thread at
@@ -72,9 +76,18 @@ def main() -> None:
         os.environ[var] = "1"
     sys.path.insert(0, str(ROOT / "src"))
 
-    from foldreg import metrics, model, trainer
+    from foldreg import metrics, model, optim, trainer
     from foldreg._forkjoin import usable_cpus
 
+    ends = []  # when each training step's Adam update returned
+    adam_step = optim.adam_step
+
+    def timed_adam_step(*step_args):
+        state = adam_step(*step_args)
+        ends.append(time.perf_counter())
+        return state
+
+    optim.adam_step = timed_adam_step
     ds = trainer.synth_dataset(seed=0, n=2, dims=args.dims)
     cfg = trainer.TrainConfig(epochs=1, beta=0.01)
     size = "x".join(map(str, args.dims))
@@ -100,8 +113,8 @@ def main() -> None:
         summary = f"train {len(result.log_rows)} steps  final loss {result.final.total!r}"
     elapsed = time.perf_counter() - start
     faults = _minor_faults() - faults
-    if args.direct:
-        summary += f"  {1e3 * elapsed / len(result.log_rows):.0f} ms per step"
+    if not args.evaluate:
+        summary += f"  {1e3 * (ends[-1] - ends[0]) / (len(ends) - 1):.1f} ms per step"
     print(f"dims {size}  {summary}  {elapsed:.2f} s  {usable_cpus()} usable CPUs  "
           f"peak RSS {_peak_mib():.0f} MiB (before {before:.0f} MiB)  {faults} minor page faults")
 

@@ -42,12 +42,12 @@ class Mutant(NamedTuple):
     tests: tuple[str, ...]
 
 
-AD, WARP = "src/foldreg/autodiff.py", "src/foldreg/warp.py"
+AD, WARP, OPTIM = "src/foldreg/autodiff.py", "src/foldreg/warp.py", "src/foldreg/optim.py"
 
 MUTANTS = (
     Mutant("points_sign", WARP,
-           "return identity_grid(vol.dims, dtype=dtype) + u.data",
-           "return identity_grid(vol.dims, dtype=dtype) - u.data",
+           "np.add(x, u.data[axis], out=out[axis])",
+           "np.subtract(x, u.data[axis], out=out[axis])",
            ("tests/test_warp.py::TestWarpImage",)),
     Mutant("cells_clamp", WARP,
            "c = np.clip(coords[axis], 0.0, float(n - 1))\n        i0 = np.ceil(c)",
@@ -113,14 +113,38 @@ MUTANTS = (
            "a.ctypes.data - base.ctypes.data != end",
            "a.ctypes.data - base.ctypes.data < start",
            ("tests/test_autodiff.py::TestConcatView",)),
+    Mutant("shifted_rows_offset", AD,
+           "(c0 - d0 * plane) * x.itemsize",
+           "(c0 - d0 * plane + 1) * x.itemsize",
+           ("tests/test_autodiff.py::TestStridedViews",)),
+    Mutant("depth_block_tap_stride", AD,
+           "(buf.itemsize, sc, sd, sd)",
+           "(buf.itemsize, sc, sd - buf.itemsize, sd)",
+           ("tests/test_autodiff.py::TestStridedViews",)),
+    Mutant("window_view_offset", AD,
+           "xp, 0,\n",
+           "xp, xp.itemsize,\n",
+           ("tests/test_autodiff.py::TestStridedViews",)),
+    Mutant("one_pass_rule", AD,
+           "if a is None or not forks(size):",
+           "if a is None or forks(size):",
+           ("tests/test_forkjoin.py::test_one_pass_row_gives_the_forked_halves",)),
     Mutant("r2_det_sign", "src/foldreg/jacobian.py",
            "folding = det < 0.0",
            "folding = det <= 0.0",
            ("tests/test_jacobian.py::TestR2Backward",)),
-    Mutant("adam_bias_correction", "src/foldreg/optim.py",
+    Mutant("adam_bias_correction", OPTIM,
            "bc2 = 1.0 - BETA2 ** state.t",
            "bc2 = 1.0",
            ("tests/test_optim.py::TestAdamStep",)),
+    Mutant("adam_span_offset", OPTIM,
+           "        o += p.size",
+           "        o += p.size - 1",
+           ("tests/test_optim.py::TestFlatAdam",)),
+    Mutant("adam_update_slice", OPTIM,
+           "update[state.spans[name]]",
+           "update[state.spans[name].start + 1:state.spans[name].stop + 1]",
+           ("tests/test_optim.py::TestFlatAdam",)),
     Mutant("divergence_rollback", "src/foldreg/trainer.py",
            "            np.copyto(a, good[name])",
            "            pass",

@@ -1,26 +1,28 @@
 """Fork-join on one worker thread: half of a loss evaluation, or of a convolution row, beside the caller.
 
-``fork(size, fn, *args)`` hands ``fn(*args)`` to the worker and returns its
-join, a callable that waits for the result and returns it, or raises the
-exception ``fn`` raised. The worker takes the task only when the volume has
-at least ``GRAIN`` voxels and at least two CPUs are usable; otherwise the
-join runs ``fn`` itself, on the caller, after the caller's own half, which
-is the serial order of operations. A task that forks on the worker gets the
-same inline join, since the worker would wait on its own queue. If the
-caller's own half raises before the join, the task still runs to its end on
-the worker, and its result is dropped.
+``forks(size)`` is the one rule for when a task runs on the worker: the
+volume has at least ``GRAIN`` voxels, at least two CPUs are usable, and the
+caller is not the worker itself, which would wait on its own queue.
+``fork(size, fn, *args)`` hands ``fn(*args)`` to the worker when the rule
+holds and returns its join, a callable that waits for the result and returns
+it, or raises the exception ``fn`` raised. Otherwise the join runs ``fn``
+itself, on the caller, after the caller's own half, which is the serial
+order of operations. If the caller's own half raises before the join, the
+task still runs to its end on the worker, and its result is dropped.
 
 There are two clients. The loss stack (``loss``, ``trainer``) forks its
 field half, which reads u alone, beside the CC. A convolution row
 (``autodiff._conv_node``), once the caller has run the kernel's BLAS work,
 forks the second half of its output channels' inverse FFTs, crop copy and
-epilogue (bias, skip, PReLU); the size is the row's output voxels. Below the
-grain the hand-off costs more than the overlap saves. Forked over serial,
-as medians of interleaved runs (one BLAS thread, 2-vCPU host): a training
-step's ``_loss_and_grad`` (480-960 steps each, two or three runs of direct
-training with the benchmark's direct_register settings), and one float32
-tape-free row with the FAIM layer's channels at that output size (300 calls
-each, two runs; the lower figure of the two is shown):
+epilogue (bias, skip, PReLU); the size is the row's output voxels. A row
+that the rule does not fork runs all its channels in one pass instead of two
+halves in turn. Below the grain the hand-off costs more than the overlap
+saves. Forked over serial, as medians of interleaved runs (one BLAS thread,
+2-vCPU host): a training step's ``_loss_and_grad`` (480-960 steps each, two
+or three runs of direct training with the benchmark's direct_register
+settings), and one float32 tape-free row with the FAIM layer's channels at
+that output size (300 calls each, two runs; the lower figure of the two is
+shown):
 
     size             16^3   20^3   24^3   28^3   32^3   40^3
     loss step        1.17   1.04   0.82   0.74   0.81   0.74
@@ -91,12 +93,13 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def fork(size: int, fn, *args):
-    """Start ``fn(*args)`` beside the caller when ``size`` voxels warrant it; return its join.
+def forks(size: int) -> bool:
+    """Whether a task of ``size`` voxels runs on the worker: the one rule of the module docstring."""
+    return size >= GRAIN and usable_cpus() >= 2 and not getattr(_thread, "on_worker", False)
 
-    On the worker itself the task always runs in the join, since the worker
-    would wait on its own queue.
-    """
-    if size >= GRAIN and usable_cpus() >= 2 and not getattr(_thread, "on_worker", False):
+
+def fork(size: int, fn, *args):
+    """Start ``fn(*args)`` beside the caller when ``forks(size)``; return its join."""
+    if forks(size):
         return _worker.submit(fn, *args).result
     return lambda: fn(*args)

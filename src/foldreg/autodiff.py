@@ -94,17 +94,22 @@ keeps its pre-activation z, and its closure takes the chain's backward steps
 in the chain's order, with the same bytes; ``prelu`` and ``add`` remain as the
 oracle of that chain.
 
-A row's forward pass runs in two halves along its output channels. The
-caller runs every BLAS call of the kernel (for the FFT kernel the kernel
-spectrum, the depth block and the per-frequency GEMMs, for all channels)
-and allocates the one C-contiguous output. Then the caller takes the first
-half of the channels and the worker of ``_forkjoin`` the second: each runs
-its channels' inverse FFTs, the crop copy of a padded kernel result, and the
-epilogue, through ``_forkjoin.fork``'s rule (at least ``GRAIN`` output voxels,
-two usable CPUs), else the caller runs both halves in turn. A row without
-PReLU (the linear head, whose epilogue is a crop and a bias add) runs its
-epilogue whole on the caller. Each channel's operations are the same either
-way, so are the bytes. The backward pass runs on the caller.
+The caller runs every BLAS call of a row's kernel (for the FFT kernel the
+kernel spectrum, the depth block and the per-frequency GEMMs, for all
+channels) and allocates the one C-contiguous output. A row runs the rest of
+its forward pass, its channels' inverse FFTs, the crop copy of a padded
+kernel result and the epilogue, in two halves along its output channels only
+when it forks, by ``_forkjoin.forks``' rule (at least ``GRAIN`` output
+voxels, two usable CPUs, not on the worker): the caller takes the first half
+of the channels and the worker the second. Any other row runs all its
+channels in one pass on the caller, and so does a row without PReLU (the
+linear head, whose epilogue is a crop and a bias add) at every size. Each
+channel's operations are the same either way, so are the bytes. The
+backward pass runs on the caller.
+
+Strided operands (the im2col window view, the k shifts of the shifted rows,
+the k depth windows of the FFT block) are each one ``np.ndarray`` view with
+explicit strides on a fresh C-contiguous buffer, copied once.
 
 Dtypes: the operands of ``conv3d``, ``conv3d_transpose`` and
 ``concat_channels`` share one dtype, float32 or float64, else the op raises
@@ -127,10 +132,9 @@ import itertools
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy import fft
 
-from ._forkjoin import fork
+from ._forkjoin import fork, forks
 
 
 class Tensor:
@@ -168,8 +172,10 @@ def _pad_spatial(x: np.ndarray, p: int) -> np.ndarray:
 
 def _window_view(x: np.ndarray, k: int, stride: int, padding: int) -> np.ndarray:
     """The im2col view (Cin, k, k, k, *out): [c, i, j, l, r] = pad(x)[c, r * stride + (i, j, l)]."""
-    win = sliding_window_view(_pad_spatial(x, padding), (k, k, k), axis=(1, 2, 3))[:, ::stride, ::stride, ::stride]
-    return win.transpose(0, 4, 5, 6, 1, 2, 3)
+    xp = np.ascontiguousarray(_pad_spatial(x, padding))
+    out = tuple((n - k) // stride + 1 for n in xp.shape[1:])
+    return np.ndarray((len(xp), k, k, k, *out), xp.dtype, xp, 0,
+                      xp.strides + tuple(stride * t for t in xp.strides[1:]))
 
 
 def _columns(x: np.ndarray, k: int, stride: int, padding: int) -> np.ndarray:
@@ -284,9 +290,9 @@ def _depth_block(x: np.ndarray, k: int, s) -> np.ndarray:
     buf = np.zeros((c, d + 2 * p, s[0], s[1] // 2 + 1), dtype=np.result_type(x, np.complex64))
     buf[:, p:p + d] = fft.rfftn(x, s, axes=(2, 3), workers=1)
     buf = buf.reshape(c, d + 2 * p, -1)
-    rows = np.empty((buf.shape[2], c, k, d), dtype=buf.dtype)
-    rows[...] = sliding_window_view(buf, k, axis=1).transpose(2, 0, 3, 1)
-    return rows.reshape(buf.shape[2], c * k, d)
+    f, (sc, sd, _) = buf.shape[2], buf.strides  # [f, c, a, d] = buf[c, d + a, f]
+    rows = np.ndarray((f, c, k, d), buf.dtype, buf, 0, (buf.itemsize, sc, sd, sd)).copy()
+    return rows.reshape(f, c * k, d)
 
 
 def _plane_parts(x: np.ndarray, w: np.ndarray):
@@ -350,11 +356,12 @@ def _shifted_rows(x: np.ndarray, k: int, c0: int = 0, n: int | None = None) -> n
     n = (d + 2 * p) * plane - k + 1 - c0 if n is None else n
     d0, d1 = c0 // plane, -(-(c0 + n + k - 1) // plane)
     xp = np.zeros((len(x), d1 - d0, h + 2 * p, w + 2 * p), dtype=x.dtype)
-    s0, s1 = max(d0, p), min(d1, d + p)  # the padded planes that hold planes of x
+    s0 = max(d0, p)
+    s1 = max(s0, min(d1, d + p))  # the padded planes that hold planes of x: none in the padding alone
     xp[:, s0 - d0:s1 - d0, p:p + h, p:p + w] = x[:, s0 - p:s1 - p]
-    flat = xp.reshape(len(x), -1)[:, c0 - d0 * plane:c0 - d0 * plane + n + k - 1]
-    rows = np.empty((len(x), k, n), dtype=x.dtype)
-    rows[...] = sliding_window_view(flat, n, axis=1)
+    # [c, l, t] = flat padded channel c at c0 + l + t, its offset in xp being c0 - d0 * plane
+    rows = np.ndarray((len(x), k, n), x.dtype, xp, (c0 - d0 * plane) * x.itemsize,
+                      (xp.strides[0], x.itemsize, x.itemsize)).copy()
     return rows.reshape(-1, n)
 
 
@@ -599,11 +606,13 @@ def _conv_node(op: str, x: Tensor, w: Tensor, b: Tensor, stride: int, padding: i
                   b.data[c0:c1, None, None, None], None if a is None else a[c0:c1],
                   None if s is None else s[c0:c1], transpose)
 
-    if a is None:  # a linear row (the head): its epilogue, a crop and a bias add, is slower forked
+    size = math.prod(out_sp)
+    # a linear row (the head): its epilogue, a crop and a bias add, is slower forked
+    if a is None or not forks(size):
         finish(0, cout)
     else:  # the worker takes the second half of the channels' inverse transforms and epilogue
         half = (cout + 1) // 2
-        join = fork(math.prod(out_sp), finish, half, cout)
+        join = fork(size, finish, half, cout)
         finish(0, half)
         join()
 

@@ -28,6 +28,10 @@ def _check_extents(dims) -> None:
         raise ValueError(f"jacobian requires extent >= 2 per axis, got dims {dims}")
 
 
+# _AXES[a] moves spatial axis a of a (3, nx, ny, nz) array next to the channel axis: np.moveaxis(., a + 1, 1)
+_AXES = ((0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 1, 2))
+
+
 def jacobian_raw(u: np.ndarray) -> np.ndarray:
     """Du with D[c, a] = forward difference of channel c along axis a."""
     dims = u.shape[1:]
@@ -35,7 +39,7 @@ def jacobian_raw(u: np.ndarray) -> np.ndarray:
     out = np.empty((3, 3) + dims, dtype=u.dtype)
     for a in range(3):
         # views with axis a moved next to the channel axis
-        src, dst = np.moveaxis(u, a + 1, 1), np.moveaxis(out[:, a], a + 1, 1)
+        src, dst = u.transpose(_AXES[a]), out[:, a].transpose(_AXES[a])
         np.subtract(src[:, 1:], src[:, :-1], out=dst[:, :-1])
         # backward difference at the high boundary equals the last forward one
         dst[:, -1] = dst[:, -2]
@@ -46,7 +50,7 @@ def jacobian_adjoint(grad: np.ndarray) -> np.ndarray:
     """Adjoint of jacobian_raw: scatter stencil gradients back onto u."""
     out = np.zeros((3,) + grad.shape[2:], dtype=np.result_type(grad.dtype, np.float64))
     for a in range(3):
-        g, o = np.moveaxis(grad[:, a], a + 1, 1), np.moveaxis(out, a + 1, 1)
+        g, o = grad[:, a].transpose(_AXES[a]), out.transpose(_AXES[a])
         o[:, 1:] += g[:, :-1]
         o[:, :-1] -= g[:, :-1]
         o[:, -1] += g[:, -1]

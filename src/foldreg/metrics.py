@@ -144,9 +144,10 @@ def evaluate(
     """Evaluate a predictor over ordered pairs; see the module docstring."""
     if not pairs:
         raise ValueError("no pairs to evaluate")
-    missing = {sid for p in pairs for sid in p if sid not in labels}
-    if missing:
-        raise ValueError(f"no labels for subjects: {sorted(missing)}")
+    for kind, have in (("volumes", volumes), ("labels", labels)):
+        missing = {sid for p in pairs for sid in p if sid not in have}
+        if missing:
+            raise ValueError(f"no {kind} for subjects: {sorted(missing)}")
     reports = []
     for src_id, tgt_id in pairs:
         src, tgt = volumes[src_id], volumes[tgt_id]

@@ -4,6 +4,16 @@ Standard update with bias correction and the constants of Kingma & Ba
 (arXiv 1412.6980): BETA1, BETA2 and EPS below. Moments are kept in float64
 regardless of the parameter dtype so the recurrence is exact in verification
 runs, and the computed update is cast back into the parameter array in place.
+
+The state is flat: m and v are one float64 vector each, holding every
+parameter's moments end to end, and ``m[name]``, ``v[name]`` are views of
+them shaped as that parameter. A step joins the gradients into one float64
+vector, checks it for finiteness once, forms the update over all parameters
+in one pass, and gives each parameter its slice. Each element takes the
+operations of a per-parameter update in the same order, so the bytes are
+the same. The joined gradient, and then the update, share one of the step's
+two work vectors, which live only during the step, so that no vector of
+that length outlives it.
 """
 
 from __future__ import annotations
@@ -23,17 +33,26 @@ class DivergenceError(RuntimeError):
 
 @dataclass
 class AdamState:
+    """Step count and moments; ``spans[name]`` is the parameter's slice of ``flat_m`` and ``flat_v``."""
+
     lr: float = 1e-4
     t: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
+    flat_m: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    flat_v: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    spans: dict[str, slice] = field(default_factory=dict)
 
 
 def adam_init(params: dict[str, np.ndarray], lr: float = 1e-4) -> AdamState:
-    state = AdamState(lr=lr)
+    n = sum(p.size for p in params.values())
+    state = AdamState(lr=lr, flat_m=np.zeros(n), flat_v=np.zeros(n))
+    o = 0
     for name, p in params.items():
-        state.m[name] = np.zeros(p.shape, dtype=np.float64)
-        state.v[name] = np.zeros(p.shape, dtype=np.float64)
+        state.spans[name] = s = slice(o, o + p.size)
+        state.m[name] = state.flat_m[s].reshape(p.shape)
+        state.v[name] = state.flat_v[s].reshape(p.shape)
+        o += p.size
     return state
 
 
@@ -45,24 +64,39 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray], state
     ``DivergenceError``, and either leaves the parameters and state as they were.
     """
     for name, p in params.items():
-        g = grads[name]
-        if np.shape(g) != p.shape:
-            raise ValueError(f"gradient shape {np.shape(g)} does not match parameter {name!r} {p.shape}")
-        if not np.all(np.isfinite(g)):
-            raise DivergenceError(f"diverged gradient in {name!r}")
+        if np.shape(grads[name]) != p.shape:
+            raise ValueError(f"gradient shape {np.shape(grads[name])} does not match parameter {name!r} {p.shape}")
+    parts = [np.ravel(grads[name]) for name in state.spans]
+    update, w = np.empty((2, len(state.flat_m)))
+    g = update  # one float64 vector in the state's layout; a lone float64 gradient is read in place
+    if len(parts) == 1 and parts[0].dtype == np.float64:
+        g = parts[0]
+    elif parts:
+        np.concatenate(parts, out=g)
+    if not np.isfinite(g).all():
+        bad = next(name for name, s in state.spans.items() if not np.isfinite(g[s]).all())
+        raise DivergenceError(f"diverged gradient in {bad!r}")
     state.t += 1
     bc1 = 1.0 - BETA1 ** state.t
     bc2 = 1.0 - BETA2 ** state.t
+    m, v = state.flat_m, state.flat_v
+    # lr * (m / bc1) / (sqrt(v / bc2) + EPS) after the moment updates, each pass over every parameter;
+    # the update overwrites g, read for the last time by the moments
+    np.multiply(1.0 - BETA1, g, out=w)
+    m *= BETA1
+    m += w
+    np.multiply(g, g, out=w)
+    w *= 1.0 - BETA2
+    v *= BETA2
+    v += w
+    np.divide(v, bc2, out=w)
+    np.sqrt(w, out=w)
+    w += EPS
+    np.divide(m, bc1, out=update)
+    np.multiply(state.lr, update, out=update)
+    update /= w
     for name, p in params.items():
-        g = np.asarray(grads[name], dtype=np.float64)
-        m = state.m[name]
-        v = state.v[name]
-        m *= BETA1
-        m += (1.0 - BETA1) * g
-        v *= BETA2
-        v += (1.0 - BETA2) * (g * g)
-        update = state.lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
-        np.subtract(p, update, out=p, casting="unsafe")
+        np.subtract(p, update[state.spans[name]].reshape(p.shape), out=p, casting="unsafe")
     return state
 
 

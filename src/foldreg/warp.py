@@ -119,10 +119,19 @@ def trilinear_sample(src: Volume, p) -> float:
 
 
 def _points(vol: Volume, u: DisplacementField, dtype) -> np.ndarray:
-    """The sample points x + u(x) of vol's lattice, (3, ...) in dtype and u's."""
+    """The sample points x + u(x) of vol's lattice, (3, ...) in dtype and u's.
+
+    Each axis's lattice coordinate is a 1-D range in dtype, broadcast along
+    the other axes, so no identity grid is made: the adds of
+    ``identity_grid(dims, dtype) + u``, written into one output.
+    """
     if vol.dims != u.dims:
         raise ValueError(f"dims mismatch: volume {vol.dims} vs field {u.dims}")
-    return identity_grid(vol.dims, dtype=dtype) + u.data
+    out = np.empty((3, *vol.dims), dtype=np.result_type(dtype, u.data.dtype))
+    for axis, n in enumerate(vol.dims):
+        x = np.arange(n, dtype=dtype).reshape([n if a == axis else 1 for a in range(3)])
+        np.add(x, u.data[axis], out=out[axis])
+    return out
 
 
 def warp_image(src: Volume, u: DisplacementField) -> Volume:

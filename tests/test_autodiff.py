@@ -751,6 +751,74 @@ class TestWideRowTiles:
             assert np.array_equal(ad._shifted_rows(x, 3, c0, n), whole[:, c0:c0 + n])
 
 
+def oracle_shifted_rows(x, k, c0, n):
+    """``ad._shifted_rows`` as a sliding_window_view of the whole padded, flattened input, copied once."""
+    p = (k - 1) // 2
+    flat = np.pad(x, ((0, 0), *[(p, p)] * 3)).reshape(len(x), -1)[:, c0:c0 + n + k - 1]
+    return np.ascontiguousarray(sliding_window_view(flat, n, axis=1)).reshape(-1, n)
+
+
+def oracle_depth_block(x, k, s):
+    """``ad._depth_block`` with its k depth windows taken by sliding_window_view, copied once."""
+    (c, d), p = x.shape[:2], (k - 1) // 2
+    buf = np.zeros((c, d + 2 * p, s[0], s[1] // 2 + 1), dtype=np.result_type(x, np.complex64))
+    buf[:, p:p + d] = ad.fft.rfftn(x, s, axes=(2, 3), workers=1)
+    buf = buf.reshape(c, d + 2 * p, -1)
+    rows = np.ascontiguousarray(sliding_window_view(buf, k, axis=1).transpose(2, 0, 3, 1))
+    return rows.reshape(buf.shape[2], c * k, d)
+
+
+def oracle_window_view(x, k, stride, padding):
+    """``ad._window_view`` as the strided sliding_window_view of the padded input."""
+    return _oracle_windows(ad._pad_spatial(x, padding), k, stride).transpose(0, 4, 5, 6, 1, 2, 3)
+
+
+def _same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestStridedViews:
+    """The explicit-stride views of the kernels give the bytes of the sliding_window_view constructions."""
+
+    EXTENTS = [(7, 5, 6), (9, 6, 11)]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+    @pytest.mark.parametrize("extent", EXTENTS, ids=str)
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_shifted_rows(self, k, extent, dtype):
+        x = np.random.default_rng(k).standard_normal((3, *extent)).astype(dtype)
+        total = np.prod([n + k - 1 for n in extent]) - k + 1
+        plane = (extent[1] + k - 1) * (extent[2] + k - 1)
+        # the whole block, a first tile, tiles that cross depth planes, one starting on a plane, the last
+        tiles = [(0, total), (0, 10), (37, 100), (plane, plane + 3), (2 * plane - 5, 11), (total - 60, 60)]
+        for c0, n in tiles:
+            assert _same_bytes(ad._shifted_rows(x, k, c0, n), oracle_shifted_rows(x, k, c0, n)), (c0, n)
+        assert _same_bytes(ad._shifted_rows(x, k), oracle_shifted_rows(x, k, 0, total))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+    @pytest.mark.parametrize("extent", EXTENTS, ids=str)
+    @pytest.mark.parametrize("k", [5, 7])
+    def test_depth_block(self, k, extent, dtype):
+        x = np.random.default_rng(k).standard_normal((2, *extent)).astype(dtype)
+        s = ad._fft_shape(extent[1:], k)
+        assert _same_bytes(ad._depth_block(x, k, s), oracle_depth_block(x, k, s))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+    @pytest.mark.parametrize("extent", EXTENTS, ids=str)
+    @pytest.mark.parametrize("k,stride,padding", [(3, 2, 1), (2, 2, 0)], ids=["k3s2", "k2s2"])
+    def test_window_view(self, k, stride, padding, extent, dtype):
+        x = np.random.default_rng(k).standard_normal((4, *extent)).astype(dtype)
+        view, oracle = ad._window_view(x, k, stride, padding), oracle_window_view(x, k, stride, padding)
+        assert view.shape == oracle.shape and np.array_equal(view, oracle)
+        assert _same_bytes(ad._columns(x, k, stride, padding), np.ascontiguousarray(oracle))
+
+    def test_window_view_of_a_strided_input(self):
+        # an unpadded input that is not C-contiguous (a transposed gradient, say) gives the same windows
+        x = np.random.default_rng(0).standard_normal((9, 6, 11, 4)).transpose(3, 0, 1, 2)
+        assert not x.flags.c_contiguous
+        assert _same_bytes(ad._columns(x, 2, 2, 0), np.ascontiguousarray(oracle_window_view(x, 2, 2, 0)))
+
+
 ROW_KINDS = {  # op, cin, cout, k, stride, PReLU, skip: as branch3, res (its input is its skip), up1, head
     "prelu": ("conv3d", 2, 8, 3, 1, True, None),
     "conv_skip": ("conv3d", 4, 4, 3, 1, True, "input"),

@@ -291,6 +291,39 @@ def test_forked_conv_rows_match_serial(monkeypatch, kind, dtype, dims, taped):
     assert _conv_row(kind, dims, dtype, taped) == serial
 
 
+@pytest.mark.parametrize("taped", [False, True], ids=["tape-free", "taped"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+@pytest.mark.parametrize("kind", sorted(k for k, row in CONV_ROWS.items() if row[5]))
+@pytest.mark.parametrize("serial", ["below-grain", "one-cpu"])
+def test_one_pass_row_gives_the_forked_halves(monkeypatch, serial, kind, dtype, taped):
+    # a PReLU row that does not fork runs its inverse transforms, crop and epilogue over all its
+    # channels at once; that one pass has the bytes of the two halves that a forked row runs
+    dims, cout, grain = (8, 12, 10), CONV_ROWS[kind][2], _forkjoin.GRAIN
+    passes = []
+    epilogue = ad._epilogue
+    monkeypatch.setattr(ad, "_epilogue", lambda *args: passes.append(len(args[1])) or epilogue(*args))
+    _use_worker(monkeypatch, True)
+    halves = _conv_row(kind, dims, dtype, taped)
+    assert sorted(passes) == sorted([(cout + 1) // 2, cout // 2])
+    passes.clear()
+    if serial == "below-grain":
+        monkeypatch.setattr(_forkjoin, "GRAIN", grain)
+        assert np.prod(dims) < grain
+    else:
+        monkeypatch.setattr(_forkjoin, "usable_cpus", lambda: 1)
+    assert _conv_row(kind, dims, dtype, taped) == halves
+    assert passes == [cout]
+
+
+def test_fork_rule(monkeypatch):
+    # fork and the rows read one rule: GRAIN voxels, two usable CPUs, not on the worker
+    monkeypatch.setattr(_forkjoin, "usable_cpus", lambda: 2)
+    assert _forkjoin.forks(_forkjoin.GRAIN) and not _forkjoin.forks(_forkjoin.GRAIN - 1)
+    assert not _forkjoin._worker.submit(_forkjoin.forks, _forkjoin.GRAIN).result(timeout=30)
+    monkeypatch.setattr(_forkjoin, "usable_cpus", lambda: 1)
+    assert not _forkjoin.forks(1 << 40)
+
+
 def test_only_prelu_rows_fork(forked, monkeypatch):
     # the linear head's epilogue, a crop and a bias add, runs whole on the caller
     sizes = []

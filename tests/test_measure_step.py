@@ -26,13 +26,22 @@ def _run(dims, mode):
     return proc.stdout
 
 
-@pytest.mark.parametrize("mode", [[], ["--direct"], ["--evaluate"]], ids=["train", "direct", "evaluate"])
+# what each mode prints before the wall time: both training modes give their ms per step
+_SUMMARY = {
+    "train": r"train 2 steps  final loss \S+  \d+\.\d ms per step",
+    "direct": r"direct 6 steps  final loss \S+  \d+\.\d ms per step",
+    "evaluate": r"evaluate 1 pair  mean Dice \S+  total \S+",
+}
+_MODES = {"train": [], "direct": ["--direct"], "evaluate": ["--evaluate"]}
+
+
+@pytest.mark.parametrize("mode", ["train", "direct", "evaluate"])
 def test_measure_step_runs(mode):
-    out = _run("8", mode)
-    assert re.fullmatch(rf"dims 8x8x8  .+  {_TAIL}", out), out
+    out = _run("8", _MODES[mode])
+    assert re.fullmatch(rf"dims 8x8x8  {_SUMMARY[mode]}  \d+\.\d\d s  {_TAIL}", out), out
 
 
-@pytest.mark.parametrize("mode", [[], ["--evaluate"]], ids=["train", "evaluate"])
+@pytest.mark.parametrize("mode", ["train", "evaluate"])
 def test_measure_step_anisotropic(mode):
-    out = _run("8,12,16", mode)
-    assert re.fullmatch(rf"dims 8x12x16  .+  {_TAIL}", out), out
+    out = _run("8,12,16", _MODES[mode])
+    assert re.fullmatch(rf"dims 8x12x16  {_SUMMARY[mode]}  \d+\.\d\d s  {_TAIL}", out), out

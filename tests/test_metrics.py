@@ -257,6 +257,13 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="no labels"):
             evaluate(identity_predictor, self.ds.volumes, {}, self.pairs)
 
+    def test_missing_volume_is_named(self):
+        # a subject that has labels but no volume is named, as a subject without labels is
+        volumes = {sid: v for sid, v in self.ds.volumes.items() if sid != "s01"}
+        assert "s01" in self.ds.labels
+        with pytest.raises(ValueError, match=r"no volumes for subjects: \['s01'\]"):
+            evaluate(identity_predictor, volumes, self.ds.labels, self.pairs)
+
     def test_faim_checkpoint_predictor(self):
         params = build_faim(FaimConfig(), seed=0)
         meta = {"kind": "faim", **params.config.to_meta()}

@@ -129,6 +129,100 @@ class TestAdamStep:
         assert state.v["p"].shape == p.shape
 
 
+def per_tensor_adam(params, grads, m, v, t, lr):
+    """One Adam step as a loop over the parameters, each with its own float64 moments: the flat update's oracle."""
+    bc1, bc2 = 1.0 - 0.9 ** t, 1.0 - 0.999 ** t
+    for name, p in params.items():
+        g = np.asarray(grads[name], dtype=np.float64)
+        m[name] *= 0.9
+        m[name] += (1.0 - 0.9) * g
+        v[name] *= 0.999
+        v[name] += (1.0 - 0.999) * (g * g)
+        update = lr * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + 1e-8)
+        np.subtract(p, update, out=p, casting="unsafe")
+
+
+def _flat_case(seed=0):
+    """Parameters of several shapes and both dtypes, as a network's (a conv kernel, a bias, a slope)."""
+    rng = np.random.default_rng(seed)
+    shapes = {"w": ((4, 2, 3, 3, 3), np.float32), "b": ((4,), np.float32), "a": ((1,), np.float64),
+              "field": ((3, 2, 3, 4), np.float64)}
+    return rng, {name: rng.standard_normal(shape).astype(dt) for name, (shape, dt) in shapes.items()}
+
+
+def _draw(rng, params):
+    # float64 and float32 gradients, as leaves and direct fields hand them over
+    return {name: rng.standard_normal(p.shape).astype(np.float32 if name == "b" else np.float64)
+            for name, p in params.items()}
+
+
+def _snapshot(params, state):
+    return ([p.tobytes() for p in params.values()], state.t, state.flat_m.tobytes(), state.flat_v.tobytes())
+
+
+class TestFlatAdam:
+    def test_matches_the_per_tensor_loop(self):
+        rng, params = _flat_case()
+        ref = {name: p.copy() for name, p in params.items()}
+        m = {name: np.zeros(p.shape) for name, p in params.items()}
+        v = {name: np.zeros(p.shape) for name, p in params.items()}
+        state = adam_init(params, lr=1e-2)
+        for t in range(1, 7):
+            grads = _draw(rng, params)
+            adam_step(params, grads, state)
+            per_tensor_adam(ref, grads, m, v, t, 1e-2)
+            for name, p in params.items():
+                assert p.dtype == ref[name].dtype and p.tobytes() == ref[name].tobytes(), (t, name)
+                assert state.m[name].tobytes() == m[name].tobytes() and state.v[name].tobytes() == v[name].tobytes()
+
+    def test_lone_parameter_matches_and_keeps_its_gradient(self):
+        # one float64 gradient is read in place, and left as it was
+        rng = np.random.default_rng(3)
+        p, ref = np.zeros((3, 4, 5, 6)), np.zeros((3, 4, 5, 6))
+        m, v = {"u": np.zeros(p.shape)}, {"u": np.zeros(p.shape)}
+        state = adam_init({"u": p}, lr=0.1)
+        for t in range(1, 5):
+            g = rng.standard_normal(p.shape)
+            before = g.copy()
+            adam_step({"u": p}, {"u": g}, state)
+            per_tensor_adam({"u": ref}, {"u": g}, m, v, t, 0.1)
+            assert np.array_equal(g, before)
+            assert p.tobytes() == ref.tobytes()
+
+    def test_moments_are_views_of_one_vector_each(self):
+        _, params = _flat_case()
+        state = adam_init(params)
+        n = sum(p.size for p in params.values())
+        assert state.flat_m.shape == state.flat_v.shape == (n,) and state.flat_m.dtype == np.float64
+        for name, p in params.items():
+            assert state.m[name].shape == p.shape and np.shares_memory(state.m[name], state.flat_m)
+            assert np.shares_memory(state.v[name], state.flat_v)
+        # the views tile the vectors end to end
+        assert sum(state.spans[name].stop - state.spans[name].start for name in params) == n
+        assert [s.start for s in state.spans.values()] == list(np.cumsum([0] + [p.size for p in params.values()])[:-1])
+
+    def test_no_parameters_is_a_step(self):
+        state = adam_init({})
+        adam_step({}, {}, state)
+        assert state.t == 1
+
+    @pytest.mark.parametrize("bad", ["shape", "nan", "inf"])
+    def test_a_rejected_step_changes_nothing(self, bad):
+        rng, params = _flat_case(1)
+        state = adam_init(params, lr=1e-2)
+        for _ in range(2):
+            adam_step(params, _draw(rng, params), state)
+        before = _snapshot(params, state)
+        grads = _draw(rng, params)
+        if bad == "shape":
+            grads["field"] = np.ones(5)
+        else:
+            grads["field"][1, 0, 2, 3] = np.nan if bad == "nan" else -np.inf
+        with pytest.raises(ValueError if bad == "shape" else DivergenceError, match="field"):
+            adam_step(params, grads, state)
+        assert _snapshot(params, state) == before
+
+
 class TestClip:
     def test_noop_below_threshold(self):
         g = {"a": np.array([0.3, 0.4])}
